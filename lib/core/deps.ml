@@ -116,25 +116,6 @@ let pack_wr k = 4 + ((k lsl 2) lor 0)
 let pack_ww k = 4 + ((k lsl 2) lor 1)
 let pack_rw k = 4 + ((k lsl 2) lor 2)
 
-(* ops.(i) = Read (k, _) is the external read of [k] iff no earlier op
-   touches [k] (an earlier read of [k] is the external one; an earlier
-   write makes every later read internal).  Linear rescan instead of the
-   per-txn hashtables of [Txn.external_reads] — MTs have <= 4 ops. *)
-let is_external_read ops i k =
-  let rec earlier j = j >= i || (Op.key ops.(j) <> k && earlier (j + 1)) in
-  earlier 0
-
-let writes_key_ops ops k =
-  let n = Array.length ops in
-  let rec go j =
-    j < n
-    &&
-    match ops.(j) with
-    | Op.Write (k', _) -> k' = k || go (j + 1)
-    | Op.Read _ -> go (j + 1)
-  in
-  go 0
-
 let sp_deps = Obs.Trace.intern "infer/deps"
 let sp_so = Obs.Trace.intern "infer/deps/so"
 let sp_bucket = Obs.Trace.intern "infer/deps/bucket"
@@ -217,7 +198,7 @@ let run_stripe ?fast (idx : Index.t) num_keys st =
             let wv = Ts.slot_vertex tsi p in
             if wv <> sv then begin
               push wv sv (pack_wr k);
-              let writes = writes_key_ops ops k in
+              let writes = Txn.writes_key_ops ops k in
               if writes then push wv sv (pack_ww k);
               let g =
                 match slot_group.(p) with
@@ -235,7 +216,7 @@ let run_stripe ?fast (idx : Index.t) num_keys st =
             | Index.Final w when w <> s.id ->
                 let wv = Index.vertex idx w in
                 push wv sv (pack_wr k);
-                let writes = writes_key_ops ops k in
+                let writes = Txn.writes_key_ops ops k in
                 if writes then push wv sv (pack_ww k);
                 let gk = (wv * num_keys) + k in
                 let g =
@@ -319,7 +300,8 @@ let build_direct ?pool ?ts ~skew ~rt (idx : Index.t) =
   Obs.Trace.exit sp_so t_so;
   let so_l = Array.make (Int_vec.length so_u) lab_so in
   (* Bucket pre-pass: route every external read to its key stripe.  The
-     serial scan does only the O(1)-per-op externality test; writer
+     serial scan does only the O(1)-per-op externality test (the flat
+     [Txn.is_external_read] rescan, shared with [Divergence]); writer
      resolution, WR/WW emission and the RW composition — the expensive
      parts — happen inside the stripe tasks (lines 8-11, 14-15). *)
   let per = 2 * m / num_stripes in
@@ -345,7 +327,7 @@ let build_direct ?pool ?ts ~skew ~rt (idx : Index.t) =
           match op with
           | Op.Write _ -> ()
           | Op.Read (k, _) ->
-              if is_external_read ops i k then begin
+              if Txn.is_external_read ops i k then begin
                 let st = stripes.(stripe_of_key k) in
                 Int_vec.push st.r_sv sv;
                 Int_vec.push st.r_op i

@@ -14,12 +14,14 @@ type instance = {
 val pp_instance : Format.formatter -> instance -> unit
 
 val find : ?pool:Pool.t -> Index.t -> instance option
-(** First instance found, scanning committed transactions in id order.
-    O(n) using a [(key, read value) -> writing reader] table.  With
-    [pool], key stripes scan concurrently (a diverging pair lives on one
-    key) and a min-position tie-break keeps the reported instance
-    identical to the sequential scan. *)
+(** First instance found, scanning committed transactions in id order:
+    one pass over flat op arrays into an int-packed
+    [(key, read value) -> first extender] map.  With [pool], slices of
+    key stripes scan concurrently (a diverging pair lives on one key),
+    one pass per slice, and a min-(position, op index) reduction keeps
+    the reported instance identical to the unsliced scan. *)
 
 val find_all : Index.t -> instance list
-(** Every diverging pair (an object read by [k] diverging writers yields
-    [k-1] instances against the first one). *)
+(** Every diverging pair, in scan order, from the same pass (an object
+    read by [k] diverging writers yields [k-1] instances against the
+    first one). *)

@@ -23,99 +23,175 @@ let to_string (h : History.t) =
 (* Parsing is total: any malformed input — truncated op, unknown status,
    duplicate or out-of-order transaction id, key out of range — yields
    [Error] with the 1-based line number of the offending line in the
-   original input (comment and blank lines count), never an exception. *)
+   original input (comment and blank lines count), never an exception.
+
+   One cursor pass over the string: line bounds by [String.index_from],
+   [String.trim]'s whitespace set stripped in place, fields split on
+   single spaces, ints and ops read in place by [Op]'s scanners, and
+   each [Txn.t] built straight into a growable array.  Every line is
+   parsed before any well-formedness error (id order, session and key
+   range) is reported, so the first such error is held back until the
+   input ends. *)
 
 exception Bad of string
 
 let sp_parse = Obs.Trace.intern "parse"
+let placeholder = Txn.make ~id:0 ~session:0 []
+let no_op = Op.Read (0, 0)
+
+let is_space = function ' ' | '\t' | '\n' | '\r' | '\012' -> true | _ -> false
+
+(* End of the single-space-separated field starting at [i], before [hi]. *)
+let field_end s i hi =
+  let j = ref i in
+  while !j < hi && String.unsafe_get s !j <> ' ' do
+    incr j
+  done;
+  !j
 
 let of_string s = Obs.Trace.with_span sp_parse @@ fun () ->
+  let len = String.length s in
   let fail fmt = Printf.ksprintf (fun m -> raise (Bad m)) fmt in
   let faill line fmt =
     Printf.ksprintf (fun m -> raise (Bad (Printf.sprintf "line %d: %s" line m))) fmt
   in
-  (* (original line number, trimmed content), comments/blanks dropped *)
-  let lines =
-    String.split_on_char '\n' s
-    |> List.mapi (fun i l -> (i + 1, String.trim l))
-    |> List.filter (fun (_, l) ->
-           l <> "" && not (String.length l > 0 && l.[0] = '#'))
+  let sub a b = String.sub s a (b - a) in
+  (* The current content line is [lo, hi) on physical line [ln]; [next]
+     is where the following physical line starts ([len + 1] once the
+     last one, possibly empty, has been consumed). *)
+  let next = ref 0 and ln = ref 0 and lo = ref 0 and hi = ref 0 in
+  let rec content () =
+    !next <= len
+    &&
+    let start = !next in
+    let stop = try String.index_from s start '\n' with Not_found -> len in
+    next := stop + 1;
+    incr ln;
+    let a = ref start and b = ref stop in
+    while !a < !b && is_space (String.unsafe_get s !a) do
+      incr a
+    done;
+    while !b > !a && is_space (String.unsafe_get s (!b - 1)) do
+      decr b
+    done;
+    if !a = !b || String.unsafe_get s !a = '#' then content ()
+    else begin
+      lo := !a;
+      hi := !b;
+      true
+    end
   in
-  let parse_kv name (ln, line) =
-    match String.split_on_char ' ' line with
-    | [ k; v ] when k = name -> (
-        match int_of_string_opt v with
-        | Some n -> n
-        | None -> faill ln "bad %s count %S" name v)
-    | _ -> faill ln "expected %S header, got %S" (name ^ " <n>") line
+  let is_text a b lit =
+    b - a = String.length lit
+    &&
+    let i = ref 0 in
+    while !i < b - a && String.unsafe_get s (a + !i) = lit.[!i] do
+      incr i
+    done;
+    !i = b - a
   in
-  let parse_txn (ln, line) =
-    match String.split_on_char ' ' line with
-    | "txn" :: id :: session :: status :: start :: commit :: ops ->
-        let int what s =
-          match int_of_string_opt s with
-          | Some n -> n
-          | None -> faill ln "bad %s %S" what s
-        in
-        let id = int "txn id" id in
-        let session = int "session" session in
-        let status =
-          match status with
-          | "C" -> Txn.Committed
-          | "A" -> Txn.Aborted
-          | other -> faill ln "bad status %S (want C or A)" other
-        in
-        let start_ts = int "start_ts" start in
-        let commit_ts = int "commit_ts" commit in
-        let ops =
-          List.map
-            (fun op_s ->
-              match Op.of_string op_s with
-              | Some op -> op
-              | None -> faill ln "bad operation %S" op_s)
-            ops
-        in
-        (ln, Txn.make ~id ~session ~status ~start_ts ~commit_ts ops)
-    | _ -> faill ln "unparseable txn line %S" line
+  let parse_kv name line a b =
+    let sp = field_end s a b in
+    if sp = b || field_end s (sp + 1) b < b || not (is_text a sp name) then
+      faill line "expected %S header, got %S" (name ^ " <n>") (sub a b);
+    try Op.int_of_sub s (sp + 1) b
+    with Op.Malformed -> faill line "bad %s count %S" name (sub (sp + 1) b)
   in
   try
-    match lines with
-    | (_, header) :: rest when header = "mtc-history v1" -> (
-        match rest with
-        | keys_line :: sessions_line :: txn_lines ->
-            let num_keys = parse_kv "keys" keys_line in
-            let num_sessions = parse_kv "sessions" sessions_line in
-            let txns = List.map parse_txn txn_lines in
-            (* Ids must be the dense sequence 1..n in order (the implicit
-               initial transaction is id 0): diagnose duplicates and gaps
-               with their line before History.make would. *)
-            List.iteri
-              (fun i (ln, (t : Txn.t)) ->
-                if t.Txn.id <> i + 1 then
-                  if
-                    List.exists
-                      (fun (_, (u : Txn.t)) -> u.Txn.id = t.Txn.id)
-                      (List.filteri (fun j _ -> j < i) txns)
-                  then faill ln "duplicate txn id %d" t.Txn.id
-                  else
-                    faill ln "txn id %d out of order (expected %d)" t.Txn.id
-                      (i + 1);
-                if t.Txn.session < 1 || t.Txn.session > num_sessions then
-                  faill ln "session %d out of [1,%d]" t.Txn.session num_sessions;
-                Array.iter
-                  (fun op ->
-                    let k = Op.key op in
-                    if k < 0 || k >= num_keys then
-                      faill ln "key %d out of [0,%d)" k num_keys)
-                  t.Txn.ops)
-              txns;
-            (* all History.make preconditions were just checked per line;
-               keep the guard anyway so parsing stays total *)
-            (try Ok (History.make ~num_keys ~num_sessions (List.map snd txns))
-             with Invalid_argument m -> fail "%s" m)
-        | _ -> fail "truncated header (want magic, keys, sessions)")
-    | (ln, _) :: _ -> faill ln "missing magic line 'mtc-history v1'"
-    | [] -> fail "empty input"
+    if not (content ()) then fail "empty input";
+    if not (is_text !lo !hi "mtc-history v1") then
+      faill !ln "missing magic line 'mtc-history v1'";
+    let truncated () = fail "truncated header (want magic, keys, sessions)" in
+    if not (content ()) then truncated ();
+    let keys_ln = !ln and keys_lo = !lo and keys_hi = !hi in
+    if not (content ()) then truncated ();
+    let num_keys = parse_kv "keys" keys_ln keys_lo keys_hi in
+    let num_sessions = parse_kv "sessions" !ln !lo !hi in
+    let txns = ref (Array.make ((len / 48) + 16) placeholder) in
+    let count = ref 0 in
+    let invalid = ref None in
+    let bad line fmt =
+      Printf.ksprintf
+        (fun m -> invalid := Some (Printf.sprintf "line %d: %s" line m))
+        fmt
+    in
+    let out_of_range op = Op.key op < 0 || Op.key op >= num_keys in
+    (* Field cursor: [field ()] moves [fa, fe) to the next
+       single-space-separated field of the current line. *)
+    let fa = ref 0 and fe = ref 0 in
+    let field () =
+      fa := !fe + 1;
+      fe := field_end s !fa !hi
+    in
+    let int line what =
+      try Op.int_of_sub s !fa !fe
+      with Op.Malformed -> faill line "bad %s %S" what (sub !fa !fe)
+    in
+    while content () do
+      let line = !ln in
+      let spaces = ref 0 in
+      for i = !lo to !hi - 1 do
+        if String.unsafe_get s i = ' ' then incr spaces
+      done;
+      fe := !lo - 1;
+      field ();
+      if !spaces < 5 || not (is_text !fa !fe "txn") then
+        faill line "unparseable txn line %S" (sub !lo !hi);
+      field ();
+      let id = int line "txn id" in
+      field ();
+      let session = int line "session" in
+      field ();
+      let status =
+        if is_text !fa !fe "C" then Txn.Committed
+        else if is_text !fa !fe "A" then Txn.Aborted
+        else faill line "bad status %S (want C or A)" (sub !fa !fe)
+      in
+      field ();
+      let start_ts = int line "start_ts" in
+      field ();
+      let commit_ts = int line "commit_ts" in
+      (* The fields after the sixth are the ops. *)
+      let ops = Array.make (!spaces - 5) no_op in
+      for j = 0 to Array.length ops - 1 do
+        field ();
+        ops.(j) <-
+          (try Op.of_sub s !fa !fe
+           with Op.Malformed -> faill line "bad operation %S" (sub !fa !fe))
+      done;
+      (* Ids must be the dense sequence 1..n in order (the implicit
+         initial transaction is id 0).  Before the first error the
+         earlier ids are exactly 1..count, which tells a duplicate from
+         a gap. *)
+      (if !invalid = None then
+         let expected = !count + 1 in
+         if id <> expected then
+           if id >= 1 && id < expected then bad line "duplicate txn id %d" id
+           else bad line "txn id %d out of order (expected %d)" id expected
+         else if session < 1 || session > num_sessions then
+           bad line "session %d out of [1,%d]" session num_sessions
+         else
+           match Array.find_opt out_of_range ops with
+           | Some op -> bad line "key %d out of [0,%d)" (Op.key op) num_keys
+           | None -> ());
+      incr count;
+      if !count >= Array.length !txns then begin
+        let grown = Array.make (2 * Array.length !txns) placeholder in
+        Array.blit !txns 0 grown 0 !count;
+        txns := grown
+      end;
+      !txns.(!count) <- { Txn.id; session; ops; status; start_ts; commit_ts }
+    done;
+    match !invalid with
+    | Some m -> Error m
+    | None -> (
+        (* every History.of_array precondition was just checked per
+           line; keep the guard anyway so parsing stays total *)
+        try
+          let all = Array.sub !txns 0 (!count + 1) in
+          all.(0) <- History.init_txn ~num_keys;
+          Ok (History.of_array ~num_keys ~num_sessions all)
+        with Invalid_argument m -> fail "%s" m)
   with Bad m -> Error m
 
 let save path h =

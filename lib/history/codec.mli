@@ -12,14 +12,28 @@
 
     Fields of a [txn] line: id, session, status (C/A), start_ts,
     commit_ts, then the operations in program order.  The initial
-    transaction is implicit and not serialized. *)
+    transaction is implicit and not serialized.
+
+    Grammar: lines end in ['\n']; each line is trimmed of
+    [String.trim]'s whitespace (so CRLF endings and indentation are
+    fine), and blank lines and lines starting with [#] are skipped.
+    Within a line, fields are separated by exactly one space.  Every
+    integer is [-?[0-9]+] and must fit in a native int — no [+], [0x]
+    or [_] forms.  An operation field is exactly [R(x<int>)=<int>] or
+    [W(x<int>):=<int>] ({!Op.of_sub}); trailing characters such as
+    [R(x0)=0junk] are an error.  A [txn] line may have no operations. *)
 
 val to_string : History.t -> string
+(** The canonical form: [of_string] of it re-serializes byte for byte. *)
 
 val of_string : string -> (History.t, string) result
 (** Total: malformed input — truncated ops, bad status, duplicate or
-    out-of-order transaction ids, sessions/keys out of range — yields
-    [Error] naming the offending (1-based) line, never an exception. *)
+    out-of-order transaction ids, sessions/keys out of range, integers
+    that overflow — yields [Error] naming the offending (1-based)
+    physical line, never an exception.  Syntax errors anywhere take
+    precedence over well-formedness errors (id order, session and key
+    range), which are reported for the first offending line once the
+    whole input has parsed. *)
 
 val save : string -> History.t -> unit
 (** [save path h] writes [to_string h] to [path]. *)

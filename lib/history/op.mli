@@ -23,7 +23,26 @@ val pp : Format.formatter -> t -> unit
 val to_string : t -> string
 
 val of_string : string -> t option
-(** Parses the [pp] format back. *)
+(** Parses the [pp] format back: exactly [R(x<int>)=<int>] or
+    [W(x<int>):=<int>], nothing before or after, with {!int_of_sub}'s
+    integer grammar. *)
 
 val equal : t -> t -> bool
 val compare : t -> t -> int
+
+(** {1 Text grammar}
+
+    The scanners behind {!of_string}, shared with {!Codec}'s text format
+    so both accept exactly one grammar.  They work on a substring in
+    place and allocate nothing but the result. *)
+
+exception Malformed
+
+val int_of_sub : string -> int -> int -> int
+(** [int_of_sub s lo hi] reads [s.[lo] .. s.[hi-1]] as [-?[0-9]+] — no
+    [+], [0x] or [_] forms — that fits in a native int.
+    @raise Malformed otherwise (overflow included). *)
+
+val of_sub : string -> int -> int -> t
+(** [of_sub s lo hi] reads the whole of [s.[lo] .. s.[hi-1]] as one
+    operation.  @raise Malformed otherwise. *)

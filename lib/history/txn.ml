@@ -18,9 +18,42 @@ let make ~id ~session ?(status = Committed) ?start_ts ?commit_ts ops =
 
 let is_committed t = t.status = Committed
 
+(* --- flat scans over one op array ---
+
+   Mini-transactions have at most four ops, so a linear rescan beats
+   building per-transaction tables. *)
+
+(* An earlier read of [k] is the external one; an earlier write makes
+   every later read internal. *)
+let is_external_read ops i k =
+  let rec earlier j = j >= i || (Op.key ops.(j) <> k && earlier (j + 1)) in
+  earlier 0
+
+let writes_key_ops ops k =
+  let n = Array.length ops in
+  let rec go j =
+    j < n
+    &&
+    match ops.(j) with
+    | Op.Write (k', _) -> k' = k || go (j + 1)
+    | Op.Read _ -> go (j + 1)
+  in
+  go 0
+
+let final_write ops k =
+  let rec back j =
+    if j < 0 then -1
+    else
+      match ops.(j) with
+      | Op.Write (k', _) when k' = k -> j
+      | Op.Write _ | Op.Read _ -> back (j - 1)
+  in
+  back (Array.length ops - 1)
+
 (* Fold over ops keeping per-key first-external-read and last-write, in
    first-occurrence order.  These three projections are what the paper's
-   [|-] judgements denote. *)
+   [|-] judgements denote.  Hashtables, not rescans: the initial
+   transaction writes every key. *)
 
 let external_reads t =
   let written = Hashtbl.create 4 in

@@ -56,5 +56,21 @@ val write_of : t -> Op.key -> Op.value option
 val keys : t -> Op.key list
 (** All keys accessed, in first-occurrence order. *)
 
+(** {1 Flat op-array scans}
+
+    Allocation-free linear scans over one transaction's ops, for the hot
+    paths of inference and screening: mini-transactions have at most
+    four ops, so rescanning beats building per-transaction tables. *)
+
+val is_external_read : Op.t array -> int -> Op.key -> bool
+(** [is_external_read ops i k], where [ops.(i)] reads [k]: is it the
+    external read of [k], i.e. does no earlier op touch [k]? *)
+
+val writes_key_ops : Op.t array -> Op.key -> bool
+(** Does any op write [k]? *)
+
+val final_write : Op.t array -> Op.key -> int
+(** Index of the last write to [k] (a backward scan), or [-1]. *)
+
 val pp : Format.formatter -> t -> unit
 val pp_brief : Format.formatter -> t -> unit

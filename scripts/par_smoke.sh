@@ -2,7 +2,8 @@
 # End-to-end smoke of the parallel checking path: `mtc gen` must produce
 # text and binary corpora that load identically, and `mtc check -j N`
 # must print byte-identical output (stats line, verdict, counterexample)
-# for every N on clean and faulty histories in both formats.  Also runs
+# for every N on clean and faulty histories in both formats, with the
+# faulty one failing SI through a DIVERGENCE counterexample.  Also runs
 # the service smoke with MTC_JOBS set, exercising multi-shard sessions
 # end to end.  Wired into `dune build @check` from the root dune file.
 set -u
@@ -51,6 +52,14 @@ for f in "$TMP/clean.bin" "$TMP/faulty.hist"; do
         || fail "$(basename "$f") $level: output differs at -j $j (diff $TMP/j1.out $TMP/j$j.out)"
     done
   done
+done
+
+# -- the cmp above would still pass if the SI screen stopped firing:
+# the lost-update fixture must fail SI through DIVERGENCE at every -j
+for j in 1 2 4; do
+  check_out "$TMP/faulty.hist" si "$j" > "$TMP/div.out"
+  grep -q '^  DIVERGENCE on x' "$TMP/div.out" \
+    || fail "faulty.hist si -j $j: no DIVERGENCE line (see $TMP/div.out)"
 done
 
 # -- explicit --format must agree with sniffing, and reject mismatches

@@ -20,11 +20,24 @@ let test_op_string_roundtrip () =
       match Op.of_string (Op.to_string op) with
       | Some op' -> checkb "roundtrip" true (Op.equal op op')
       | None -> Alcotest.fail "parse failed")
-    [ Op.Read (0, 0); Op.Write (12, -3); Op.Read (5, 1_000_000) ]
+    [ Op.Read (0, 0); Op.Write (12, -3); Op.Read (5, 1_000_000);
+      Op.Write (3, max_int); Op.Read (4, min_int) ];
+  checkb "trailing garbage rejected" true (Op.of_string "R(x0)=0junk" = None)
 
 let test_op_parse_garbage () =
   checkb "garbage" true (Op.of_string "hello" = None);
   checkb "partial" true (Op.of_string "R(x" = None)
+
+(* One grammar: [-?[0-9]+] ints, the whole string one op. *)
+let test_op_strict_grammar () =
+  List.iter
+    (fun s -> checkb (Printf.sprintf "rejects %S" s) true (Op.of_string s = None))
+    [ "R(x0)=0junk"; "R(x0)=0 "; " R(x0)=0"; "W(x0)=1"; "R(x0):=1";
+      "R(x+1)=0"; "R(x0)=0x10"; "R(x0)=1_000"; "R(x0)=-"; "R(x)=0";
+      "W(x0):=99999999999999999999" ];
+  checkb "min_int" true
+    (Op.of_string (Printf.sprintf "W(x1):=%d" min_int) = Some (Op.Write (1, min_int)));
+  checkb "negative key" true (Op.of_string "R(x-2)=07" = Some (Op.Read (-2, 7)))
 
 (* --- Txn --- *)
 
@@ -336,7 +349,100 @@ let test_codec_error_lines () =
   expect "mtc-history v1\nkeys 1\nsessions 1\ntxn 1 1 C 1 1 R(x7)=0\n"
     "key 7 out of"
 
+let parse_ok input =
+  match Codec.of_string input with
+  | Ok h -> h
+  | Error e -> Alcotest.failf "rejected %S: %s" input e
+
+let sample_text = Codec.to_string sample_history
+
+(* CRLF endings and surrounding whitespace are [String.trim]med away;
+   indented comments are skipped but still count as lines. *)
+let test_codec_whitespace () =
+  let crlf =
+    String.concat "\r\n" (String.split_on_char '\n' sample_text)
+  in
+  checks "CRLF" sample_text (Codec.to_string (parse_ok crlf));
+  let padded =
+    String.concat "\n"
+      (List.map
+         (fun l -> if l = "" then l else " \t" ^ l ^ "  \t")
+         (String.split_on_char '\n' sample_text))
+  in
+  checks "leading/trailing whitespace" sample_text
+    (Codec.to_string (parse_ok padded));
+  let commented =
+    "mtc-history v1\n   # indented comment\nkeys 1\n\t# tab comment\n\
+     sessions 1\n  #txn 1 1 C 1 1 junk\ntxn 1 1 C 1 1 R(x0)=0\n"
+  in
+  checki "comments skipped" 2 (History.num_txns (parse_ok commented));
+  match Codec.of_string (commented ^ "  # ok\ntxn 2 1 C 2 2 Q\n") with
+  | Ok _ -> Alcotest.fail "accepted a bad op"
+  | Error e -> checks "line counts comments" "line 9: bad operation \"Q\"" e
+
+let test_codec_empty_txn () =
+  let input = "mtc-history v1\nkeys 1\nsessions 1\ntxn 1 1 C 1 1\n" in
+  let h = parse_ok input in
+  checki "no ops" 0 (Array.length (History.txn h 1).Txn.ops);
+  checks "round-trip" input (Codec.to_string h)
+
+(* Tokens beyond 63 bits are errors on their line, not exceptions. *)
+let test_codec_int_overflow () =
+  let header = "mtc-history v1\nkeys 1\nsessions 1\n" in
+  List.iter
+    (fun (line, want) ->
+      match Codec.of_string (header ^ line ^ "\n") with
+      | Ok _ -> Alcotest.failf "accepted %S" line
+      | Error e -> checks line want e)
+    [
+      ( "txn 99999999999999999999 1 C 1 1 R(x0)=0",
+        "line 4: bad txn id \"99999999999999999999\"" );
+      ( "txn 1 1 C 4611686018427387904 1 R(x0)=0",
+        "line 4: bad start_ts \"4611686018427387904\"" );
+      ( "txn 1 1 C 1 1 R(x0)=-4611686018427387905",
+        "line 4: bad operation \"R(x0)=-4611686018427387905\"" );
+    ];
+  match Codec.of_string "mtc-history v1\nkeys 18446744073709551616\nsessions 1\n" with
+  | Ok _ -> Alcotest.fail "accepted an overflowing key count"
+  | Error e -> checks "header" "line 2: bad keys count \"18446744073709551616\"" e
+
+let test_codec_negative_timestamps () =
+  let input =
+    Printf.sprintf
+      "mtc-history v1\nkeys 1\nsessions 1\ntxn 1 1 C -5 -3 R(x0)=0\n\
+       txn 2 1 A %d -1 R(x0)=0\n"
+      min_int
+  in
+  let h = parse_ok input in
+  checki "start_ts" (-5) (History.txn h 1).Txn.start_ts;
+  checki "min_int start_ts" min_int (History.txn h 2).Txn.start_ts;
+  checks "round-trip" input (Codec.to_string h)
+
 let qtest = QCheck_alcotest.to_alcotest
+
+(* The text form is canonical: re-serializing a parse reproduces the
+   input byte for byte, skewed timestamps included. *)
+let prop_codec_stream_roundtrip =
+  QCheck2.Test.make ~name:"codec to_string (of_string s) = s on Stream_gen"
+    ~count:20
+    ~print:(fun (seed, keys, skew) ->
+      Printf.sprintf "seed=%d keys=%d skew=%d" seed keys skew)
+    QCheck2.Gen.(
+      triple (int_range 1 10_000) (int_range 1 40) (int_range 1 50))
+    (fun (seed, keys, skew) ->
+      let p =
+        { Stream_gen.default with num_txns = 300; num_keys = keys;
+          num_sessions = 4; seed; ts_skew = skew }
+      in
+      let acc = ref [] in
+      Stream_gen.generate p (fun t -> acc := t :: !acc);
+      let s =
+        Codec.to_string
+          (History.make ~num_keys:keys ~num_sessions:4 (List.rev !acc))
+      in
+      match Codec.of_string s with
+      | Ok h -> Codec.to_string h = s
+      | Error _ -> false)
 
 (* Mangling a valid serialization never makes the parser raise. *)
 let prop_codec_total =
@@ -398,6 +504,7 @@ let suite =
     ("op accessors", `Quick, test_op_accessors);
     ("op string roundtrip", `Quick, test_op_string_roundtrip);
     ("op parse garbage", `Quick, test_op_parse_garbage);
+    ("op strict grammar", `Quick, test_op_strict_grammar);
     ("txn external reads", `Quick, test_txn_external_reads);
     ("txn read-after-write not external", `Quick, test_txn_read_after_write_not_external);
     ("txn first read wins", `Quick, test_txn_first_read_wins);
@@ -431,4 +538,9 @@ let suite =
     ("codec bad magic", `Quick, test_codec_bad_magic);
     ("codec bad txn line", `Quick, test_codec_bad_txn_line);
     ("codec file roundtrip", `Quick, test_codec_file_roundtrip);
+    ("codec CRLF, whitespace and comments", `Quick, test_codec_whitespace);
+    ("codec txn with no ops", `Quick, test_codec_empty_txn);
+    ("codec int overflow rejected", `Quick, test_codec_int_overflow);
+    ("codec negative timestamps", `Quick, test_codec_negative_timestamps);
+    qtest prop_codec_stream_roundtrip;
   ]

@@ -57,6 +57,44 @@ let prop_pool_report_identical =
             [ 2; 4 ])
         [ Checker.SSER; Checker.SER; Checker.SI ])
 
+(* --- DIVERGENCE screen: one instance for any slicing --- *)
+
+(* Faulty SI engines: lost updates make diverging pairs, lying
+   timestamps exercise the deferred index the timestamp modes pass in.
+   No pool, a pool of 1 and a pool of 3 cut the key stripes differently;
+   all must report the head of the unsliced [find_all]. *)
+let prop_divergence_slicing =
+  QCheck2.Test.make ~name:"Divergence.find == head of find_all across pools"
+    ~count:30
+    ~print:(fun (seed, keys, f) -> Printf.sprintf "seed=%d keys=%d fault=%d" seed keys f)
+    QCheck2.Gen.(triple (int_range 1 10_000) (int_range 1 12) (int_range 0 3))
+    (fun (seed, keys, f) ->
+      let fault =
+        match f with
+        | 0 -> Fault.Lost_update 0.3
+        | 1 -> Fault.Ts_skew 0.4
+        | 2 -> Fault.Ts_reorder 0.4
+        | _ -> Fault.Ts_dup 0.4
+      in
+      let spec =
+        Mt_gen.generate { Mt_gen.default with num_txns = 200; num_keys = keys; seed }
+      in
+      let db = { Db.level = Isolation.Snapshot; fault; num_keys = keys; seed } in
+      let h =
+        (Scheduler.run ~params:{ Scheduler.default_params with seed } ~db ~spec ())
+          .Scheduler.history
+      in
+      let idx = Index.build h in
+      let head =
+        match Divergence.find_all idx with [] -> None | i :: _ -> Some i
+      in
+      Divergence.find idx = head
+      && Divergence.find (Index.build_deferred h) = head
+      && List.for_all
+           (fun size ->
+             Pool.with_pool ~size (fun p -> Divergence.find ~pool:p idx) = head)
+           [ 1; 3 ])
+
 (* --- Stream_gen: clean by construction --- *)
 
 let stream_history ~txns ~keys ~sessions ~seed =
@@ -278,6 +316,7 @@ let suite =
   [
     qtest prop_pool_csr_identical;
     qtest prop_pool_report_identical;
+    qtest prop_divergence_slicing;
     qtest prop_stream_gen_clean;
     Alcotest.test_case "mmap reader == string reader" `Quick
       test_mmap_matches_string;
