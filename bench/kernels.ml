@@ -1,59 +1,10 @@
 (* Bechamel micro-benchmarks of the verification kernels on a fixed
    2000-transaction history: the per-call cost of each checker, measured
-   with OLS over monotonic-clock samples.  Also isolates the cycle kernel
-   (list-based DFS vs frozen-CSR DFS) and the pool dispatch overhead. *)
+   with OLS over monotonic-clock samples.  Also isolates the frozen-CSR
+   cycle kernel and the pool dispatch overhead. *)
 
 open Bechamel
 open Toolkit
-
-(* The seed's list-based three-colour DFS, kept verbatim as the baseline
-   for the cycle/{list,csr} comparison (Cycle.find now routes through a
-   CSR snapshot). *)
-let list_dfs_find (type lab) (g : lab Digraph.t) =
-  let n = Digraph.n g in
-  let colour = Array.make n 0 (* 0 white, 1 grey, 2 black *) in
-  let parent = Array.make n (-1) in
-  let parent_lab : lab option array = Array.make n None in
-  let exception Found of (int * lab * int) list in
-  let build_cycle u lab v =
-    let rec walk acc w =
-      if w = v then acc
-      else
-        match parent_lab.(w) with
-        | Some l -> walk ((parent.(w), l, w) :: acc) parent.(w)
-        | None -> acc
-    in
-    walk [ (u, lab, v) ] u
-  in
-  let visit root =
-    let stack = ref [ (root, ref (Digraph.succ g root)) ] in
-    colour.(root) <- 1;
-    while !stack <> [] do
-      match !stack with
-      | [] -> ()
-      | (u, rest) :: tail -> (
-          match !rest with
-          | [] ->
-              colour.(u) <- 2;
-              stack := tail
-          | (v, lab) :: more -> (
-              rest := more;
-              match colour.(v) with
-              | 2 -> ()
-              | 1 -> raise (Found (build_cycle u lab v))
-              | _ ->
-                  colour.(v) <- 1;
-                  parent.(v) <- u;
-                  parent_lab.(v) <- Some lab;
-                  stack := (v, ref (Digraph.succ g v)) :: !stack))
-    done
-  in
-  try
-    for u = 0 to n - 1 do
-      if colour.(u) = 0 then visit u
-    done;
-    None
-  with Found cycle -> Some cycle
 
 (* A small CPU-bound task for measuring pool dispatch cost relative to
    useful work. *)
@@ -85,9 +36,6 @@ let make_tests () =
     | Error _ -> failwith "kernels: unexpected unresolved read"
   in
   let frozen = Deps.freeze deps in
-  (* Materialize the adjacency-list form outside the timed region so the
-     cycle-list rows measure the DFS, not the CSR -> Digraph conversion. *)
-  ignore (Deps.digraph deps);
   Test.make_grouped ~name:"kernels" ~fmt:"%s/%s"
     ([
        Test.make ~name:"mtc-ser" (Staged.stage (fun () -> Checker.check_ser h));
@@ -103,37 +51,30 @@ let make_tests () =
          [] (* dbcop's search dominates even tiny histories; full runs only *)
        else [ Test.make ~name:"dbcop" (Staged.stage (fun () -> Dbcop.check h)) ])
     @ [
-       (* Cycle kernel in isolation, on the dependency graph of [h]:
-          the seed's list DFS, the flat CSR DFS on a pre-frozen graph,
-          and freeze + DFS (what a cold Checker call pays). *)
-       Test.make ~name:"cycle-list"
-         (Staged.stage (fun () -> list_dfs_find (Deps.digraph deps)));
+       (* Cycle kernel in isolation: the flat DFS over the frozen
+          dependency graph of [h]. *)
        Test.make ~name:"cycle-csr"
          (Staged.stage (fun () -> Cycle.find_csr frozen));
-       Test.make ~name:"cycle-freeze-csr"
-         (Staged.stage (fun () ->
-              Cycle.find_csr (Csr.of_digraph (Deps.digraph deps))));
      ])
 
 (* The dependency-inference pipeline in isolation — index + graph build +
-   frozen CSR — direct-to-CSR vs the seed's list-based Digraph, plus the
-   whole checker both ways.  The history is a fixed 2000-transaction one
-   even under --smoke: these rows are the acceptance numbers recorded in
-   BENCH_PR2.json, and generating the history costs milliseconds. *)
+   frozen CSR — plus the whole checker.  The history is a fixed
+   2000-transaction one even under --smoke: these rows are the acceptance
+   numbers recorded in BENCH_PR2.json, and generating the history costs
+   milliseconds. *)
 let infer_rows () =
   let r =
     Bench_util.mt_history ~level:Isolation.Serializable ~keys:300 ~txns:2000
       ~seed:903 ()
   in
   let h = r.Scheduler.history in
-  let infer impl rt () =
+  let infer rt () =
     let idx = Index.build h in
-    match Deps.build ~impl ~rt idx with
+    match Deps.build ~rt idx with
     | Ok d -> ignore (Sys.opaque_identity (Deps.freeze d))
     | Error _ -> failwith "kernels: unexpected unresolved read"
   in
-  let check impl level () =
-    ignore (Sys.opaque_identity (Checker.check ~impl level h))
+  let check level () = ignore (Sys.opaque_identity (Checker.check level h))
   in
   let row name f =
     ignore (f ()) (* warm-up *);
@@ -142,16 +83,11 @@ let infer_rows () =
     [ name; Printf.sprintf "%.3f" (1000.0 *. t); Printf.sprintf "%.0f" a ]
   in
   [
-    row "infer-ser/direct" (infer Deps.Direct Deps.No_rt);
-    row "infer-ser/digraph" (infer Deps.Via_digraph Deps.No_rt);
-    row "infer-sser/direct" (infer Deps.Direct Deps.Rt_sweep);
-    row "infer-sser/digraph" (infer Deps.Via_digraph Deps.Rt_sweep);
-    row "check-ser/direct" (check Deps.Direct Checker.SER);
-    row "check-ser/digraph" (check Deps.Via_digraph Checker.SER);
-    row "check-si/direct" (check Deps.Direct Checker.SI);
-    row "check-si/digraph" (check Deps.Via_digraph Checker.SI);
-    row "check-sser/direct" (check Deps.Direct Checker.SSER);
-    row "check-sser/digraph" (check Deps.Via_digraph Checker.SSER);
+    row "infer-ser/direct" (infer Deps.No_rt);
+    row "infer-sser/direct" (infer Deps.Rt_sweep);
+    row "check-ser/direct" (check Checker.SER);
+    row "check-si/direct" (check Checker.SI);
+    row "check-sser/direct" (check Checker.SSER);
   ]
 
 (* The PR6 acceptance table: whole-checker wall time on a large clean
@@ -671,6 +607,7 @@ let run () =
     (List.map
        (fun (name, ns) -> [ name; Printf.sprintf "%.3f" (ns /. 1e6) ])
        rows);
+  (* The section string is @bench-diff's table key: keep it verbatim. *)
   Bench_util.subsection
     "dependency inference: direct-to-CSR vs list-based digraph (fixed 2000-txn history, median of 5)";
   Bench_util.print_table

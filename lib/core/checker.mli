@@ -33,7 +33,6 @@ val pp_outcome : Format.formatter -> outcome -> unit
 val check :
   ?rt_mode:Deps.rt_mode ->
   ?skew:int ->
-  ?impl:Deps.impl ->
   ?pool:Pool.t ->
   ?ts:Ts.mode ->
   level ->
@@ -44,18 +43,12 @@ val check :
     only derived from gaps larger than the skew bound (see
     {!Deps.build}).
 
-    [impl] (default [Deps.Direct]) selects the dependency-graph builder —
-    and, for SI, the matching composition path: [Direct] composes
-    [(SO ∪ WR ∪ WW) ; RW?] straight into a CSR with the same two-pass
-    counting scheme; [Via_digraph] runs the seed's list-based pipeline.
-    Both yield the same verdict on every history.
-
-    [pool] (default none) runs the [Direct] pipeline's phases —
-    unique-values, index, INT screen, divergence, sharded inference and
-    the SI composition — across domains.  Verdicts, counterexamples and
-    their rendering are bit-identical for every pool size: inference
-    shards by a fixed stripe count and every first-violation selection
-    breaks ties by scan position.
+    [pool] (default none) runs the pipeline's phases — unique-values,
+    index, INT screen, divergence, sharded inference and the SI
+    composition (built straight into a CSR) — across domains.
+    Verdicts, counterexamples and their rendering are bit-identical for
+    every pool size: inference shards by a fixed stripe count and every
+    first-violation selection breaks ties by scan position.
 
     [ts] (default [Ts.Ignore]) selects the timestamp mode (Vbox fast
     path, ROADMAP item 2): [Verify] predicts writers from commit
@@ -63,12 +56,11 @@ val check :
     falls back per key on mismatch — same outcome and rendering as
     [Ignore], usually much faster; [Trust] skips certification and the
     duplicate-value screen entirely (fastest, but a lying oracle can
-    change the verdict).  Forced to [Ignore] under [Via_digraph]. *)
+    change the verdict). *)
 
 val check_report :
   ?rt_mode:Deps.rt_mode ->
   ?skew:int ->
-  ?impl:Deps.impl ->
   ?pool:Pool.t ->
   ?ts:Ts.mode ->
   level ->

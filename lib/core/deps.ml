@@ -17,38 +17,10 @@ let pp_dep ppf = function
   | Rt_chain -> Format.pp_print_string ppf "rt*"
 
 type rt_mode = No_rt | Rt_naive | Rt_sweep
-type impl = Direct | Via_digraph
 
-type t = {
-  idx : Index.t;
-  num_txn_vertices : int;
-  mutable frozen : dep Csr.t option;
-  mutable adj : dep Digraph.t option;
-}
+type t = { idx : Index.t; num_txn_vertices : int; frozen : dep Csr.t }
 
-let freeze t =
-  match t.frozen with
-  | Some c -> c
-  | None ->
-      let c =
-        match t.adj with
-        | Some g -> Csr.of_digraph g
-        | None -> assert false (* build always fills one representation *)
-      in
-      t.frozen <- Some c;
-      c
-
-let digraph t =
-  match t.adj with
-  | Some g -> g
-  | None ->
-      let c = freeze t in
-      let g = Digraph.create (Csr.n c) in
-      for u = 0 to Csr.n c - 1 do
-        Csr.iter_succ c u (fun v lab -> Digraph.add_edge g u v lab)
-      done;
-      t.adj <- Some g;
-      g
+let freeze t = t.frozen
 
 type error = Unresolved_read of { txn : Txn.id; key : Op.key; value : Op.value }
 
@@ -57,7 +29,7 @@ let pp_error ppf (Unresolved_read { txn; key; value }) =
     "read of %d on x%d in T%d is not attributable to a committed final write"
     value key txn
 
-(* --- shared real-time helpers (SSER) --- *)
+(* --- real-time helpers (SSER) --- *)
 
 (* Vertices of the Rt_sweep helper chain: helper [m + r] stands for
    "every transaction among the r+1 earliest commits has finished".
@@ -105,7 +77,7 @@ let naive_rt_edges ~skew (idx : Index.t) m emit =
     done
   done
 
-(* --- direct-to-CSR construction (the verify hot path) --- *)
+(* --- direct-to-CSR construction --- *)
 
 (* Int-packed edge labels for the flat edge stream: 0/1/2 are the keyless
    constants, a keyed label packs as [4 + (key lsl 2) lor tag]. *)
@@ -278,7 +250,8 @@ let run_stripe ?fast (idx : Index.t) num_keys st =
     Obs.Trace.exit sp_rw t_rw
   end
 
-let build_direct ?pool ?ts ~skew ~rt (idx : Index.t) =
+let build ?(skew = 0) ?pool ?ts ~rt (idx : Index.t) =
+  Obs.Trace.with_span sp_deps @@ fun () ->
   let m = Index.num_vertices idx in
   let h = idx.history in
   let num_keys = h.History.num_keys in
@@ -338,9 +311,9 @@ let build_direct ?pool ?ts ~skew ~rt (idx : Index.t) =
   Pool.tasks pool
     (Array.to_list
        (Array.map (fun st () -> run_stripe ?fast idx num_keys st) stripes));
-  (* The sequential builder reported the first unresolved read in scan
-     order; the sharded one keeps that contract by minimising over the
-     per-stripe (committed position, op index) candidates. *)
+  (* Report the first unresolved read in scan order, whatever the stripe
+     schedule, by minimising over the per-stripe (committed position,
+     op index) candidates. *)
   let error = ref None in
   let best_sv = ref max_int and best_op = ref max_int in
   Array.iter
@@ -415,82 +388,7 @@ let build_direct ?pool ?ts ~skew ~rt (idx : Index.t) =
       let t_freeze = Obs.Trace.enter () in
       let csr = Csr.of_edge_streams ?pool ~n:size ~streams ~decode () in
       Obs.Trace.exit sp_freeze t_freeze;
-      Ok { idx; num_txn_vertices = m; frozen = Some csr; adj = None }
-
-(* --- list-based Digraph construction (kept for Viz/Oracle consumers and
-       as the independent oracle the direct path is tested against) --- *)
-
-let build_digraph ~skew ~rt (idx : Index.t) =
-  let m = Index.num_vertices idx in
-  let size = match rt with Rt_sweep -> 2 * m | No_rt | Rt_naive -> m in
-  let g = Digraph.create size in
-  (* SO edges (lines 6-7). *)
-  List.iter
-    (fun (a, b) ->
-      Digraph.add_edge g (Index.vertex idx a) (Index.vertex idx b) SO)
-    (History.so_pairs idx.history);
-  (* WR edges, and WW by the RMW inference (lines 8-11).  While adding
-     them, group readers and overwriters per (writer vertex, key) so the RW
-     edges (lines 14-15) can be composed in one pass. *)
-  let readers : (int * Op.key, int list ref) Hashtbl.t = Hashtbl.create (4 * m) in
-  let overwriters : (int * Op.key, int list ref) Hashtbl.t = Hashtbl.create m in
-  let push tbl key v =
-    match Hashtbl.find_opt tbl key with
-    | Some r -> r := v :: !r
-    | None -> Hashtbl.replace tbl key (ref [ v ])
-  in
-  let error = ref None in
-  Array.iteri
-    (fun sv (s : Txn.t) ->
-      List.iter
-        (fun (k, v) ->
-          match Index.writer_of idx k v with
-          | Index.Final w when w <> s.id ->
-              let wv = Index.vertex idx w in
-              Digraph.add_edge g wv sv (WR k);
-              push readers (wv, k) sv;
-              if Txn.writes_key s k then begin
-                Digraph.add_edge g wv sv (WW k);
-                push overwriters (wv, k) sv
-              end
-          | Index.Final _ | Index.Intermediate _ | Index.Aborted _
-          | Index.Nobody ->
-              if !error = None then
-                error := Some (Unresolved_read { txn = s.id; key = k; value = v }))
-        (Txn.external_reads s))
-    idx.committed;
-  match !error with
-  | Some e -> Error e
-  | None ->
-      (* RW edges: T' -WR(x)-> T and T' -WW(x)-> S give T -RW(x)-> S. *)
-      Hashtbl.iter
-        (fun (wv, k) rs ->
-          match Hashtbl.find_opt overwriters (wv, k) with
-          | None -> ()
-          | Some ws ->
-              List.iter
-                (fun t ->
-                  List.iter
-                    (fun s -> if t <> s then Digraph.add_edge g t s (RW k))
-                    !ws)
-                !rs)
-        readers;
-      (* RT edges for SSER. *)
-      (match rt with
-      | No_rt -> ()
-      | Rt_naive -> naive_rt_edges ~skew idx m (fun i j -> Digraph.add_edge g i j RT)
-      | Rt_sweep ->
-          sweep_edges ~skew idx m (fun u v -> Digraph.add_edge g u v Rt_chain));
-      Ok { idx; num_txn_vertices = m; frozen = None; adj = Some g }
-
-let build ?(skew = 0) ?(impl = Direct) ?pool ?ts ~rt (idx : Index.t) =
-  Obs.Trace.with_span sp_deps @@ fun () ->
-  match impl with
-  | Direct -> build_direct ?pool ?ts ~skew ~rt idx
-  | Via_digraph ->
-      (* The digraph oracle stays value-only; callers force Ignore
-         before picking it. *)
-      build_digraph ~skew ~rt idx
+      Ok { idx; num_txn_vertices = m; frozen = csr }
 
 let to_txn_cycle t cycle =
   let is_helper v = v >= t.num_txn_vertices in
@@ -533,15 +431,5 @@ let dep_edges t =
       | (SO | WR _ | WW _) as lab -> acc := (u, lab, c.Csr.targets.(e)) :: !acc
       | RT | RW _ | Rt_chain -> ()
     done
-  done;
-  !acc
-
-let rw_succ t v =
-  let c = freeze t in
-  let acc = ref [] in
-  for e = c.Csr.offsets.(v + 1) - 1 downto c.Csr.offsets.(v) do
-    match c.Csr.labels.(e) with
-    | RW k -> acc := (k, c.Csr.targets.(e)) :: !acc
-    | RT | SO | WR _ | WW _ | Rt_chain -> ()
   done;
   !acc

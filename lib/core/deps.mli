@@ -7,18 +7,10 @@
     computed (Theorems 1–2 show acyclicity is preserved); RW is composed
     from WR and WW (lines 14–15).
 
-    Two interchangeable builders produce the graph:
-    - [Direct] (the default, and the verify hot path) streams edges into
-      flat int arrays — sources, targets, and int-packed labels — and
-      counting-sorts them straight into the frozen {!Csr.t} the cycle
-      kernels consume.  No [Digraph] adjacency lists, no boxed
-      [(key, value)] tuples, no per-transaction hashtables.
-    - [Via_digraph] is the seed's list-based construction, kept for
-      consumers that want a mutable graph and as the independent oracle
-      the direct path is tested against.
-
-    Either representation converts lazily to the other ({!freeze} /
-    {!digraph}), so downstream code is agnostic to the builder used.
+    {!build} streams edges into flat int arrays — sources, targets, and
+    int-packed labels — and counting-sorts them straight into the frozen
+    {!Csr.t} the cycle kernels consume: no adjacency lists, no boxed
+    [(key, value)] tuples, no per-transaction hashtables.
 
     For SSER, the real-time relation can be materialized in two ways:
     - [Rt_naive]: one edge per ordered pair, Θ(n²) as analyzed in the
@@ -41,58 +33,38 @@ val pp_dep : Format.formatter -> dep -> unit
 
 type rt_mode = No_rt | Rt_naive | Rt_sweep
 
-type impl = Direct | Via_digraph
-(** Which builder {!build} runs; see the module docstring. *)
-
 type t = {
   idx : Index.t;
   num_txn_vertices : int;  (** vertices [>= num_txn_vertices] are helpers *)
-  mutable frozen : dep Csr.t option;
-      (** CSR form: filled by the [Direct] builder, else by {!freeze} *)
-  mutable adj : dep Digraph.t option;
-      (** adjacency-list form: filled by [Via_digraph], else by {!digraph} *)
+  frozen : dep Csr.t;
 }
 
 val freeze : t -> dep Csr.t
-(** CSR snapshot for the zero-allocation cycle kernels.  Already present
-    when built with [Direct]; converted from the digraph (and cached) on
-    first use otherwise. *)
-
-val digraph : t -> dep Digraph.t
-(** Adjacency-list form (Viz, kernels that want a mutable graph).
-    Already present when built with [Via_digraph]; converted from the CSR
-    (and cached) on first use otherwise.  Do not mutate: both forms are
-    assumed to describe the same edge set. *)
+(** The CSR form the cycle kernels run on, built once by {!build}. *)
 
 type error = Unresolved_read of { txn : Txn.id; key : Op.key; value : Op.value }
 
 val pp_error : Format.formatter -> error -> unit
 
 val build :
-  ?skew:int -> ?impl:impl -> ?pool:Pool.t -> ?ts:Ts.t -> rt:rt_mode ->
-  Index.t -> (t, error) result
+  ?skew:int -> ?pool:Pool.t -> ?ts:Ts.t -> rt:rt_mode -> Index.t ->
+  (t, error) result
 (** Fails only if some external read cannot be attributed to the final
     write of a committed transaction — which the INT screen
     ({!Int_check.check}) rules out beforehand.
 
-    [ts] enables the timestamp fast path in the [Direct] builder: reads
-    of fast keys take their writer from the predicted chain slot — no
-    value-table lookup — and reader groups are numbered by slot, which
-    reproduces the value-inferred grouping exactly (certification or an
-    explicit trust decision guarantees the slot's writer is the value's
-    writer), so the frozen CSR is bit-identical with the value-only
-    build.  Keys flagged slow by certification fall back to value
-    resolution per key.  Ignored by [Via_digraph].
+    [ts] enables the timestamp fast path: reads of fast keys take their
+    writer from the predicted chain slot — no value-table lookup — and
+    reader groups are numbered by slot, which reproduces the
+    value-inferred grouping exactly (certification or an explicit trust
+    decision guarantees the slot's writer is the value's writer), so the
+    frozen CSR is bit-identical with the value-only build.  Keys flagged
+    slow by certification fall back to value resolution per key.
 
-    [impl] (default [Direct]) picks the builder; both produce the same
-    edge multiset with the same per-source successor order for SO/WR/WW
-    (RW/RT grouping order may differ between them, never membership).
-
-    [pool] parallelizes the [Direct] builder: inference is sharded over
-    a {e fixed} number of key stripes (independent of the pool size), so
-    the frozen CSR — edge order included — and any [Unresolved_read]
-    error are bit-identical whether the stripes run on one domain or
-    many.  Ignored by [Via_digraph].
+    [pool] parallelizes the build: inference is sharded over a {e fixed}
+    number of key stripes (independent of the pool size), so the frozen
+    CSR — edge order included — and any [Unresolved_read] error are
+    bit-identical whether the stripes run on one domain or many.
 
     [skew] (default 0) relaxes the real-time order for SSER: an RT edge
     [T -> S] is added only when [T.commit_ts + skew < S.start_ts].  This
@@ -107,9 +79,5 @@ val to_txn_cycle :
     maximal runs of [Rt_chain] helper edges into single [RT] edges. *)
 
 val dep_edges : t -> (int * dep * int) list
-(** The SO/WR/WW edges (no RT, no RW) — the left operand of the SI
-    composition.  Emitted in CSR order (source-major, insertion order per
-    source). *)
-
-val rw_succ : t -> int -> (Op.key * int) list
-(** RW successors of a vertex. *)
+(** The SO/WR/WW edges (no RT, no RW), in CSR order (source-major,
+    insertion order per source). *)

@@ -22,28 +22,6 @@ let make ~offsets ~targets ~labels =
   done;
   { offsets; targets; labels }
 
-let of_edge_arrays ~n ~num_edges ~src ~dst ~lab ~decode =
-  let offsets = Array.make (n + 1) 0 in
-  for e = 0 to num_edges - 1 do
-    offsets.(src.(e) + 1) <- offsets.(src.(e) + 1) + 1
-  done;
-  for u = 1 to n do
-    offsets.(u) <- offsets.(u) + offsets.(u - 1)
-  done;
-  let targets = Array.make num_edges (-1) in
-  let labels =
-    if num_edges = 0 then [||] else Array.make num_edges (decode lab.(0))
-  in
-  let cursor = Array.sub offsets 0 (Stdlib.max n 1) in
-  for e = 0 to num_edges - 1 do
-    let u = src.(e) in
-    let i = cursor.(u) in
-    targets.(i) <- dst.(e);
-    labels.(i) <- decode lab.(e);
-    cursor.(u) <- i + 1
-  done;
-  { offsets; targets; labels }
-
 (* Multi-stream merge: the row order of the result is (stream 0 edges of
    u, stream 1 edges of u, ...) for every source u — a function of the
    stream decomposition only, never of how many domains executed the

@@ -27,21 +27,6 @@ val make :
     [0] to the edge count, [targets]/[labels] have that length.
     @raise Invalid_argument otherwise. *)
 
-val of_edge_arrays :
-  n:int ->
-  num_edges:int ->
-  src:int array ->
-  dst:int array ->
-  lab:int array ->
-  decode:(int -> 'lab) ->
-  'lab t
-(** Two-pass counting-sort construction from a flat edge stream: entries
-    [0 .. num_edges - 1] of [src]/[dst]/[lab] describe one edge each
-    ([lab] as an int-packed label, expanded per edge via [decode]).  The
-    first pass counts out-degrees into [offsets], the second fills the
-    target/label blocks in place; stable, so per-source successor order
-    is the stream order.  O(V + E), no intermediate per-edge boxing. *)
-
 val of_edge_streams :
   ?pool:Pool.t ->
   n:int ->

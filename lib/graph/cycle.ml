@@ -76,52 +76,9 @@ let find_csr (type lab) (c : lab Csr.t) =
     None
   with Found_at depth -> Some (build_cycle depth)
 
-let is_acyclic_csr c = find_csr c = None
-
 (* The list-graph entry points freeze to CSR first: one O(V + E) pass
    replaces the per-visit successor-list materialization the DFS used to
    pay, and CSR keeps insertion order, so witnesses are unchanged. *)
 let find g = find_csr (Csr.of_digraph g)
 
 let is_acyclic g = find g = None
-
-let shortest_through_iter (type lab) ~n
-    ~(iter : int -> (int -> lab -> unit) -> unit) v =
-  let parent = Array.make n (-1) in
-  let parent_lab : lab option array = Array.make n None in
-  let visited = Array.make n false in
-  let q = Queue.create () in
-  let exception Found of (int * lab * int) in
-  (* BFS outwards from [v]; the first edge returning to [v] closes a
-     shortest cycle through it. *)
-  let relax u =
-    iter u (fun w lab ->
-        if w = v then raise (Found (u, lab, v))
-        else if not visited.(w) then begin
-          visited.(w) <- true;
-          parent.(w) <- u;
-          parent_lab.(w) <- Some lab;
-          Queue.add w q
-        end)
-  in
-  try
-    relax v;
-    while not (Queue.is_empty q) do
-      relax (Queue.pop q)
-    done;
-    None
-  with Found ((u, _, _) as last) ->
-    let rec walk acc w =
-      if w = v then acc
-      else
-        match parent_lab.(w) with
-        | Some l -> walk ((parent.(w), l, w) :: acc) parent.(w)
-        | None -> acc
-    in
-    Some (walk [ last ] u)
-
-let shortest_through g v =
-  shortest_through_iter ~n:(Digraph.n g) ~iter:(Digraph.iter_succ g) v
-
-let shortest_through_csr c v =
-  shortest_through_iter ~n:(Csr.n c) ~iter:(Csr.iter_succ c) v

@@ -7,8 +7,7 @@
     The DFS kernel runs over the frozen {!Csr} representation with flat
     int-array state — zero allocation per vertex/edge visit.  The
     [Digraph] entry points freeze a snapshot first; callers that already
-    hold a [Csr.t] (e.g. {!Deps.freeze}) use the [_csr] variants
-    directly. *)
+    hold a [Csr.t] (e.g. {!Deps.freeze}) call {!find_csr} directly. *)
 
 val find : 'lab Digraph.t -> (int * 'lab * int) list option
 (** [find g] is [None] if [g] is acyclic, otherwise [Some edges] where
@@ -21,13 +20,3 @@ val find_csr : 'lab Csr.t -> (int * 'lab * int) list option
 (** {!find} over an already-frozen graph: no conversion, no per-visit
     allocation (only the O(V) scratch arrays and the witness). *)
 
-val is_acyclic_csr : 'lab Csr.t -> bool
-
-val shortest_through : 'lab Digraph.t -> int -> (int * 'lab * int) list option
-(** [shortest_through g v] is a shortest cycle passing through [v]
-    (BFS from [v] back to [v]), used to produce compact counterexamples.
-    Iterates successors in place ({!Digraph.iter_succ}) — no per-visit
-    list materialization. *)
-
-val shortest_through_csr : 'lab Csr.t -> int -> (int * 'lab * int) list option
-(** {!shortest_through} over an already-frozen graph. *)

@@ -49,13 +49,6 @@ let fold_edges g f init =
   iter_edges g (fun u lab v -> acc := f !acc u lab v);
   !acc
 
-let edges g = fold_edges g (fun acc u lab v -> (u, lab, v) :: acc) [] |> List.rev
-
-let map_labels f g =
-  let g' = create (n g) in
-  iter_edges g (fun u lab v -> add_edge g' u v (f lab));
-  g'
-
 let transpose g =
   let g' = create (n g) in
   iter_edges g (fun u lab v -> add_edge g' v u lab);

@@ -36,10 +36,6 @@ val iter_edges : 'lab t -> (int -> 'lab -> int -> unit) -> unit
 
 val fold_edges : 'lab t -> ('acc -> int -> 'lab -> int -> 'acc) -> 'acc -> 'acc
 
-val edges : 'lab t -> (int * 'lab * int) list
-
-val map_labels : ('a -> 'b) -> 'a t -> 'b t
-
 val transpose : 'lab t -> 'lab t
 
 val out_degree : _ t -> int -> int

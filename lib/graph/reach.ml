@@ -1,21 +1,3 @@
-let from (g : _ Digraph.t) src =
-  let n = Digraph.n g in
-  let seen = Array.make n false in
-  let q = Queue.create () in
-  seen.(src) <- true;
-  Queue.add src q;
-  while not (Queue.is_empty q) do
-    let u = Queue.pop q in
-    List.iter
-      (fun v ->
-        if not seen.(v) then begin
-          seen.(v) <- true;
-          Queue.add v q
-        end)
-      (Digraph.succ_vertices g u)
-  done;
-  seen
-
 let reachable g u v =
   if u = v then true
   else begin

@@ -1,13 +1,10 @@
-(** Reachability queries, used by the Cobra-style constraint pruning
-    (decide a polygraph constraint when known edges already order the two
-    writes) and by counterexample minimization. *)
+(** Reachability queries.  The dense transitive closure serves the
+    Cobra-style constraint pruning (decide a polygraph constraint when
+    known edges already order the two writes) and the causal checker's
+    hb-predecessor sets; the BFS [reachable] is its test reference. *)
 
 val reachable : _ Digraph.t -> int -> int -> bool
 (** [reachable g u v]: is there a path [u ->* v]?  BFS, O(V + E). *)
-
-val from : _ Digraph.t -> int -> bool array
-(** Characteristic vector of vertices reachable from the source
-    (the source itself is reachable). *)
 
 val closure_matrix : _ Digraph.t -> Bytes.t array
 (** Dense transitive-closure bitmap: bit [v] of row [u] iff [u ->* v]

@@ -66,19 +66,3 @@ let component_ids_csr (c : _ Csr.t) =
   (comp, !next_comp)
 
 let component_ids g = component_ids_csr (Csr.of_digraph g)
-
-let components g =
-  let comp, k = component_ids g in
-  let buckets = Array.make k [] in
-  for v = Digraph.n g - 1 downto 0 do
-    buckets.(comp.(v)) <- v :: buckets.(comp.(v))
-  done;
-  Array.to_list buckets
-
-let nontrivial g =
-  components g
-  |> List.filter (fun c ->
-         match c with
-         | [] -> false
-         | [ v ] -> Digraph.mem_edge g v v
-         | _ :: _ :: _ -> true)

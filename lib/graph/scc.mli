@@ -2,16 +2,9 @@
     snapshots — flat int-array traversal state, no per-visit
     allocation). *)
 
-val components : _ Digraph.t -> int list list
-(** SCCs in reverse topological order of the condensation. *)
-
 val component_ids : _ Digraph.t -> int array * int
 (** [component_ids g = (comp, k)]: [comp.(v)] is the component index of [v]
     (indices [0 .. k-1], numbered in reverse topological order). *)
 
 val component_ids_csr : _ Csr.t -> int array * int
 (** {!component_ids} over an already-frozen graph (no conversion). *)
-
-val nontrivial : _ Digraph.t -> int list list
-(** Components that contain a cycle: size >= 2, or a single vertex with a
-    self-loop. *)

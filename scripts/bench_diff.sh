@@ -21,6 +21,10 @@
 # --expect-new PAT (repeatable) marks tables or rows that are known to
 # be new this PR: entries whose label contains PAT are acknowledged in
 # one summary line instead of being listed as missing-baseline noise.
+#
+# Tables and rows present only in OLD (retired or renamed) are listed
+# once at the end; like the missing-baseline list, that is advisory and
+# never fails the run.
 
 set -u
 
@@ -169,6 +173,21 @@ def main():
         print(f"bench_diff: {len(baseline_missing)} row(s) have no baseline "
               f"in {sys.argv[1]} (new this PR, nothing to diff):")
         for entry in sorted(baseline_missing):
+            print(f"  {entry}")
+    dropped = []
+    for key, (_, orows) in old.items():
+        exp, section = key
+        if key not in new:
+            label = f"[{exp}] {section}" if section else f"[{exp}]"
+            dropped.append(f"{label} (whole table)")
+        else:
+            nrows = new[key][1]
+            dropped.extend(f"[{exp}] {name}" for name in orows
+                           if name not in nrows)
+    if dropped:
+        print(f"bench_diff: {len(dropped)} row(s) of {sys.argv[1]} are gone "
+              f"from {sys.argv[2]} (retired or renamed, nothing to diff):")
+        for entry in sorted(dropped):
             print(f"  {entry}")
     if max_regress is not None and regressions:
         print(f"bench_diff: {len(regressions)} regression(s) beyond "

@@ -125,11 +125,8 @@ let test_divergence_find_all () =
 (* --- Deps --- *)
 
 let edges_of h rt =
-  match Deps.build ~rt (Index.build h) with
-  | Ok d ->
-      Digraph.fold_edges (Deps.digraph d)
-        (fun acc u lab v -> (u, lab, v) :: acc)
-        []
+  match Test_flat.deps_edges ~rt h with
+  | Ok e -> e
   | Error _ -> Alcotest.fail "deps build failed"
 
 let has_edge edges u lab v = List.mem (u, lab, v) edges

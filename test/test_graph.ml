@@ -29,14 +29,6 @@ let test_digraph_transpose () =
   checkb "reversed" true (Digraph.mem_edge t 1 0);
   checkb "original gone" false (Digraph.mem_edge t 0 1)
 
-let test_digraph_map_labels () =
-  let g = Digraph.create 2 in
-  Digraph.add_edge g 0 1 1;
-  let g' = Digraph.map_labels string_of_int g in
-  Alcotest.check
-    (Alcotest.list (Alcotest.pair Alcotest.int Alcotest.string))
-    "mapped" [ (1, "1") ] (Digraph.succ g' 0)
-
 let test_digraph_fold () =
   let g = of_edges 4 [ (0, 1); (1, 2); (2, 3) ] in
   checki "fold count" 3 (Digraph.fold_edges g (fun acc _ _ _ -> acc + 1) 0)
@@ -89,16 +81,6 @@ let test_cycle_deep_dag () =
   let n = 200_000 in
   let edges = List.init (n - 1) (fun i -> (i, i + 1)) in
   checkb "deep dag acyclic" true (Cycle.is_acyclic (of_edges n edges))
-
-let test_cycle_shortest_through () =
-  let edges = [ (0, 1); (1, 0); (0, 2); (2, 3); (3, 0) ] in
-  match Cycle.shortest_through (of_edges 4 edges) 0 with
-  | Some c -> checki "shortest is 2" 2 (List.length c)
-  | None -> Alcotest.fail "no cycle through 0"
-
-let test_cycle_shortest_none () =
-  checkb "no cycle through 0" true
-    (Cycle.shortest_through (of_edges 3 [ (0, 1); (1, 2) ]) 0 = None)
 
 (* --- Csr --- *)
 
@@ -164,8 +146,6 @@ let test_csr_random_agreement () =
     let c = Csr.of_digraph g in
     checkb "find agrees" true (Cycle.find g = Cycle.find_csr c);
     checkb "topo agrees" true (Topo.sort g = Topo.sort_csr c);
-    checkb "shortest_through agrees" true
-      (Cycle.shortest_through g 0 = Cycle.shortest_through_csr c 0);
     let ids, k = Scc.component_ids g in
     let ids', k' = Scc.component_ids_csr c in
     checki "scc count agrees" k k';
@@ -220,14 +200,6 @@ let test_scc_reverse_topo () =
   let comp, _ = Scc.component_ids g in
   checkb "sink numbered first" true (comp.(3) < comp.(0))
 
-let test_scc_nontrivial () =
-  let g = of_edges 5 [ (0, 1); (1, 0); (2, 2) ] in
-  let nt = Scc.nontrivial g in
-  checki "two cyclic components" 2 (List.length nt)
-
-let test_scc_acyclic_no_nontrivial () =
-  checki "none" 0 (List.length (Scc.nontrivial (of_edges 4 [ (0, 1); (1, 2) ])))
-
 (* --- Topo --- *)
 
 let test_topo_valid () =
@@ -255,13 +227,6 @@ let test_reach_basic () =
   checkb "2 not-> 0" false (Reach.reachable g 2 0);
   checkb "0 not-> 4" false (Reach.reachable g 0 4);
   checkb "self" true (Reach.reachable g 3 3)
-
-let test_reach_from () =
-  let g = of_edges 4 [ (0, 1); (1, 2) ] in
-  let r = Reach.from g 0 in
-  checkb "0" true r.(0);
-  checkb "2" true r.(2);
-  checkb "3 not" false r.(3)
 
 let test_closure_matches_bfs () =
   let rng = Rng.create 77 in
@@ -351,7 +316,6 @@ let suite =
   [
     ("digraph basics", `Quick, test_digraph_basic);
     ("digraph transpose", `Quick, test_digraph_transpose);
-    ("digraph map_labels", `Quick, test_digraph_map_labels);
     ("digraph fold_edges", `Quick, test_digraph_fold);
     ("cycle: empty graph", `Quick, test_cycle_none_empty);
     ("cycle: dag", `Quick, test_cycle_none_dag);
@@ -359,8 +323,6 @@ let suite =
     ("cycle: witness is valid", `Quick, test_cycle_witness_valid);
     ("cycle: 50k-cycle", `Quick, test_cycle_long);
     ("cycle: 200k-deep dag, no overflow", `Quick, test_cycle_deep_dag);
-    ("cycle: shortest through vertex", `Quick, test_cycle_shortest_through);
-    ("cycle: shortest none", `Quick, test_cycle_shortest_none);
     ("csr: round-trip vs digraph", `Quick, test_csr_roundtrip);
     ("csr: empty graph", `Quick, test_csr_empty);
     ("csr: iter_succ insertion order", `Quick, test_csr_iter_succ_order);
@@ -372,13 +334,10 @@ let suite =
     ("scc: component count", `Quick, test_scc_count);
     ("scc: membership", `Quick, test_scc_members);
     ("scc: reverse topological numbering", `Quick, test_scc_reverse_topo);
-    ("scc: nontrivial components", `Quick, test_scc_nontrivial);
-    ("scc: acyclic has none", `Quick, test_scc_acyclic_no_nontrivial);
     ("topo: valid order", `Quick, test_topo_valid);
     ("topo: cyclic", `Quick, test_topo_cyclic);
     ("topo: covers all vertices", `Quick, test_topo_all_vertices);
     ("reach: basic", `Quick, test_reach_basic);
-    ("reach: from-vector", `Quick, test_reach_from);
     ("reach: closure matrix vs BFS", `Quick, test_closure_matches_bfs);
     ("pearce-kelly: accepts DAG", `Quick, test_pk_accepts_dag);
     ("pearce-kelly: rejects cycle with witness", `Quick, test_pk_rejects_cycle);

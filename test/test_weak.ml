@@ -57,6 +57,32 @@ let test_g1c_cycle () =
   | _ -> Alcotest.fail "expected a G1c cycle");
   checkb "SER agrees" false (Checker.passes (Checker.check_ser h))
 
+let test_hb_cycle_witness () =
+  (* Two future reads, one per session: each reads the value its session
+     successor writes, so hb = (SO ∪ WR)+ has two cycles while WR ∪ WW
+     stays acyclic — RC and RA pass and only CC's hb check fires.  The
+     exact rendering pins which cycle is reported and its rotation. *)
+  let h =
+    history ~keys:2 ~sessions:2
+      [
+        txn ~session:1 [ r 1 30 ];
+        txn ~session:1 [ r 1 0; w 1 30 ];
+        txn ~session:2 [ r 0 20 ];
+        txn ~session:2 [ r 0 0; w 0 20 ];
+      ]
+  in
+  checkb "RC passes" true (Weak_checker.passes (Weak_checker.check_rc h));
+  checkb "RA passes" true (Weak_checker.passes (Weak_checker.check_ra h));
+  match Weak_checker.check_causal h with
+  | Weak_checker.Fail (Weak_checker.Hb_cycle _ as v) ->
+      Alcotest.(check string)
+        "witness" "cyclic causal order: T1 -SO-> T2; T2 -WR(x1)-> T1;"
+        (Format.asprintf "%a" Weak_checker.pp_violation v)
+  | Weak_checker.Fail v ->
+      Alcotest.failf "wrong violation: %s"
+        (Format.asprintf "%a" Weak_checker.pp_violation v)
+  | Weak_checker.Pass -> Alcotest.fail "hb cycle passed CC"
+
 let test_fractured_payload () =
   match Weak_checker.check_ra (Anomaly.history Anomaly.Fractured_read) with
   | Weak_checker.Fail (Weak_checker.Fractured { reader = 2; writer = 1; _ }) ->
@@ -158,6 +184,7 @@ let suite =
   [
     ("weak verdicts of the 14-anomaly catalogue", `Quick, test_catalogue);
     ("G1c cycle rejected at RC", `Quick, test_g1c_cycle);
+    ("CC hb-cycle witness", `Quick, test_hb_cycle_witness);
     ("fractured-read payload", `Quick, test_fractured_payload);
     ("causality payload", `Quick, test_causality_payload);
     ("session guarantee fails only CC", `Quick, test_session_guarantee_is_causal_only);
