@@ -134,12 +134,13 @@ type t = {
   mutable gc_floor : int;  (** live words right after the last GC *)
   mutable gc_runs : int;
   mutable gc_reclaimed : int;  (** cumulative words reclaimed *)
-  mutable gc_last_ns : int;  (** wall time of the last GC run *)
+  mutable gc_last_ns : int;  (** monotonic duration of the last GC run *)
   mutable total_vertices : int;
   fin_cur : int array;  (** per key: packed pair of newest final install *)
   fin_prev : int array;
   ab_pending : Int_vec.t array;
       (** per key: aborted installs not yet shadowed by a final one *)
+  mutable ab_words : int;  (** summed capacity of the [ab_pending] vectors *)
   mutable dead_at : Flat_index.t;  (** packed pair -> death position *)
   sessions : Flat_index.t;  (** session -> frontier slot *)
   sl_pos : Int_vec.t;  (** slot -> arrival position of the last fed txn *)
@@ -204,10 +205,13 @@ let watermark_pos t =
 
 let frontier_sessions t = Int_vec.length t.sl_pos
 
+let ab_pending_words ab =
+  Array.fold_left (fun acc v -> acc + Array.length (Int_vec.data v)) 0 ab
+
 (* Rough live size in words of every structure the checker retains.
-   O(physical vertices) — the adjacency walk in {!Pearce_kelly.words}
-   dominates — so the auto-GC trigger samples it periodically rather
-   than per feed. *)
+   O(1): every term is a capacity the structure already holds, and the
+   two that sum over many vectors (PK adjacency, [ab_pending]) are
+   running totals kept where those vectors grow. *)
 let live_words t =
   Pearce_kelly.words t.graph.Grow.pk
   + Flat_index.words t.graph.Grow.labels
@@ -228,12 +232,16 @@ let live_words t =
   + Array.length (Int_vec.data t.ch_next)
   + Flat_index.words t.dead_at
   + (2 * Array.length t.fin_cur)
-  + Array.fold_left
-      (fun acc v -> acc + Array.length (Int_vec.data v))
-      0 t.ab_pending
+  + t.ab_words
   + Flat_index.words t.sessions
   + Array.length (Int_vec.data t.sl_pos)
   + Array.length (Int_vec.data t.sl_cts)
+
+(* For tests: the running totals behind {!live_words} equal a recount
+   (the graph's through {!Pearce_kelly.check_invariant}). *)
+let check_invariant t =
+  Pearce_kelly.check_invariant t.graph.Grow.pk
+  && t.ab_words = ab_pending_words t.ab_pending
 
 let stats t =
   {
@@ -308,6 +316,7 @@ let create ?(skew = 0) ?(ts = Ts.Ignore) ?(gc = Gc_off) ~level ~num_keys () =
       fin_cur = Array.make nk (-1);
       fin_prev = Array.make nk (-1);
       ab_pending = Array.init nk (fun _ -> Int_vec.create 0);
+      ab_words = 4 * nk (* [Int_vec.create 0] holds 4 slots *);
       dead_at = Flat_index.create ~capacity:64 ();
       sessions = Flat_index.create ~capacity:16 ();
       sl_pos = Int_vec.create 16;
@@ -382,7 +391,12 @@ let window_install t k v =
 
 let note_aborted t k v =
   let p = Flat_index.pack_pair ~num_keys:t.num_keys k v in
-  if p >= 0 then Int_vec.push t.ab_pending.(k) p
+  if p >= 0 then begin
+    let pending = t.ab_pending.(k) in
+    let cap = Array.length (Int_vec.data pending) in
+    Int_vec.push pending p;
+    t.ab_words <- t.ab_words + Array.length (Int_vec.data pending) - cap
+  end
 
 (* Intermediate writes are unreadable by conforming engines and by every
    supported fault, so they die at their own install position. *)
@@ -645,6 +659,10 @@ let feed_committed t (txn : Txn.t) =
 (* --- watermark GC: compaction --------------------------------------- *)
 
 let sp_gc = Obs.Trace.intern "online/gc"
+let sp_gc_versions = Obs.Trace.intern "online/gc/versions"
+let sp_gc_pin = Obs.Trace.intern "online/gc/pin"
+let sp_gc_graph = Obs.Trace.intern "online/gc/graph"
+let sp_gc_vertices = Obs.Trace.intern "online/gc/vertices"
 
 (* One GC run: establish the feed frontiers, drop every version record
    whose death the whole fleet of sessions has passed, truncate the
@@ -670,6 +688,7 @@ let gc t =
       if Int_vec.get t.sl_cts i < !s then s := Int_vec.get t.sl_cts i
     done;
     let h = !h and s = !s in
+    let t1 = Obs.Trace.enter () in
     (* 1. Version chains (ts modes): per key keep the suffix newer than
        S plus one boundary node (the newest with commit_ts <= S) — any
        future prediction lands in that suffix because session seriality
@@ -725,6 +744,8 @@ let gc t =
     t.overwriters <- Flat_index.Multi.keep t.overwriters keep_pair;
     t.extender <- Flat_index.Pairs.keep t.extender keep_pair;
     t.dead_at <- Flat_index.filtered t.dead_at keep_pair;
+    Obs.Trace.exit sp_gc_versions t1;
+    let t1 = Obs.Trace.enter () in
     (* 3. SSER real-time index: a future search runs with start_ts > S,
        so it lands at or after the position S itself lands at — keep
        that suffix. *)
@@ -779,6 +800,8 @@ let gc t =
         consider (Int_vec.get t.commit_helper i)
       done;
     let w = !w in
+    Obs.Trace.exit sp_gc_pin t1;
+    let t1 = Obs.Trace.enter () in
     (* 5. Compact the graph below the watermark (the implicit initial
        transaction always survives — it has no in-edges, so edges from
        it always take the consistent-record path) and migrate the edge
@@ -798,6 +821,8 @@ let gc t =
     in
     t.graph.Grow.labels <- new_labels;
     t.graph.Grow.capacity <- Pearce_kelly.n pk;
+    Obs.Trace.exit sp_gc_graph t1;
+    let t1 = Obs.Trace.enter () in
     (* 6. Re-home the vertex-keyed side tables under the remap. *)
     let old_vt = t.vertex_txn in
     let nvt = Int_vec.create 256 in
@@ -828,6 +853,7 @@ let gc t =
     (* version-chain nodes reference writers by txn id, not vertex, so
        the chains themselves need no remap *)
     t.next_vertex <- Pearce_kelly.n pk;
+    Obs.Trace.exit sp_gc_vertices t1;
     let after = live_words t in
     t.gc_floor <- after;
     t.gc_runs <- t.gc_runs + 1;
@@ -838,8 +864,9 @@ let gc t =
     reclaimed
   end
 
-(* Auto trigger: sample the live-word estimate every 64 feeds (it is
-   O(live vertices) to compute) and compact past the policy ceiling. *)
+(* Auto trigger: every 64 feeds, compact if the live-word estimate is
+   past the policy ceiling.  The estimate is O(1); the 64-feed cadence
+   is kept because it fixes when compactions happen (the GC schedule). *)
 let maybe_auto_gc t =
   if t.poisoned = None && t.gc_policy <> Gc_off && t.count land 63 = 0 then begin
     let lw = live_words t in
@@ -1109,6 +1136,7 @@ let decode r =
     fin_cur;
     fin_prev;
     ab_pending;
+    ab_words = ab_pending_words ab_pending;
     dead_at;
     sessions;
     sl_pos;

@@ -128,7 +128,8 @@ val gc_runs : t -> int
 (** Compactions performed so far (manual + automatic). *)
 
 val gc_last_ns : t -> int
-(** Wall-clock duration of the most recent compaction, 0 if none. *)
+(** Duration of the most recent compaction in nanoseconds, on the
+    monotonic {!Obs.Clock}; 0 if none. *)
 
 val gc_reclaimed_words : t -> int
 (** Cumulative estimated words reclaimed across all compactions (the
@@ -136,8 +137,14 @@ val gc_reclaimed_words : t -> int
 
 val live_words : t -> int
 (** Estimated words of memory retained by the checker's live
-    structures.  O(live vertices); the auto-GC trigger samples it every
-    64 feeds. *)
+    structures: the capacity of every table, vector and graph array it
+    holds.  O(1).  The auto-GC trigger compares it with the policy
+    ceiling every 64 feeds. *)
+
+val check_invariant : t -> bool
+(** For tests: the running capacity totals behind {!live_words} equal a
+    recount of the vectors they cover, and the graph satisfies
+    {!Pearce_kelly.check_invariant}. *)
 
 val watermark_pos : t -> int
 (** The GC horizon as it stands right now: the minimum arrival

@@ -24,6 +24,7 @@ type t = {
   mutable n : int;
   mutable succ : Int_vec.t array;
   mutable pred : Int_vec.t array;
+  mutable adj_words : int;  (* summed capacity of every succ/pred vector *)
   mutable ord : int array;  (* vertex -> topological index (a permutation) *)
   (* open-addressed edge set over packed (u, v); -1 marks an empty slot *)
   mutable eset : int array;
@@ -47,6 +48,7 @@ let create n =
     n;
     succ = Array.init n (fun _ -> Int_vec.create 4);
     pred = Array.init n (fun _ -> Int_vec.create 4);
+    adj_words = 8 * n;
     ord = Array.init n (fun i -> i);
     eset = Array.make cap (-1);
     emask = cap - 1;
@@ -72,6 +74,7 @@ let ensure t needed =
     t.pred <-
       Array.init needed (fun i ->
           if i < old_n then old_pred.(i) else Int_vec.create 4);
+    t.adj_words <- t.adj_words + (8 * (needed - old_n));
     (* new vertices are isolated: giving them their own index extends the
        permutation with the largest order positions, which any existing
        topological order is consistent with *)
@@ -163,9 +166,17 @@ let vec_remove vec x =
     ignore (Int_vec.pop vec)
   end
 
+(* Push onto an adjacency vector, charging any capacity doubling to
+   [adj_words] — the only place a vector's capacity changes between
+   rebuilds ([remove_edge] only shrinks lengths). *)
+let push_adj t vec x =
+  let cap = Array.length (Int_vec.data vec) in
+  Int_vec.push vec x;
+  t.adj_words <- t.adj_words + Array.length (Int_vec.data vec) - cap
+
 let record_edge t u v =
-  Int_vec.push t.succ.(u) v;
-  Int_vec.push t.pred.(v) u;
+  push_adj t t.succ.(u) v;
+  push_adj t t.pred.(v) u;
   eadd t (pack u v)
 
 let remove_edge t u v =
@@ -339,7 +350,9 @@ let iter_succ t u f =
     f (Int_vec.get sv i)
   done
 
-let words t =
+(* [adj_words] recounted over every vertex: where the vectors are
+   rebuilt wholesale ({!compact}, {!decode}) and in {!check_invariant}. *)
+let count_adj_words t =
   let adj = ref 0 in
   for v = 0 to t.n - 1 do
     adj :=
@@ -347,8 +360,10 @@ let words t =
       + Array.length (Int_vec.data t.succ.(v))
       + Array.length (Int_vec.data t.pred.(v))
   done;
-  (* ord + mark + parent + two words of header per adjacency vector *)
-  (5 * t.n) + !adj + Array.length t.eset
+  !adj
+
+(* ord + mark + parent + two words of header per adjacency vector *)
+let words t = (5 * t.n) + t.adj_words + Array.length t.eset
 
 (* Watermark compaction: drop every vertex [keep] rejects and renumber
    the survivors to a dense prefix, preserving their relative
@@ -412,6 +427,7 @@ let compact ?(on_edge = fun _ _ _ _ -> ()) t ~keep =
   t.n <- m;
   t.succ <- succ;
   t.pred <- pred;
+  t.adj_words <- count_adj_words t;
   t.ord <- ord;
   t.eset <- Array.make 16 (-1);
   t.emask <- 15;
@@ -450,6 +466,7 @@ let check_invariant t =
     done
   done;
   if !edges <> t.ecount then ok := false;
+  if t.adj_words <> count_adj_words t then ok := false;
   !ok
 
 (* Snapshot codec.  The succ/pred vectors and the order permutation are
@@ -489,6 +506,7 @@ let decode r =
   for v = 0 to n - 1 do
     t.pred.(v) <- Int_vec.decode r
   done;
+  t.adj_words <- count_adj_words t;
   for u = 0 to n - 1 do
     let sv = t.succ.(u) in
     for i = 0 to Int_vec.length sv - 1 do

@@ -50,7 +50,9 @@ val iter_succ : t -> int -> (int -> unit) -> unit
 
 val words : t -> int
 (** Rough size of the structure in words: order/scratch arrays, the
-    adjacency vectors' capacity and the edge set.  O(n). *)
+    adjacency vectors' capacity and the edge set.  O(1): the adjacency
+    capacity is a running total, kept by every edge insertion and
+    recounted when {!compact} or {!decode} rebuilds the vectors. *)
 
 val compact : ?on_edge:(int -> int -> int -> int -> unit) -> t -> keep:bool array -> int array
 (** [compact t ~keep] drops every vertex [v] with [keep.(v) = false] and
@@ -69,8 +71,9 @@ val compact : ?on_edge:(int -> int -> int -> int -> unit) -> t -> keep:bool arra
 
 val check_invariant : t -> bool
 (** For tests: every recorded edge goes forward in the maintained order,
-    the order is a permutation, and adjacency / edge set / edge count
-    agree. *)
+    the order is a permutation, adjacency / edge set / edge count agree,
+    and the running adjacency capacity behind {!words} equals a
+    recount. *)
 
 val encode : Buffer.t -> t -> unit
 (** Snapshot serialization: the successor/predecessor vectors and the

@@ -366,8 +366,10 @@ let wal_close_record t s = wal_append t s (Wal.R_close { sid = s.sid })
 
 (* Live-words accounting: each session tracks its last-sampled
    {!Online.live_words} and the delta flows into one process-wide
-   aggregate.  Sampled only where it is cheap relative to the work just
-   done — after a compaction, at syncs, on open — never per feed. *)
+   aggregate.  The estimate is O(1); it is sampled on open, at each sync
+   and after each compaction.  Readers on other threads (session stats,
+   the pin detector) use the per-session copy because only the owning
+   shard may touch its checker. *)
 let publish_live t delta =
   if delta <> 0 then begin
     let total = Atomic.fetch_and_add t.live_total delta + delta in
@@ -530,13 +532,13 @@ let process_session t s =
                   end
                 in
                 let sp0 = Obs.Trace.enter () in
-                let t0 = now () in
+                let t0 = Obs.Clock.now_ns () in
                 match Online.add_txn online txn with
                 | Online.Ok_so_far ->
                     Obs.Trace.exit sp_server_feed sp0;
                     note_gc ();
                     Metrics.feed m
-                      ~ns:(int_of_float ((now () -. t0) *. 1e9))
+                      ~ns:(Obs.Clock.now_ns () - t0)
                       ~words:(int_of_float (Gc.minor_words () -. w0));
                     loop ()
                 | Online.Violation v ->
@@ -549,7 +551,7 @@ let process_session t s =
                     Obs.Journal.emit Obs.Journal.Poison ~a:s.sid ~b:0 ~c:0;
                     drop_live t s;
                     Metrics.feed m
-                      ~ns:(int_of_float ((now () -. t0) *. 1e9))
+                      ~ns:(Obs.Clock.now_ns () - t0)
                       ~words:(int_of_float (Gc.minor_words () -. w0));
                     Metrics.violation m;
                     send_ep

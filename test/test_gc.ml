@@ -307,6 +307,167 @@ let prop_gc_equals_unbounded =
       in
       lockstep ~ts ~level ~num_keys (stream_of h))
 
+(* --- O(1) live-word accounting -------------------------------------- *)
+
+(* Feed [stream] under [gc], demanding {!Online.check_invariant} (the
+   running capacity totals behind [live_words] equal a recount) before
+   the first feed and after every one.  At index [restore_at] a live
+   checker is encoded and decoded, and the rest of the stream goes to
+   the restored copy, whose totals come from the decode-time recount. *)
+let invariant_along ?(restore_at = -1) ?(ts = Ts.Ignore) ~gc ~level ~num_keys
+    stream =
+  let o = ref (Online.create ~ts ~gc ~level ~num_keys ()) in
+  let ok = ref (Online.check_invariant !o) in
+  List.iteri
+    (fun i txn ->
+      if i = restore_at && Online.poisoned !o = None then begin
+        let buf = Buffer.create 1024 in
+        Online.encode buf !o;
+        o := Online.decode (Binio_core.reader (Buffer.contents buf));
+        ok := !ok && Online.check_invariant !o
+      end;
+      ignore (Online.add_txn !o txn);
+      ok := !ok && Online.check_invariant !o)
+    stream;
+  (!ok, !o)
+
+(* Aborted writes pile up in their key's pending vector until the next
+   committed write on that key: six of them grow x0's vector past its
+   initial 4 slots, and after a restore past its exact-fit decoded
+   capacity too. *)
+let test_ab_pending_growth () =
+  let feed o txn =
+    ignore (Online.add_txn o txn);
+    checkb (Printf.sprintf "invariant after T%d" txn.Txn.id) true
+      (Online.check_invariant o)
+  in
+  let aborted id v =
+    Txn.make ~id ~session:2 ~status:Txn.Aborted [ Op.Write (0, v) ]
+  in
+  let o = Online.create ~level:Checker.SER ~num_keys:2 () in
+  checkb "fresh" true (Online.check_invariant o);
+  feed o (Txn.make ~id:1 ~session:1 [ Op.Read (0, 0); Op.Write (0, 1) ]);
+  for id = 2 to 7 do
+    feed o (aborted id (100 + id))
+  done;
+  let buf = Buffer.create 256 in
+  Online.encode buf o;
+  let o' = Online.decode (Binio_core.reader (Buffer.contents buf)) in
+  checkb "restored" true (Online.check_invariant o');
+  List.iter
+    (fun o ->
+      for id = 8 to 14 do
+        feed o (aborted id (100 + id))
+      done;
+      (* the committed overwrite shadows (and clears) every pending
+         aborted version of x0 *)
+      feed o (Txn.make ~id:15 ~session:1 [ Op.Read (0, 1); Op.Write (0, 2) ]);
+      feed o (aborted 16 116);
+      checkb "no violation" true (Online.poisoned o = None))
+    [ o; o' ]
+
+(* A clean stream long enough for [Gc_auto] to compact several times;
+   the engine's conflict aborts (about a quarter of the feeds) keep the
+   pending vectors moving. *)
+let test_live_words_auto_gc () =
+  let stream =
+    stream_of
+      (engine_history ~num_txns:2000 ~num_sessions:4 ~level:Isolation.Snapshot
+         ~fault:Fault.No_fault ~seed:5 ())
+  in
+  let ok, o =
+    invariant_along ~restore_at:1500 ~gc:Online.Gc_auto ~level:Checker.SI
+      ~num_keys:10 stream
+  in
+  checkb "invariant after every feed" true ok;
+  checkb "not poisoned" true (Online.poisoned o = None);
+  checkb "auto gc ran" true (Online.gc_runs o > 0)
+
+let accounting_gen =
+  QCheck2.Gen.(
+    let* seed = int_range 1 10_000 in
+    let* num_keys = int_range 2 16 in
+    let* num_txns = int_range 50 400 in
+    let* num_sessions = int_range 1 6 in
+    let* level = oneofl [ Checker.SI; Checker.SER; Checker.SSER ] in
+    let* ts = oneofl [ Ts.Ignore; Ts.Trust; Ts.Verify ] in
+    let* fault = oneofl [ Fault.Aborted_read 0.2; Fault.Lost_update 0.2 ] in
+    let* gc =
+      oneof
+        [ return Online.Gc_off; return Online.Gc_auto;
+          map (fun n -> Online.Gc_words n) (int_range 1_000 4_000) ]
+    in
+    let* restore_pct = int_range 0 99 in
+    return
+      ((seed, num_keys, num_txns, num_sessions, level, ts, fault), gc,
+       restore_pct))
+
+let prop_live_words_accounting =
+  QCheck2.Test.make
+    ~name:"live-word totals == recount after every feed (gc policies, restore)"
+    ~count:60
+    ~print:(fun (cfg, gc, restore_pct) ->
+      Printf.sprintf "%s gc=%s restore_at=%d%%" (print_config cfg)
+        (Online.gc_to_string gc) restore_pct)
+    accounting_gen
+    (fun ((seed, num_keys, num_txns, num_sessions, level, ts, fault), gc,
+          restore_pct) ->
+      let spec =
+        Mt_gen.generate
+          { Mt_gen.num_sessions; num_txns; num_keys;
+            dist = Distribution.Uniform; seed }
+      in
+      let db = { Db.level = Isolation.Serializable; fault; num_keys; seed } in
+      let stream =
+        stream_of
+          (Scheduler.run ~params:{ Scheduler.default_params with seed } ~db
+             ~spec ())
+            .Scheduler.history
+      in
+      (* the auto trigger first looks at feed 64: the GC precondition
+         (every session has fed before the first compaction) must hold
+         by then *)
+      let first = Hashtbl.create 8 in
+      List.iteri
+        (fun i t ->
+          if not (Hashtbl.mem first t.Txn.session) then
+            Hashtbl.add first t.Txn.session i)
+        stream;
+      QCheck2.assume
+        (gc = Online.Gc_off || Hashtbl.fold (fun _ i acc -> acc && i < 63) first true);
+      let restore_at = List.length stream * restore_pct / 100 in
+      fst (invariant_along ~restore_at ~ts ~gc ~level ~num_keys stream))
+
+(* The compaction's sub-spans nest inside its [online/gc] span. *)
+let test_gc_subspans () =
+  let o = Online.create ~ts:Ts.Trust ~level:Checker.SSER ~num_keys:10 () in
+  List.iter
+    (fun t -> ignore (Online.add_txn o t))
+    (stream_of
+       (engine_history ~level:Isolation.Strict_serializable
+          ~fault:Fault.No_fault ~seed:3 ()));
+  Obs.Trace.clear ();
+  Obs.Trace.enable ();
+  Fun.protect ~finally:Obs.Trace.disable (fun () -> ignore (Online.gc o));
+  let events = Obs.Trace.events () in
+  Obs.Trace.clear ();
+  let named n = List.filter (fun e -> e.Obs.Trace.ev_name = n) events in
+  match named "online/gc" with
+  | [ p ] ->
+      List.iter
+        (fun child ->
+          match named child with
+          | [ c ] ->
+              checkb (child ^ " starts inside online/gc") true
+                (p.Obs.Trace.ev_t0 <= c.Obs.Trace.ev_t0);
+              checkb (child ^ " ends inside online/gc") true
+                (c.Obs.Trace.ev_t0 + c.Obs.Trace.ev_dur
+                <= p.Obs.Trace.ev_t0 + p.Obs.Trace.ev_dur)
+          | l -> Alcotest.failf "%d %s spans, expected 1" (List.length l) child)
+        [ "online/gc/versions"; "online/gc/pin"; "online/gc/graph";
+          "online/gc/vertices" ]
+  | l -> Alcotest.failf "%d online/gc spans, expected 1" (List.length l)
+
 let suite =
   [
     ("GC == unbounded on clean engines", `Quick, test_gc_equivalence_clean);
@@ -319,4 +480,8 @@ let suite =
     ("policy spellings round-trip", `Quick, test_gc_policy_strings);
     ("snapshot round-trip across GC", `Quick, test_gc_restore_roundtrip);
     qtest prop_gc_equals_unbounded;
+    ("aborted writes grow a pending vector", `Quick, test_ab_pending_growth);
+    ("live-word totals hold through auto GC", `Quick, test_live_words_auto_gc);
+    qtest prop_live_words_accounting;
+    ("gc sub-spans nest inside online/gc", `Quick, test_gc_subspans);
   ]

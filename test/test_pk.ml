@@ -183,6 +183,51 @@ let prop_pk_compact =
         after
       && Pearce_kelly.check_invariant pk)
 
+(* P3b: SAT backtracking interleaves [remove_edge] with insertions.
+   Accept/reject still matches the oracle, and the invariant (which
+   includes the adjacency-capacity total behind [words]) holds after
+   every operation. *)
+let prop_pk_add_remove =
+  let n = 10 in
+  let gen =
+    QCheck2.Gen.(
+      list_size (int_range 1 150)
+        (triple
+           (frequency [ (3, return true); (1, return false) ])
+           (int_range 0 (n - 1))
+           (int_range 0 (n - 1))))
+  in
+  let print ops =
+    String.concat "; "
+      (List.map
+         (fun (add, u, v) ->
+           Printf.sprintf "%s%d->%d" (if add then "+" else "-") u v)
+         ops)
+  in
+  QCheck2.Test.make ~name:"PK add/remove == oracle, invariant after each op"
+    ~count:120 ~print gen (fun ops ->
+      let pk = Pearce_kelly.create n in
+      let o = Oracle.create n in
+      List.for_all
+        (fun (add, u, v) ->
+          let step_ok =
+            if add then
+              match (Pearce_kelly.add_edge pk u v, Oracle.add o u v) with
+              | Ok (), (Oracle.Added | Oracle.Dup) -> true
+              | Error path, Oracle.Cycle -> path_valid o u v path
+              | _ -> false
+            else begin
+              Pearce_kelly.remove_edge pk u v;
+              o.Oracle.edges <-
+                List.filter (fun e -> e <> (u, v)) o.Oracle.edges;
+              true
+            end
+          in
+          step_ok
+          && Pearce_kelly.num_edges pk = List.length o.Oracle.edges
+          && Pearce_kelly.check_invariant pk)
+        ops)
+
 (* P4/P5: the streaming checker and the batch checker agree on random
    engine histories, healthy and faulty, at every level. *)
 let config_gen =
@@ -236,5 +281,6 @@ let suite =
     qtest prop_pk_matches_oracle;
     qtest prop_pk_ensure_growth;
     qtest prop_pk_compact;
+    qtest prop_pk_add_remove;
     qtest prop_online_equals_batch;
   ]
