@@ -180,12 +180,12 @@ let check_report ?(rt_mode = Deps.Rt_sweep) ?(skew = 0) ?pool ?(ts = Ts.Ignore)
           | Error v -> (Fail (Intra v), None)
           | Ok () -> (graph_phase ~rt_mode ~skew ?pool level idx, None)))
   | (Ts.Trust | Ts.Verify) as mode -> (
-      (* Vbox fast path: no unique-values pass, no eager writer tables —
-         the timestamp chains carry the version order.  [Verify]'s chain
-         build runs the duplicate-value screen itself (same first
-         candidate and message as [unique_values]), and certification in
-         the INT screen falls back per key to value inference, so the
-         outcome — rendering included — matches [Ignore] exactly. *)
+      (* Vbox fast path: no eager writer tables — the timestamp chains
+         carry the version order.  [Verify]'s chain build runs
+         [History.unique_values] first, and certification in the INT
+         screen falls back per key to value inference, so the outcome —
+         rendering included — matches [Ignore] exactly.  [Trust] skips
+         the screen. *)
       let idx =
         Obs.Trace.with_span sp_index (fun () -> Index.build_deferred h)
       in

@@ -54,7 +54,7 @@ val check :
     path, ROADMAP item 2): [Verify] predicts writers from commit
     timestamps, certifies every prediction against the value read and
     falls back per key on mismatch — same outcome and rendering as
-    [Ignore], usually much faster; [Trust] skips certification and the
+    [Ignore], usually faster; [Trust] skips certification and the
     duplicate-value screen entirely (fastest, but a lying oracle can
     change the verdict). *)
 

@@ -120,8 +120,7 @@ let add_diag t d =
   if List.length t.diags < max_diags then t.diags <- d :: t.diags
 
 (* Same stripe routing as Index/Deps: fixed, not the pool size, so the
-   chain layout and the duplicate-screen winner are identical for every
-   [-j]. *)
+   chain layout is identical for every [-j]. *)
 let num_stripes = 8
 
 (* Sort the chain slice [lo, hi) of three parallel arrays by
@@ -155,67 +154,19 @@ let sort_segment c_vertex c_commit c_value lo hi =
     Array.blit tl 0 c_value lo len
   end
 
-(* Duplicate-value screen over one key's writes (all statuses, scan
-   order): sort by (value, scan position) and flag adjacent occurrences
-   of one value by different writers.  The minimal (txn position, op
-   index) event over all keys is exactly the one
-   [History.unique_values]'s hashtable scan fires first, with the same
-   [other] (the occurrence immediately before it) — so the rendered
-   [Malformed] message is byte-identical with the Ignore pipeline. *)
-let dup_candidate ~aw_val ~aw_id ~aw_ti ~aw_oi lo hi best =
-  let len = hi - lo in
-  (* Strictly increasing values in scan order (the common shape from
-     monotone value generators) cannot contain a duplicate — skip the
-     permutation sort entirely. *)
-  let increasing = ref true in
-  let s = ref (lo + 1) in
-  while !increasing && !s < hi do
-    if aw_val.(!s - 1) >= aw_val.(!s) then increasing := false;
-    incr s
-  done;
-  if len > 1 && not !increasing then begin
-    let perm = Array.init len (fun i -> lo + i) in
-    Array.sort
-      (fun a b ->
-        let c = compare aw_val.(a) aw_val.(b) in
-        if c <> 0 then c else compare a b)
-      perm;
-    for j = 1 to len - 1 do
-      let a = perm.(j - 1) and b = perm.(j) in
-      if aw_val.(a) = aw_val.(b) && aw_id.(a) <> aw_id.(b) then begin
-        let ti = aw_ti.(b) and oi = aw_oi.(b) in
-        match !best with
-        | Some (bt, bo, _, _, _, _) when bt < ti || (bt = ti && bo < oi) -> ()
-        | Some _ | None ->
-            best := Some (ti, oi, aw_val.(a), aw_id.(a), aw_id.(b), b)
-      end
-    done
-  end
-
 let sp_chains = Obs.Trace.intern "check/ts/chains"
 
-let build ?pool ~mode (idx : Index.t) =
-  if mode = Ignore then invalid_arg "Ts.build: mode must be trust or verify";
-  Obs.Trace.with_span sp_chains @@ fun () ->
+let chains ?pool ~mode (idx : Index.t) =
   let h = idx.Index.history in
   let num_keys = h.History.num_keys in
   let txns = h.History.txns in
-  let screen = mode = Verify in
-  (* Pass A (serial): per-key counts — committed final writes (the
-     chains) and, under the screen, all writes of any status. *)
+  (* Pass A (serial): per-key counts of committed final writes. *)
   let key_off = Array.make (num_keys + 1) 0 in
-  let aw_off = if screen then Array.make (num_keys + 1) 0 else [||] in
   (* Committed-op finality, flat in scan order, computed once on the
      index and shared with any later writer-table registration; both
      passes below walk [txns] in the same order, so per-txn offsets are
      just a running op count. *)
   let finals = Index.finals idx in
-  (* Per-key last written value (any status, scan order): while every
-     key's values stay strictly increasing — the common shape from
-     monotone value generators — a duplicate value is impossible and
-     the whole screen apparatus below is skipped. *)
-  let last_val = if screen then Array.make num_keys min_int else [||] in
-  let monotone = ref true in
   let off = ref 0 in
   Array.iter
     (fun (t : Txn.t) ->
@@ -227,34 +178,21 @@ let build ?pool ~mode (idx : Index.t) =
       Array.iteri
         (fun i op ->
           match op with
-          | Op.Write (k, v) ->
-              if screen then begin
-                aw_off.(k + 1) <- aw_off.(k + 1) + 1;
-                if v <= last_val.(k) then monotone := false
-                else last_val.(k) <- v
-              end;
+          | Op.Write (k, _) ->
               if committed && Bytes.unsafe_get finals (base + i) = '\001' then
                 key_off.(k + 1) <- key_off.(k + 1) + 1
           | Op.Read _ -> ())
         ops)
     txns;
-  let screen_live = screen && not !monotone in
   for k = 1 to num_keys do
-    key_off.(k) <- key_off.(k) + key_off.(k - 1);
-    if screen_live then aw_off.(k) <- aw_off.(k) + aw_off.(k - 1)
+    key_off.(k) <- key_off.(k) + key_off.(k - 1)
   done;
   let total = key_off.(num_keys) in
   let c_vertex = Array.make total 0 in
   let c_commit = Array.make total 0 in
   let c_value = Array.make total 0 in
-  let aw_total = if screen_live then aw_off.(num_keys) else 0 in
-  let aw_val = Array.make (Stdlib.max 1 aw_total) 0 in
-  let aw_id = Array.make (Stdlib.max 1 aw_total) 0 in
-  let aw_ti = Array.make (Stdlib.max 1 aw_total) 0 in
-  let aw_oi = Array.make (Stdlib.max 1 aw_total) 0 in
   (* Pass B (serial): fill slots in scan order within each key. *)
   let cur = Array.sub key_off 0 num_keys in
-  let aw_cur = if screen_live then Array.sub aw_off 0 num_keys else [||] in
   let bad_windows = ref [] and bad_count = ref 0 in
   off := 0;
   Array.iteri
@@ -264,7 +202,7 @@ let build ?pool ~mode (idx : Index.t) =
       let base = !off in
       off := base + Array.length ops;
       if
-        screen && committed && ti > 0
+        mode = Verify && committed && ti > 0
         && t.Txn.start_ts > t.Txn.commit_ts
         && !bad_count < max_diags
       then begin
@@ -275,14 +213,6 @@ let build ?pool ~mode (idx : Index.t) =
         (fun oi op ->
           match op with
           | Op.Write (k, v) ->
-              if screen_live then begin
-                let s = aw_cur.(k) in
-                aw_cur.(k) <- s + 1;
-                aw_val.(s) <- v;
-                aw_id.(s) <- t.Txn.id;
-                aw_ti.(s) <- ti;
-                aw_oi.(s) <- oi
-              end;
               if committed && Bytes.unsafe_get finals (base + oi) = '\001'
               then begin
                 let s = cur.(k) in
@@ -294,67 +224,50 @@ let build ?pool ~mode (idx : Index.t) =
           | Op.Read _ -> ())
         ops)
     txns;
-  (* Pass C (striped): sort each key's chain by (commit_ts, vertex) and
-     run the duplicate screen.  Stripes own disjoint key ranges of the
-     shared arrays, so the tasks share nothing mutable. *)
-  let candidates = Array.make num_stripes None in
+  (* Pass C (striped): sort each key's chain by (commit_ts, vertex).
+     Stripes own disjoint key ranges of the shared arrays, so the tasks
+     share nothing mutable. *)
   Pool.tasks pool
     (List.init num_stripes (fun stripe () ->
-         let best = ref None in
          let k = ref stripe in
          while !k < num_keys do
-           let lo = key_off.(!k) and hi = key_off.(!k + 1) in
-           sort_segment c_vertex c_commit c_value lo hi;
-           if screen_live then
-             dup_candidate ~aw_val ~aw_id ~aw_ti ~aw_oi aw_off.(!k)
-               aw_off.(!k + 1) best;
+           sort_segment c_vertex c_commit c_value key_off.(!k)
+             key_off.(!k + 1);
            k := !k + num_stripes
-         done;
-         candidates.(stripe) <- !best));
-  let best =
-    Array.fold_left
-      (fun acc c ->
-        match (acc, c) with
-        | None, c -> c
-        | Some _, None -> acc
-        | Some (at, ao, _, _, _, _), Some (bt, bo, _, _, _, _) ->
-            if bt < at || (bt = at && bo < ao) then c else acc)
-      None candidates
+         done));
+  let m = Array.length idx.Index.committed in
+  let op_base = Array.make (m + 1) 0 in
+  for i = 0 to m - 1 do
+    op_base.(i + 1) <-
+      op_base.(i) + Array.length idx.Index.committed.(i).Txn.ops
+  done;
+  {
+    idx;
+    mode;
+    key_off;
+    c_vertex;
+    c_commit;
+    c_value;
+    op_base;
+    pred_slot = Array.make (Stdlib.max 1 op_base.(m)) (-1);
+    slow = Bytes.make num_keys '\000';
+    slow_keys = 0;
+    fast_reads = 0;
+    mismatched_reads = 0;
+    diags = [];
+    bad_windows = List.rev !bad_windows;
+  }
+
+let build ?pool ~mode (idx : Index.t) =
+  if mode = Ignore then invalid_arg "Ts.build: mode must be trust or verify";
+  Obs.Trace.with_span sp_chains @@ fun () ->
+  let screen =
+    if mode = Verify then History.unique_values ?pool idx.Index.history
+    else Ok ()
   in
-  match best with
-  | Some (_, _, v, other, id, slot) ->
-      (* Recover the key from the slot's position in the aw layout. *)
-      let k =
-        let rec find k = if aw_off.(k + 1) > slot then k else find (k + 1) in
-        find 0
-      in
-      Error
-        (Printf.sprintf "writes of value %d to key %d by both T%d and T%d" v k
-           other id)
-  | None ->
-      let m = Array.length idx.Index.committed in
-      let op_base = Array.make (m + 1) 0 in
-      for i = 0 to m - 1 do
-        op_base.(i + 1) <-
-          op_base.(i) + Array.length idx.Index.committed.(i).Txn.ops
-      done;
-      Ok
-        {
-          idx;
-          mode;
-          key_off;
-          c_vertex;
-          c_commit;
-          c_value;
-          op_base;
-          pred_slot = Array.make (Stdlib.max 1 op_base.(m)) (-1);
-          slow = Bytes.make num_keys '\000';
-          slow_keys = 0;
-          fast_reads = 0;
-          mismatched_reads = 0;
-          diags = [];
-          bad_windows = List.rev !bad_windows;
-        }
+  match screen with
+  | Error msg -> Error msg
+  | Ok () -> Ok (chains ?pool ~mode idx)
 
 let pp_actual buf idx = function
   | Index.Final w ->

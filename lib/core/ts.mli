@@ -73,10 +73,9 @@ type t = {
 
 val build : ?pool:Pool.t -> mode:mode -> Index.t -> (t, string) result
 (** Build the per-key version chains from commit timestamps.  In
-    [Verify] mode this also runs the duplicate-value screen (the same
-    first-in-scan-order candidate and message as
-    {!History.unique_values}, so a [Malformed] verdict is byte-identical
-    with the [Ignore] pipeline); [Trust] skips it.
+    [Verify] mode this first runs {!History.unique_values} on [pool]
+    and returns its error, so a [Malformed] verdict is byte-identical
+    with the [Ignore] pipeline; [Trust] skips the screen.
     @raise Invalid_argument on [mode = Ignore]. *)
 
 val total_slots : t -> int

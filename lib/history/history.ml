@@ -88,58 +88,104 @@ let rt_before h t1 t2 =
   let a = h.txns.(t1) and b = h.txns.(t2) in
   a.commit_ts < b.start_ts
 
-(* Key stripes screen independently (a duplicate pair involves one key);
-   each reports its first duplicate's (txn position, op index) and the
-   global minimum reproduces the sequential first-in-scan-order error. *)
-let uv_stripes = 8
-
+(* The duplicate-value screen.  A key whose written values strictly
+   increase in scan order cannot hold a duplicate — the shape every
+   monotone value generator produces — so one serial pass keeps each
+   key's last value and flags only the keys where a value does not
+   exceed the one before.  Ids equal positions (see [of_array]), so a
+   write's txn position is also its writer. *)
 let unique_values ?pool h =
-  let results =
-    Pool.map_slices pool ~n:uv_stripes (fun lo hi ->
-        let best = ref None in
-        for stripe = lo to hi - 1 do
-          let seen = Hashtbl.create 1024 in
-          let exception Dup in
-          try
-            Array.iteri
-              (fun ti (t : Txn.t) ->
-                Array.iteri
-                  (fun oi op ->
-                    match op with
-                    | Op.Write (k, v) when k mod uv_stripes = stripe -> (
-                        match Hashtbl.find_opt seen (k, v) with
-                        | Some other when other <> t.id ->
-                            let msg =
-                              Printf.sprintf
-                                "writes of value %d to key %d by both T%d and \
-                                 T%d"
-                                v k other t.id
-                            in
-                            (match !best with
-                            | Some (bt, bo, _)
-                              when bt < ti || (bt = ti && bo < oi) ->
-                                ()
-                            | Some _ | None -> best := Some (ti, oi, msg));
-                            raise Dup
-                        | Some _ | None -> Hashtbl.replace seen (k, v) t.id)
-                    | Op.Write _ | Op.Read _ -> ())
-                  t.ops)
-              h.txns
-          with Dup -> ()
-        done;
-        !best)
-  in
-  let best =
-    Array.fold_left
-      (fun acc hit ->
-        match (acc, hit) with
-        | None, hit -> hit
-        | Some _, None -> acc
-        | Some (at, ao, _), Some (bt, bo, _) ->
-            if bt < at || (bt = at && bo < ao) then hit else acc)
-      None results
-  in
-  match best with None -> Ok () | Some (_, _, msg) -> Error msg
+  let last = Array.make h.num_keys min_int in
+  let flagged = Bytes.make h.num_keys '\000' in
+  let any = ref false in
+  Array.iter
+    (fun (t : Txn.t) ->
+      let ops = t.ops in
+      for i = 0 to Array.length ops - 1 do
+        match ops.(i) with
+        | Op.Write (k, v) ->
+            if v > last.(k) then last.(k) <- v
+            else begin
+              Bytes.set flagged k '\001';
+              any := true
+            end
+        | Op.Read _ -> ()
+      done)
+    h.txns;
+  if not !any then Ok ()
+  else begin
+    (* Sort path: the flagged keys' writes are counting-sorted into one
+       flat slice per key, in scan order, and each slice is sorted
+       stably by value.  A duplicate is then an adjacent pair of equal
+       values by different writers, reported at the later write.  The
+       earliest such write by (txn position, op index) is the one a
+       scan-order (key, value) -> first-writer table fires on first,
+       and every write of that value before it is by the first writer,
+       so the pair, and the message, is the same for every pool. *)
+    let off = Array.make (h.num_keys + 1) 0 in
+    let iter_flagged f =
+      Array.iteri
+        (fun ti (t : Txn.t) ->
+          Array.iteri
+            (fun oi op ->
+              match op with
+              | Op.Write (k, v) when Bytes.get flagged k = '\001' ->
+                  f ti oi k v
+              | Op.Write _ | Op.Read _ -> ())
+            t.ops)
+        h.txns
+    in
+    iter_flagged (fun _ _ k _ -> off.(k + 1) <- off.(k + 1) + 1);
+    for k = 1 to h.num_keys do
+      off.(k) <- off.(k) + off.(k - 1)
+    done;
+    let n = off.(h.num_keys) in
+    let value = Array.make n 0 and pos = Array.make n 0 in
+    let op_idx = Array.make n 0 in
+    let cur = Array.sub off 0 h.num_keys in
+    iter_flagged (fun ti oi k v ->
+        let s = cur.(k) in
+        cur.(k) <- s + 1;
+        value.(s) <- v;
+        pos.(s) <- ti;
+        op_idx.(s) <- oi);
+    let keys = Int_vec.create 16 in
+    Bytes.iteri (fun k c -> if c = '\001' then Int_vec.push keys k) flagged;
+    (* Of two candidates Some (first writer's slot, duplicate's slot,
+       key), the one whose duplicate comes first in scan order. *)
+    let earlier acc c =
+      match (acc, c) with
+      | Some (_, s1, _), Some (_, s2, _)
+        when pos.(s1) < pos.(s2)
+             || (pos.(s1) = pos.(s2) && op_idx.(s1) < op_idx.(s2)) ->
+          acc
+      | _, None -> acc
+      | _, Some _ -> c
+    in
+    let first_dup lo hi =
+      let best = ref None in
+      for i = lo to hi - 1 do
+        let k = Int_vec.get keys i in
+        let perm = Array.init (off.(k + 1) - off.(k)) (fun j -> off.(k) + j) in
+        Array.stable_sort (fun a b -> Int.compare value.(a) value.(b)) perm;
+        for j = 1 to Array.length perm - 1 do
+          let a = perm.(j - 1) and b = perm.(j) in
+          if value.(a) = value.(b) && pos.(a) <> pos.(b) then
+            best := earlier !best (Some (a, b, k))
+        done
+      done;
+      !best
+    in
+    match
+      Array.fold_left earlier None
+        (Pool.map_slices pool ~n:(Int_vec.length keys) first_dup)
+    with
+    | None -> Ok ()
+    | Some (a, b, k) ->
+        Error
+          (Printf.sprintf "writes of value %d to key %d by both T%d and T%d"
+             value.(b) k pos.(a) pos.(b))
+  end
 
 let all_mini h =
   let exception Bad of int in

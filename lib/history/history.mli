@@ -61,8 +61,13 @@ val rt_before : t -> Txn.id -> Txn.id -> bool
 val unique_values : ?pool:Pool.t -> t -> (unit, string) result
 (** Checks that every write on the same object assigns a distinct value
     (across committed *and* aborted transactions, as clients generate
-    values).  With [pool], key stripes screen concurrently; the reported
-    duplicate is the sequential first one either way. *)
+    values); a transaction writing one value twice is not a duplicate.
+    One serial pass flags the keys whose values do not strictly
+    increase in scan order; when there is none (every monotone value
+    generator) the check ends there.  Otherwise only the flagged keys'
+    writes are sorted by (value, scan position), one key at a time, on
+    [pool]'s slices when given.  The reported duplicate is the first in
+    scan order, with the first writer of its value, for every pool. *)
 
 val all_mini : t -> (unit, string) result
 (** Checks that every non-initial transaction is a mini-transaction

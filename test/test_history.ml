@@ -489,6 +489,215 @@ let prop_codec_roundtrip_engine =
       | Ok h' -> Codec.to_string h' = Codec.to_string h
       | Error _ -> false)
 
+(* --- the duplicate-value screen against the seed's --- *)
+
+(* The seed's striped hashtable screen, verbatim: the reference that
+   [History.unique_values] must reproduce, message and all. *)
+let uv_stripes = 8
+
+let reference_unique_values ?pool (h : History.t) =
+  let results =
+    Pool.map_slices pool ~n:uv_stripes (fun lo hi ->
+        let best = ref None in
+        for stripe = lo to hi - 1 do
+          let seen = Hashtbl.create 1024 in
+          let exception Dup in
+          try
+            Array.iteri
+              (fun ti (t : Txn.t) ->
+                Array.iteri
+                  (fun oi op ->
+                    match op with
+                    | Op.Write (k, v) when k mod uv_stripes = stripe -> (
+                        match Hashtbl.find_opt seen (k, v) with
+                        | Some other when other <> t.id ->
+                            let msg =
+                              Printf.sprintf
+                                "writes of value %d to key %d by both T%d and \
+                                 T%d"
+                                v k other t.id
+                            in
+                            (match !best with
+                            | Some (bt, bo, _)
+                              when bt < ti || (bt = ti && bo < oi) ->
+                                ()
+                            | Some _ | None -> best := Some (ti, oi, msg));
+                            raise Dup
+                        | Some _ | None -> Hashtbl.replace seen (k, v) t.id)
+                    | Op.Write _ | Op.Read _ -> ())
+                  t.ops)
+              h.txns
+          with Dup -> ()
+        done;
+        !best)
+  in
+  let best =
+    Array.fold_left
+      (fun acc hit ->
+        match (acc, hit) with
+        | None, hit -> hit
+        | Some _, None -> acc
+        | Some (at, ao, _), Some (bt, bo, _) ->
+            if bt < at || (bt = at && bo < ao) then hit else acc)
+      None results
+  in
+  match best with None -> Ok () | Some (_, _, msg) -> Error msg
+
+let test_history_dup_sort_path () =
+  (* x0's values go 5, 3, 5: not increasing, so the sort path decides,
+     and it names the value's first writer. *)
+  let h =
+    Builder.(
+      history ~keys:1 ~sessions:3
+        [
+          txn ~session:1 [ w 0 5 ];
+          txn ~session:2 [ w 0 3 ];
+          txn ~session:3 [ w 0 5 ];
+          txn ~session:1 [ w 0 5 ];
+        ])
+  in
+  checkb "first writer named" true
+    (History.unique_values h
+    = Error "writes of value 5 to key 0 by both T1 and T3");
+  let once_twice =
+    Builder.(history ~keys:1 ~sessions:1 [ txn ~session:1 [ w 0 5; w 0 5 ] ])
+  in
+  checkb "one txn writing a value twice is no duplicate" true
+    (History.unique_values once_twice = Ok ())
+
+(* A small Stream_gen history bent to reach every path of the screen:
+   ~10% aborted transactions; [repeats] transactions that write one
+   value twice (never a duplicate); [remap] 0 keeps each key's values
+   increasing, 1 reverses them on even keys and 2 on every key; and
+   [dups] planted duplicates, where a later committed-final,
+   intermediate or aborted write takes the value of an earlier write to
+   the same key. *)
+type dup_case = {
+  seed : int;
+  txns : int;
+  keys : int;
+  remap : int;
+  repeats : int;
+  dups : int;
+}
+
+let print_dup_case c =
+  Printf.sprintf "seed=%d txns=%d keys=%d remap=%d repeats=%d dups=%d" c.seed
+    c.txns c.keys c.remap c.repeats c.dups
+
+let dup_case_gen =
+  QCheck2.Gen.(
+    let* seed = int_range 1 100_000 in
+    let* txns = int_range 2 120 in
+    let* keys = int_range 1 12 in
+    let* remap = int_range 0 2 in
+    let* repeats = int_range 0 2 in
+    let* dups = int_range 0 3 in
+    return { seed; txns; keys; remap; repeats; dups })
+
+let dup_history c =
+  let rng = Rng.create c.seed in
+  let acc = ref [] in
+  Stream_gen.generate
+    { Stream_gen.default with num_txns = c.txns; num_keys = c.keys;
+      num_sessions = 4; seed = c.seed }
+    (fun t -> acc := t :: !acc);
+  let base =
+    Array.of_list (History.init_txn ~num_keys:c.keys :: List.rev !acc)
+  in
+  let aborted =
+    Array.map (fun (t : Txn.t) -> t.id > 0 && Rng.chance rng 0.1) base
+  in
+  let remap k v =
+    if c.remap = 2 || (c.remap = 1 && k mod 2 = 0) then 1_000_000 - v else v
+  in
+  let ops =
+    Array.map
+      (fun (t : Txn.t) ->
+        Array.map
+          (function
+            | Op.Write (k, v) -> Op.Write (k, remap k v)
+            | Op.Read (k, v) -> Op.Read (k, remap k v))
+          t.ops)
+      base
+  in
+  let insert ti oi op =
+    let a = ops.(ti) in
+    ops.(ti) <-
+      Array.concat
+        [ Array.sub a 0 oi; [| op |]; Array.sub a oi (Array.length a - oi) ]
+  in
+  (* every write (ti, oi, k, v) of a transaction past [from] *)
+  let writes ~from =
+    List.concat
+      (List.init (Array.length ops) (fun ti ->
+           if ti < from then []
+           else
+             List.concat
+               (List.mapi
+                  (fun oi op ->
+                    match op with
+                    | Op.Write (k, v) -> [ (ti, oi, k, v) ]
+                    | Op.Read _ -> [])
+                  (Array.to_list ops.(ti)))))
+  in
+  for _ = 1 to c.repeats do
+    match writes ~from:1 with
+    | [] -> ()
+    | ws ->
+        let ti, oi, k, v = Rng.pick_list rng ws in
+        insert ti oi (Op.Write (k, v))
+  done;
+  for _ = 1 to c.dups do
+    match writes ~from:1 with
+    | [] -> ()
+    | ws -> (
+        let ti, oi, k, _ = Rng.pick_list rng ws in
+        let earlier =
+          List.filter (fun (tj, _, kj, _) -> tj < ti && kj = k) (writes ~from:0)
+        in
+        let _, _, _, v = Rng.pick_list rng earlier in
+        match Rng.int rng 3 with
+        | 0 -> ops.(ti).(oi) <- Op.Write (k, v)
+        | 1 -> insert ti oi (Op.Write (k, v))
+        | _ ->
+            ops.(ti).(oi) <- Op.Write (k, v);
+            aborted.(ti) <- true)
+  done;
+  History.of_array ~num_keys:c.keys ~num_sessions:4
+    (Array.mapi
+       (fun i (t : Txn.t) ->
+         Txn.make ~id:t.id ~session:t.session
+           ~status:(if aborted.(i) then Txn.Aborted else t.status)
+           ~start_ts:t.start_ts ~commit_ts:t.commit_ts
+           (Array.to_list ops.(i)))
+       base)
+
+let render_ts ts h =
+  match Checker.check_report ~ts Checker.SER h with
+  | Checker.Pass, _ -> "PASS"
+  | Checker.Fail v, _ -> Report.render h Checker.SER v
+
+let prop_unique_values_reference =
+  QCheck2.Test.make ~name:"unique_values == the seed's hashtable screen"
+    ~count:300 ~print:print_dup_case dup_case_gen (fun c ->
+      let h = dup_history c in
+      let expected = reference_unique_values h in
+      let verify =
+        match Ts.build ~mode:Ts.Verify (Index.build_deferred h) with
+        | Ok _ -> Ok ()
+        | Error msg -> Error msg
+      in
+      (c.dups > 0 || expected = Ok ())
+      && History.unique_values h = expected
+      && List.for_all
+           (fun size ->
+             Pool.with_pool ~size (fun p -> History.unique_values ~pool:p h)
+             = expected)
+           [ 2; 4 ]
+      && verify = expected
+      && render_ts Ts.Ignore h = render_ts Ts.Verify h)
+
 let test_codec_file_roundtrip () =
   let path = Filename.temp_file "mtc_test" ".hist" in
   Codec.save path sample_history;
@@ -525,6 +734,8 @@ let suite =
     ("history unique values ok", `Quick, test_history_unique_values_ok);
     ("history duplicate values", `Quick, test_history_unique_values_dup);
     ("history duplicate across aborted", `Quick, test_history_dup_across_aborted);
+    ("history duplicate on the sort path", `Quick, test_history_dup_sort_path);
+    qtest prop_unique_values_reference;
     ("history all_mini", `Quick, test_history_all_mini);
     ("history rejects bad session", `Quick, test_history_make_bad_session);
     ("history rejects bad key", `Quick, test_history_make_bad_key);
