@@ -13,6 +13,13 @@ let smoke = ref false
 
 let jobs () = match !pool with Some p -> Pool.size p | None -> 1
 
+(* Detection gates: an experiment that fails to reproduce a finding
+   records it here, and main.exe exits non-zero once every table is
+   written. *)
+let misses : string list ref = ref []
+
+let miss fmt = Printf.ksprintf (fun s -> misses := s :: !misses) fmt
+
 (* Map over a sweep's config points, concurrently when a pool is set.
    Rows are pure (printing happens after the map), so this is safe for
    every sweep built as [print_table (par_map row configs)]. *)

@@ -112,5 +112,9 @@ let () =
     in
     List.iter (run_one ~json_oc) selected;
     Option.iter close_out json_oc;
-    Option.iter Pool.shutdown !Bench_util.pool
+    Option.iter Pool.shutdown !Bench_util.pool;
+    if !Bench_util.misses <> [] then begin
+      List.iter (Printf.eprintf "gate failed: %s\n") (List.rev !Bench_util.misses);
+      exit 1
+    end
   end

@@ -169,11 +169,10 @@ let timestamps_arg =
            ~doc:"Timestamp fast path for strong levels: $(b,ignore) infers \
                  version orders from values (the default), $(b,verify) \
                  predicts them from commit timestamps and certifies every \
-                 prediction against the values — same verdict, usually much \
-                 faster — and $(b,trust) skips certification entirely \
-                 (fastest; only sound if the engine's timestamps are \
-                 truthful).  In verify mode certification mismatches are \
-                 reported on stderr.")
+                 prediction against the values — same verdict — and \
+                 $(b,trust) skips certification entirely (only sound if \
+                 the engine's timestamps are truthful).  In verify mode \
+                 certification mismatches are reported on stderr.")
 
 let gt_arg =
   Arg.(value & flag & info [ "gt" ]

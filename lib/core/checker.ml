@@ -180,7 +180,7 @@ let check_report ?(rt_mode = Deps.Rt_sweep) ?(skew = 0) ?pool ?(ts = Ts.Ignore)
           | Error v -> (Fail (Intra v), None)
           | Ok () -> (graph_phase ~rt_mode ~skew ?pool level idx, None)))
   | (Ts.Trust | Ts.Verify) as mode -> (
-      (* Vbox fast path: no eager writer tables — the timestamp chains
+      (* Vbox fast path: no eager write table — the timestamp chains
          carry the version order.  [Verify]'s chain build runs
          [History.unique_values] first, and certification in the INT
          screen falls back per key to value inference, so the outcome —

@@ -104,16 +104,20 @@ let num_stripes = 8
 
 let stripe_of_key k = k mod num_stripes
 
-(* Per-stripe working state of the sharded build: one edge stream plus
-   the reader-group machinery for the local RW composition.  A stripe
-   owns the keys [k] with [stripe_of_key k = stripe], so reader groups
-   (keyed by writer vertex × key) never span stripes and each stripe's
-   RW composition is complete on its own. *)
+(* Per-stripe working state of the sharded build: the stripe's external
+   reads as flat records, one edge stream, and the first unresolved
+   read.  A stripe owns the keys [k] with [stripe_of_key k = stripe], so
+   reader groups (one per writer vertex × key) never span stripes and
+   each stripe's RW composition is complete on its own. *)
 type stripe = {
-  (* external reads routed here by the bucket pre-pass: committed-array
-     position and op index *)
+  (* one record per external read routed here by the bucket pass:
+     committed position, op index, key, value, and 1 iff the reader also
+     writes the key *)
   r_sv : Int_vec.t;
   r_op : Int_vec.t;
+  r_key : Int_vec.t;
+  r_val : Int_vec.t;
+  r_ow : Int_vec.t;
   (* the stripe's edge stream *)
   eu : Int_vec.t;
   ev : Int_vec.t;
@@ -124,124 +128,114 @@ type stripe = {
   mutable err : error option;
 }
 
-let run_stripe ?fast (idx : Index.t) num_keys st =
+(* Resolution and WR/WW/RW inference of one stripe, from its read
+   records alone: a [Txn.t] is touched only for an error message or a
+   timestamp prediction the certification pass did not cache.  Reader
+   groups are numbered by the resolving slot — the chain slot on the
+   timestamp path ([ts_group]), the write-table slot on the value path
+   ([value_group]) — in first-appearance order in the stripe's scan
+   order.  A slot is one (writer vertex, key) pair and fast and slow
+   keys never share a group, so this is the numbering of a
+   (writer vertex, key) map on either path, and the frozen CSR is the
+   same on both.  The group arrays are shared by all stripes: a key's
+   slots are touched only by the task owning its stripe. *)
+let run_stripe ~ts ~value_group (idx : Index.t) st =
   let t_wrww = Obs.Trace.enter () in
-  let nr0 = Int_vec.length st.r_sv in
-  let groups = Flat_index.create ~capacity:(2 * nr0) () in
+  let nr = Int_vec.length st.r_sv in
+  let sv_of = Int_vec.data st.r_sv
+  and op_of = Int_vec.data st.r_op
+  and key_of = Int_vec.data st.r_key
+  and val_of = Int_vec.data st.r_val
+  and ow_of = Int_vec.data st.r_ow in
+  (* record -> reader group, or -1 for a read of the reader's own write *)
+  let grp = Array.make nr (-1) in
   let num_groups = ref 0 in
-  let rd_src = Int_vec.create nr0
-  and rd_key = Int_vec.create nr0
-  and rd_grp = Int_vec.create nr0
-  and rd_ow = Int_vec.create nr0 (* 1 iff the reader overwrites *) in
   let push u v l =
     Int_vec.push st.eu u;
     Int_vec.push st.ev v;
     Int_vec.push st.el l
   in
-  let record sv k writes g =
-    Int_vec.push rd_src sv;
-    Int_vec.push rd_key k;
-    Int_vec.push rd_grp g;
-    Int_vec.push rd_ow (if writes then 1 else 0)
+  let group_of groups p =
+    match groups.(p) with
+    | -1 ->
+        let g = !num_groups in
+        incr num_groups;
+        groups.(p) <- g;
+        g
+    | g -> g
   in
-  for r = 0 to nr0 - 1 do
-    let sv = Int_vec.get st.r_sv r in
-    let i = Int_vec.get st.r_op r in
-    let s = idx.Index.committed.(sv) in
-    let ops = s.Txn.ops in
-    match ops.(i) with
-    | Op.Write _ -> assert false
-    | Op.Read (k, v) -> (
-        match fast with
-        | Some (tsi, slot_group) when Ts.is_fast_key tsi k ->
-            (* Timestamp fast path: the writer is the predicted chain
-               slot — certification already proved the slot's value is
-               the value read (Verify) or the caller opted to trust the
-               oracle.  Group ids come from the slot itself: a slot is
-               in bijection with (writer vertex, key), and fast/slow
-               keys never share a group, so sharing [num_groups] with
-               the slow path below reproduces the value-inferred group
-               numbering exactly — and hence the identical CSR. *)
-            let p =
-              match Ts.cached_slot tsi ~sv ~op:i with
-              | -1 -> Ts.predict tsi k ~start_ts:s.Txn.start_ts
-              | p -> p
-            in
-            let wv = Ts.slot_vertex tsi p in
-            if wv <> sv then begin
-              push wv sv (pack_wr k);
-              let writes = Txn.writes_key_ops ops k in
-              if writes then push wv sv (pack_ww k);
-              let g =
-                match slot_group.(p) with
-                | -1 ->
-                    let g = !num_groups in
-                    incr num_groups;
-                    slot_group.(p) <- g;
-                    g
-                | g -> g
-              in
-              record sv k writes g
-            end
-        | Some _ | None -> (
-            match Index.writer_of idx k v with
-            | Index.Final w when w <> s.id ->
-                let wv = Index.vertex idx w in
-                push wv sv (pack_wr k);
-                let writes = Txn.writes_key_ops ops k in
-                if writes then push wv sv (pack_ww k);
-                let gk = (wv * num_keys) + k in
-                let g =
-                  match Flat_index.get groups gk with
-                  | -1 ->
-                      let g = !num_groups in
-                      incr num_groups;
-                      Flat_index.set groups gk g;
-                      g
-                  | g -> g
-                in
-                record sv k writes g
-            | Index.Final _ | Index.Intermediate _ | Index.Aborted _
-            | Index.Nobody ->
-                if st.err = None then begin
-                  st.err_sv <- sv;
-                  st.err_op <- i;
-                  st.err <-
-                    Some (Unresolved_read { txn = s.id; key = k; value = v })
-                end))
+  for r = 0 to nr - 1 do
+    let sv = sv_of.(r) and k = key_of.(r) in
+    match ts with
+    | Some (tsi, ts_group) when Ts.is_fast_key tsi k ->
+        (* Timestamp fast path: the writer is the predicted chain slot —
+           certification already proved the slot's value is the value
+           read (Verify) or the caller opted to trust the oracle. *)
+        let p =
+          match Ts.cached_slot tsi ~sv ~op:op_of.(r) with
+          | -1 ->
+              Ts.predict tsi k
+                ~start_ts:idx.Index.committed.(sv).Txn.start_ts
+          | p -> p
+        in
+        let wv = Ts.slot_vertex tsi p in
+        if wv <> sv then begin
+          push wv sv (pack_wr k);
+          if ow_of.(r) = 1 then push wv sv (pack_ww k);
+          grp.(r) <- group_of ts_group p
+        end
+    | Some _ | None ->
+        let p = Index.slot_of idx k val_of.(r) in
+        let wv = if p < 0 then -1 else Index.final_vertex idx p in
+        if wv >= 0 && wv <> sv then begin
+          push wv sv (pack_wr k);
+          if ow_of.(r) = 1 then push wv sv (pack_ww k);
+          grp.(r) <- group_of value_group p
+        end
+        else if st.err = None then begin
+          st.err_sv <- sv;
+          st.err_op <- op_of.(r);
+          st.err <-
+            Some
+              (Unresolved_read
+                 {
+                   txn = idx.Index.committed.(sv).Txn.id;
+                   key = k;
+                   value = val_of.(r);
+                 })
+        end
   done;
   Obs.Trace.exit sp_wrww t_wrww;
   if st.err = None then begin
     (* RW edges: T' -WR(x)-> T and T' -WW(x)-> S give T -RW(x)-> S.
-       Counting sort the read records by group id, then cross readers
+       Counting sort the grouped records by group id, then cross readers
        with overwriters within each contiguous slice. *)
     let t_rw = Obs.Trace.enter () in
-    let nr = Int_vec.length rd_src in
     let ng = !num_groups in
     let g_off = Array.make (ng + 1) 0 in
-    let grp = Int_vec.data rd_grp in
     for r = 0 to nr - 1 do
-      g_off.(grp.(r) + 1) <- g_off.(grp.(r) + 1) + 1
+      let g = grp.(r) in
+      if g >= 0 then g_off.(g + 1) <- g_off.(g + 1) + 1
     done;
     for g = 1 to ng do
       g_off.(g) <- g_off.(g) + g_off.(g - 1)
     done;
-    let members = Array.make nr 0 in
+    let members = Array.make g_off.(ng) 0 in
     let cursor = Array.copy g_off in
     for r = 0 to nr - 1 do
-      members.(cursor.(grp.(r))) <- r;
-      cursor.(grp.(r)) <- cursor.(grp.(r)) + 1
+      let g = grp.(r) in
+      if g >= 0 then begin
+        members.(cursor.(g)) <- r;
+        cursor.(g) <- cursor.(g) + 1
+      end
     done;
-    let src = Int_vec.data rd_src
-    and key = Int_vec.data rd_key
-    and ow = Int_vec.data rd_ow in
     for g = 0 to ng - 1 do
       for a = g_off.(g) to g_off.(g + 1) - 1 do
-        let t = src.(members.(a)) in
-        let k = key.(members.(a)) in
+        let t = sv_of.(members.(a)) in
+        let k = key_of.(members.(a)) in
         for b = g_off.(g) to g_off.(g + 1) - 1 do
-          if ow.(members.(b)) = 1 then begin
-            let s = src.(members.(b)) in
+          if ow_of.(members.(b)) = 1 then begin
+            let s = sv_of.(members.(b)) in
             if t <> s then push t s (pack_rw k)
           end
         done
@@ -255,13 +249,17 @@ let build ?(skew = 0) ?pool ?ts ~rt (idx : Index.t) =
   let m = Index.num_vertices idx in
   let h = idx.history in
   let num_keys = h.History.num_keys in
-  (* Slot -> reader-group id, shared by all stripes: a key's slots are
-     touched only by the task owning that key's stripe, so the array is
-     written race-free and the stripes stay independent. *)
-  let fast =
-    match ts with
-    | None -> None
-    | Some tsi -> Some (tsi, Array.make (Ts.total_slots tsi) (-1))
+  (* Slot -> reader-group id for each path that can run.  Sizing the
+     value path's array builds a deferred index's write table here, on
+     this domain, before the stripe tasks look writers up in it. *)
+  let ts =
+    Option.map (fun tsi -> (tsi, Array.make (Ts.total_slots tsi) (-1))) ts
+  in
+  let value_path =
+    match ts with None -> true | Some (tsi, _) -> tsi.Ts.slow_keys > 0
+  in
+  let value_group =
+    if value_path then Array.make (Index.num_slots idx) (-1) else [||]
   in
   let size = match rt with Rt_sweep -> 2 * m | No_rt | Rt_naive -> m in
   (* SO edges (lines 6-7): one cheap serial pass, stream 0. *)
@@ -272,17 +270,21 @@ let build ?(skew = 0) ?pool ?ts ~rt (idx : Index.t) =
       Int_vec.push so_v (Index.vertex idx b));
   Obs.Trace.exit sp_so t_so;
   let so_l = Array.make (Int_vec.length so_u) lab_so in
-  (* Bucket pre-pass: route every external read to its key stripe.  The
-     serial scan does only the O(1)-per-op externality test (the flat
-     [Txn.is_external_read] rescan, shared with [Divergence]); writer
-     resolution, WR/WW emission and the RW composition — the expensive
-     parts — happen inside the stripe tasks (lines 8-11, 14-15). *)
+  (* Bucket pass: copy every external read into its key stripe's flat
+     records.  The serial scan has each transaction's ops in hand, so it
+     does the O(1)-per-op externality and overwrite tests (the flat
+     [Txn] rescans, shared with [Divergence]); writer resolution, WR/WW
+     emission and the RW composition — the expensive parts — happen
+     inside the stripe tasks (lines 8-11, 14-15). *)
   let per = 2 * m / num_stripes in
   let stripes =
     Array.init num_stripes (fun _ ->
         {
           r_sv = Int_vec.create per;
           r_op = Int_vec.create per;
+          r_key = Int_vec.create per;
+          r_val = Int_vec.create per;
+          r_ow = Int_vec.create per;
           eu = Int_vec.create per;
           ev = Int_vec.create per;
           el = Int_vec.create per;
@@ -292,25 +294,27 @@ let build ?(skew = 0) ?pool ?ts ~rt (idx : Index.t) =
         })
   in
   let t_bucket = Obs.Trace.enter () in
-  Array.iteri
-    (fun sv (s : Txn.t) ->
-      let ops = s.ops in
-      Array.iteri
-        (fun i op ->
-          match op with
-          | Op.Write _ -> ()
-          | Op.Read (k, _) ->
-              if Txn.is_external_read ops i k then begin
-                let st = stripes.(stripe_of_key k) in
-                Int_vec.push st.r_sv sv;
-                Int_vec.push st.r_op i
-              end)
-        ops)
-    idx.committed;
+  let committed = idx.committed in
+  for sv = 0 to m - 1 do
+    let ops = committed.(sv).Txn.ops in
+    for i = 0 to Array.length ops - 1 do
+      match ops.(i) with
+      | Op.Write _ -> ()
+      | Op.Read (k, v) ->
+          if Txn.is_external_read ops i k then begin
+            let st = stripes.(stripe_of_key k) in
+            Int_vec.push st.r_sv sv;
+            Int_vec.push st.r_op i;
+            Int_vec.push st.r_key k;
+            Int_vec.push st.r_val v;
+            Int_vec.push st.r_ow (if Txn.writes_key_ops ops k then 1 else 0)
+          end
+    done
+  done;
   Obs.Trace.exit sp_bucket t_bucket;
   Pool.tasks pool
     (Array.to_list
-       (Array.map (fun st () -> run_stripe ?fast idx num_keys st) stripes));
+       (Array.map (fun st () -> run_stripe ~ts ~value_group idx st) stripes));
   (* Report the first unresolved read in scan order, whatever the stripe
      schedule, by minimising over the per-stripe (committed position,
      op index) candidates. *)

@@ -10,7 +10,14 @@
     {!build} streams edges into flat int arrays — sources, targets, and
     int-packed labels — and counting-sorts them straight into the frozen
     {!Csr.t} the cycle kernels consume: no adjacency lists, no boxed
-    [(key, value)] tuples, no per-transaction hashtables.
+    [(key, value)] tuples, no hash tables.  One serial bucket pass copies
+    every external read into flat records of its key stripe (committed
+    position, op index, key, value, and whether the reader also writes
+    the key); the stripe tasks resolve writers and infer WR/WW/RW from
+    those records alone.  Reader groups — the readers of one writer's
+    version of one key — are numbered through a dense array indexed by
+    the resolving slot ({!Index.slot_of} or the timestamp chain slot),
+    in first-appearance order within the stripe.
 
     For SSER, the real-time relation can be materialized in two ways:
     - [Rt_naive]: one edge per ordered pair, Θ(n²) as analyzed in the
@@ -54,12 +61,14 @@ val build :
     ({!Int_check.check}) rules out beforehand.
 
     [ts] enables the timestamp fast path: reads of fast keys take their
-    writer from the predicted chain slot — no value-table lookup — and
-    reader groups are numbered by slot, which reproduces the
+    writer from the predicted chain slot — no write-table lookup — and
+    their reader groups are numbered by chain slot, which reproduces the
     value-inferred grouping exactly (certification or an explicit trust
     decision guarantees the slot's writer is the value's writer), so the
     frozen CSR is bit-identical with the value-only build.  Keys flagged
-    slow by certification fall back to value resolution per key.
+    slow by certification fall back to value resolution per key; the
+    write table of a deferred index is then built once, serially,
+    before the stripe tasks start.
 
     [pool] parallelizes the build: inference is sharded over a {e fixed}
     number of key stripes (independent of the pool size), so the frozen

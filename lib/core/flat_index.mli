@@ -7,11 +7,13 @@
     boxed a [(key * value)] block per insert and hashed it per probe.
 
     The {!Writers} submodule layers the paper's writer-resolution tables
-    (final / intermediate / aborted, Section IV-A) on top, packing each
-    [(key, value)] pair into a single int — sound because mini-transaction
-    histories assign unique values, so the packing is injective whenever
-    it cannot overflow, and the rare unpackable pair falls back to a
-    tuple-keyed spill table. *)
+    (final / intermediate / aborted, Section IV-A) on top for the
+    streaming {!Online} checker, which inserts as the stream arrives,
+    packing each [(key, value)] pair into a single int — sound because
+    mini-transaction histories assign unique values, so the packing is
+    injective whenever it cannot overflow, and the rare unpackable pair
+    falls back to a tuple-keyed spill table.  The batch checker resolves
+    through {!Index}'s key-major write table instead. *)
 
 type t
 
@@ -57,7 +59,8 @@ val pack_pair : num_keys:int -> int -> int -> int
     tuple-keyed spill for those. *)
 
 (** Final / intermediate / aborted writer resolution over packed pairs —
-    the backing store of {!Index} and the streaming {!Online} checker. *)
+    the backing store of the streaming {!Online} checker ({!Index} only
+    shares its [who] type). *)
 module Writers : sig
   type who =
     | Final of Txn.id

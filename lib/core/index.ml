@@ -1,18 +1,24 @@
+(* The write table: every write of every transaction, any status, in one
+   key-major flat array.  Key [k]'s writes fill slots
+   [key_off.(k), key_off.(k + 1)), sorted by value; equal values keep
+   scan order.  [w_who] packs the writer id and its tier. *)
+type table = {
+  key_off : int array;
+  w_value : int array;
+  w_who : int array;
+}
+
 type t = {
   history : History.t;
   committed : Txn.t array;
   vertex_of_txn : int array;
-  writers : Flat_index.Writers.t option array;
-  mutable finals : Bytes.t option;
+  mutable table : table option;
 }
 
-(* Writer tables are striped by key so registration can run one task per
-   stripe with no shared mutable state.  The stripe count is fixed (not
-   the pool size): lookup routing must not depend on how the table was
-   built. *)
-let num_stripes = 8
-
-let stripe_of_key k = k mod num_stripes
+(* Tiers in resolution order: lower wins. *)
+let tier_final = 0
+let tier_intermediate = 1
+let tier_aborted = 2
 
 (* Finality of each write, one byte per op position, into the
    caller-provided scratch [final] (length >= Array.length ops).
@@ -59,81 +65,81 @@ let final_scratch txns =
   in
   Bytes.create m
 
-(* Finality of every committed op, flat across the whole history in op
-   scan order (aborted transactions leave '\000' gaps).  Computed once
-   per index and shared: readers recover per-txn offsets by keeping a
-   running op count over the same scan. *)
-let compute_finals (h : History.t) =
-  let txns = h.txns in
-  let total =
-    Array.fold_left (fun n (t : Txn.t) -> n + Array.length t.Txn.ops) 0 txns
-  in
-  let finals = Bytes.make (Stdlib.max 1 total) '\000' in
-  let final = final_scratch txns in
-  let off = ref 0 in
-  Array.iter
-    (fun (t : Txn.t) ->
-      let n = Array.length t.Txn.ops in
-      if Txn.is_committed t then begin
-        mark_finals ~final t.Txn.ops;
-        Bytes.blit final 0 finals !off n
-      end;
-      off := !off + n)
-    txns;
-  finals
-
-let finals t =
-  match t.finals with
-  | Some b -> b
-  | None ->
-      let b = compute_finals t.history in
-      t.finals <- Some b;
-      b
-
-(* Register every write of keys in [stripe] into that stripe's table.
-   Each task rescans the whole op stream (cheap: the filter is one mod)
-   but inserts only its own keys, so the tasks share nothing mutable. *)
-let register_stripe (h : History.t) ~finals w stripe =
-  (* Explicit loops, no per-transaction closures: registration runs once
-     per stripe over the whole op stream, so closure allocation here
-     would dominate the build's footprint. *)
-  let txns = h.txns in
-  let off = ref 0 in
-  for ti = 0 to Array.length txns - 1 do
-    let t = txns.(ti) in
-    let ops = t.ops in
-    let n = Array.length ops in
-    let base = !off in
-    (match t.status with
-    | Txn.Committed ->
-        for i = 0 to n - 1 do
-          match ops.(i) with
-          | Op.Write (k, v) when stripe_of_key k = stripe ->
-              if Bytes.unsafe_get finals (base + i) = '\001' then
-                Flat_index.Writers.set_final w k v t.id
-              else
-                (* An overwritten write whose value happens to equal
-                   the final one is re-registered as intermediate; the
-                   final tier shadows it in [resolve], matching the
-                   seed's [Txn.intermediate_writes] semantics. *)
-                Flat_index.Writers.set_intermediate w k v t.id
-          | Op.Write _ | Op.Read _ -> ()
-        done
-    | Txn.Aborted ->
-        for i = 0 to n - 1 do
-          match ops.(i) with
-          | Op.Write (k, v) when stripe_of_key k = stripe ->
-              Flat_index.Writers.set_aborted w k v t.id
-          | Op.Write _ | Op.Read _ -> ()
-        done);
-    off := base + n
-  done
+(* Stable sort of the slots [lo, hi) by value, through a permutation:
+   equal values keep their scan order. *)
+let sort_slice w_value w_who lo hi =
+  let len = hi - lo in
+  let perm = Array.init len (fun j -> lo + j) in
+  Array.stable_sort (fun a b -> Int.compare w_value.(a) w_value.(b)) perm;
+  let vs = Array.init len (fun j -> w_value.(perm.(j))) in
+  let ws = Array.init len (fun j -> w_who.(perm.(j))) in
+  Array.blit vs 0 w_value lo len;
+  Array.blit ws 0 w_who lo len
 
 let sp_writers = Obs.Trace.intern "infer/index/writers"
 
-let fresh_table (h : History.t) =
-  Flat_index.Writers.create ~num_keys:h.num_keys
-    ~expected:(Stdlib.max 16 (4 * History.num_txns h / num_stripes))
+(* One counting pass gives per-key offsets; one scatter pass in scan
+   order fills the slots and flags every key whose value ever
+   decreases.  Only flagged keys are sorted: a monotone value generator
+   leaves none, an engine history flags almost every key.  Explicit
+   loops, no per-transaction closures. *)
+let build_table ?pool (h : History.t) =
+  Obs.Trace.with_span sp_writers @@ fun () ->
+  let num_keys = h.num_keys in
+  let txns = h.txns in
+  let key_off = Array.make (num_keys + 1) 0 in
+  for ti = 0 to Array.length txns - 1 do
+    let ops = txns.(ti).Txn.ops in
+    for i = 0 to Array.length ops - 1 do
+      match ops.(i) with
+      | Op.Write (k, _) -> key_off.(k + 1) <- key_off.(k + 1) + 1
+      | Op.Read _ -> ()
+    done
+  done;
+  for k = 1 to num_keys do
+    key_off.(k) <- key_off.(k) + key_off.(k - 1)
+  done;
+  let total = key_off.(num_keys) in
+  let w_value = Array.make total 0 and w_who = Array.make total 0 in
+  let cur = Array.sub key_off 0 num_keys in
+  let flagged = Int_vec.create 16 in
+  let is_flagged = Bytes.make num_keys '\000' in
+  let final = final_scratch txns in
+  for ti = 0 to Array.length txns - 1 do
+    let t = txns.(ti) in
+    let ops = t.Txn.ops in
+    let committed = Txn.is_committed t in
+    if committed then mark_finals ~final ops;
+    for i = 0 to Array.length ops - 1 do
+      match ops.(i) with
+      | Op.Write (k, v) ->
+          let s = cur.(k) in
+          cur.(k) <- s + 1;
+          if
+            s > key_off.(k)
+            && w_value.(s - 1) > v
+            && Bytes.unsafe_get is_flagged k = '\000'
+          then begin
+            Bytes.unsafe_set is_flagged k '\001';
+            Int_vec.push flagged k
+          end;
+          let tier =
+            if not committed then tier_aborted
+            else if Bytes.unsafe_get final i = '\001' then tier_final
+            else tier_intermediate
+          in
+          w_value.(s) <- v;
+          w_who.(s) <- (t.Txn.id lsl 2) lor tier
+      | Op.Read _ -> ()
+    done
+  done;
+  ignore
+    (Pool.map_slices pool ~n:(Int_vec.length flagged) (fun lo hi ->
+         for j = lo to hi - 1 do
+           let k = Int_vec.get flagged j in
+           sort_slice w_value w_who key_off.(k) key_off.(k + 1)
+         done));
+  { key_off; w_value; w_who }
 
 let skeleton (h : History.t) =
   let n = History.num_txns h in
@@ -148,39 +154,22 @@ let skeleton (h : History.t) =
     h.txns;
   let vertex_of_txn = Array.make n (-1) in
   Array.iteri (fun i (t : Txn.t) -> vertex_of_txn.(t.id) <- i) committed;
-  {
-    history = h;
-    committed;
-    vertex_of_txn;
-    writers = Array.make num_stripes None;
-    finals = None;
-  }
+  { history = h; committed; vertex_of_txn; table = None }
 
 let build ?pool (h : History.t) =
   let t = skeleton h in
-  let fin = finals t in
-  let tables = Array.init num_stripes (fun _ -> fresh_table h) in
-  Pool.tasks pool
-    (List.init num_stripes (fun stripe () ->
-         Obs.Trace.with_span sp_writers (fun () ->
-             register_stripe h ~finals:fin tables.(stripe) stripe)));
-  Array.iteri (fun s w -> t.writers.(s) <- Some w) tables;
+  t.table <- Some (build_table ?pool h);
   t
 
 let build_deferred (h : History.t) = skeleton h
 
-let stripe_table t stripe =
-  match t.writers.(stripe) with
-  | Some w -> w
+let table t =
+  match t.table with
+  | Some tb -> tb
   | None ->
-      let w =
-        Obs.Trace.with_span sp_writers (fun () ->
-            let w = fresh_table t.history in
-            register_stripe t.history ~finals:(finals t) w stripe;
-            w)
-      in
-      t.writers.(stripe) <- Some w;
-      w
+      let tb = build_table t.history in
+      t.table <- Some tb;
+      tb
 
 let num_vertices t = Array.length t.committed
 
@@ -197,5 +186,42 @@ type writer = Flat_index.Writers.who =
   | Aborted of Txn.id
   | Nobody
 
+let num_slots t = Array.length (table t).w_value
+
+(* Binary search for the end of [v]'s run in [k]'s slice, then walk the
+   run backwards: the first slot of a tier met is that tier's last in
+   scan order, and a final slot ends the walk. *)
+let slot_of t k v =
+  let tb = table t in
+  let value = tb.w_value in
+  let base = tb.key_off.(k) in
+  let lo = ref base and hi = ref tb.key_off.(k + 1) in
+  while !lo < !hi do
+    let mid = (!lo + !hi) lsr 1 in
+    if value.(mid) <= v then lo := mid + 1 else hi := mid
+  done;
+  let best = ref (-1) and best_tier = ref (tier_aborted + 1) in
+  let s = ref (!lo - 1) in
+  while !best_tier > tier_final && !s >= base && value.(!s) = v do
+    let tier = tb.w_who.(!s) land 3 in
+    if tier < !best_tier then begin
+      best := !s;
+      best_tier := tier
+    end;
+    decr s
+  done;
+  !best
+
+let final_vertex t s =
+  let who = (table t).w_who.(s) in
+  if who land 3 = tier_final then t.vertex_of_txn.(who lsr 2) else -1
+
 let writer_of t k v =
-  Flat_index.Writers.resolve (stripe_table t (stripe_of_key k)) k v
+  let s = slot_of t k v in
+  if s < 0 then Nobody
+  else
+    let who = (table t).w_who.(s) in
+    let id = who lsr 2 and tier = who land 3 in
+    if tier = tier_final then Final id
+    else if tier = tier_intermediate then Intermediate id
+    else Aborted id

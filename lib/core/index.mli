@@ -1,41 +1,44 @@
 (** A shared index over a history: dense vertex numbering of committed
-    transactions and write-value lookup tables.  Because every write on an
-    object assigns a unique value (Definition 9), the tables resolve each
-    read to the transaction that produced its value — the basis of the
+    transactions and one write table.  Because every write on an object
+    assigns a unique value (Definition 9), the table resolves each read
+    to the transaction that produced its value — the basis of the
     deterministic WR relation (paper Section IV-A).
 
-    The lookup tables are int-packed open-addressing maps
-    ({!Flat_index.Writers}): building them scans each transaction's op
-    array directly, with no per-transaction hashtables and no boxed
-    [(key * value)] tuple per write. *)
+    The write table is key-major and flat: one counting pass over every
+    write of every transaction (any status) gives per-key offsets, and
+    one scatter pass in scan order fills each slot with the value, the
+    writer id and its tier — final or intermediate (by {!mark_finals})
+    for committed transactions, aborted otherwise.  Keys whose values
+    ever decrease in scan order are then sorted by value, stably, so
+    equal values keep scan order; a monotone value generator leaves
+    every key unsorted.  A lookup is a binary search in the key's slice:
+    no hash tables, no packing of [(key, value)] pairs. *)
+
+type table
+(** The write table; reach it through {!writer_of} and the slot
+    accessors. *)
 
 type t = private {
   history : History.t;
   committed : Txn.t array;  (** committed transactions in id order *)
   vertex_of_txn : int array;  (** txn id -> dense vertex, or -1 if aborted *)
-  writers : Flat_index.Writers.t option array;
-      (** final / intermediate / aborted writer resolution, striped by
-          key ([k mod 8]) so registration parallelizes; [None] stripes
-          (from {!build_deferred}) are populated on first lookup; route
-          lookups through {!writer_of} *)
-  mutable finals : Bytes.t option;
-      (** lazily cached committed-op finality; read through {!finals} *)
+  mutable table : table option;
+      (** [None] until a deferred index ({!build_deferred}) is first
+          looked up *)
 }
 
 val build : ?pool:Pool.t -> History.t -> t
-(** [pool] parallelizes writer-table registration (one task per key
-    stripe).  The resulting index is identical with or without it.  All
-    stripes are populated eagerly, so concurrent {!writer_of} lookups
-    from any stripe are safe. *)
+(** Builds the write table now.  [pool] sorts the keys whose values
+    decrease; the table is identical with or without it, and concurrent
+    lookups from any domain are safe. *)
 
 val build_deferred : History.t -> t
-(** Vertex numbering only — no writer tables.  Each stripe's table is
-    built lazily by the first {!writer_of} on one of its keys; the
-    timestamp fast path ({!Ts}) uses this to skip table registration
-    entirely when certification succeeds.  Lazy forcing is not
-    thread-safe across a stripe: call {!writer_of} on a deferred index
-    only from serial code, or from the pool task owning the key's
-    stripe ([k mod 8]). *)
+(** Vertex numbering only: the write table is built by the first lookup
+    ({!writer_of}, {!slot_of}, {!num_slots}).  The timestamp fast path
+    ({!Ts}) uses this to skip the table entirely when certification
+    succeeds.  The lazy build is not thread-safe: force it from serial
+    code before sharing the index with pool tasks ({!Deps.build} calls
+    {!num_slots} first whenever its value path can run). *)
 
 val num_vertices : t -> int
 val txn_of_vertex : t -> int -> Txn.t
@@ -52,21 +55,29 @@ val mark_finals : final:Bytes.t -> Op.t array -> unit
 (** Finality of each write, one byte per op position ['\001'] / ['\000'],
     into the caller-provided scratch (length >= the op count).  Linear
     rescan for mini-transactions, one backward keyed pass for large op
-    arrays (the initial transaction) — shared by the registration and
-    timestamp-chain builders. *)
+    arrays (the initial transaction) — shared by the write table and
+    the timestamp-chain builder ({!Ts.build}). *)
 
 val final_scratch : Txn.t array -> Bytes.t
 (** A scratch buffer sized for the largest op array of the batch. *)
 
-val finals : t -> Bytes.t
-(** Finality of every committed op, flat across the whole history in op
-    scan order — index [base + i] where [base] is the running op count
-    of the preceding transactions (aborted ops read ['\000']).  Computed
-    on first use and cached; shared by writer-table registration and the
-    timestamp-chain builder ({!Ts.build}).  Same thread-safety
-    discipline as lazy writer tables: first use from serial code or a
-    single owning task. *)
-
 val writer_of : t -> Op.key -> Op.value -> writer
-(** Who produced value [v] of object [x]?  [Final] writers are the only
+(** Who produced value [v] of object [x]?  Among the writes of [v] to
+    [x]: a final write, else an intermediate one, else an aborted one —
+    the resolution order of paper Section IV-A — and within a tier the
+    last in scan order.  On a history with duplicate values (no
+    {!History.unique_values} screen) this is exactly what three
+    "last insert wins" tables answer.  [Final] writers are the only
     legitimate sources under the INT axiom + committed visibility. *)
+
+val num_slots : t -> int
+(** Number of write-table slots: one per write in the history. *)
+
+val slot_of : t -> Op.key -> Op.value -> int
+(** The slot {!writer_of} answers from, or [-1] for [Nobody].  A slot is
+    a write of one transaction to one key, so a final slot stands for
+    one (writer vertex, key) pair. *)
+
+val final_vertex : t -> int -> int
+(** The committed vertex of a final slot's writer; [-1] for an
+    intermediate or aborted slot. *)

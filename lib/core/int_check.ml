@@ -137,10 +137,10 @@ let check ?pool idx =
   match best with None -> Ok () | Some (_, v) -> Error v
 
 (* Timestamp-assisted screen (Vbox mode).  External reads are judged by
-   the predicted chain slot instead of the value tables: [Trust] takes
+   the predicted chain slot instead of the write table: [Trust] takes
    the prediction as the writer outright; [Verify] compares the slot's
    value with the value read and defers every disagreement to a serial
-   judgement pass that resolves through the (lazily built) value tables
+   judgement pass that resolves through the (lazily built) write table
    and classifies exactly like the [Ignore] screen — so verdicts stay
    identical while agreement (the common case) never touches a table. *)
 

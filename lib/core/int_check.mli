@@ -36,7 +36,7 @@ val check_ts : ?pool:Pool.t -> Ts.t -> (unit, violation) result
 (** The screen with timestamp-predicted external resolution (Vbox mode).
     [Trust] attributes every external read to its predicted writer;
     [Verify] certifies the prediction against the value actually read
-    and serially re-judges every disagreement through the value tables
+    and serially re-judges every disagreement through the write table
     (classifying exactly like {!check}, so the reported violation is
     identical), filling the mismatch counters, per-key fallback flags,
     and diagnostics of the {!Ts.t}.  Call once per [Ts.t]. *)

@@ -1,9 +1,11 @@
 (* Timestamp-assisted version orders (Vbox mode).  The chains are three
    flat parallel arrays sliced per key by [key_off] — one slot per
-   committed final write — sorted by (commit_ts, vertex).  Prediction is
-   a binary search per read; certification (in Int_check.check_ts)
-   compares the predicted slot's value with the value actually read and
-   defers only the mismatches to the value tables. *)
+   committed final write — sorted by (commit_ts, vertex): the layout of
+   Index's write table, with commit timestamps in place of values.
+   Prediction is a binary search per read; certification (in
+   Int_check.check_ts) compares the predicted slot's value with the
+   value actually read and defers only the mismatches to the write
+   table. *)
 
 type mode = Ignore | Trust | Verify
 
@@ -119,71 +121,47 @@ let max_diags = 8
 let add_diag t d =
   if List.length t.diags < max_diags then t.diags <- d :: t.diags
 
-(* Same stripe routing as Index/Deps: fixed, not the pool size, so the
-   chain layout is identical for every [-j]. *)
-let num_stripes = 8
-
 (* Sort the chain slice [lo, hi) of three parallel arrays by
-   (commit_ts, vertex).  Engines and generators commit mostly in
-   timestamp order, so check sortedness first and sort through a
-   permutation only when needed. *)
+   (commit_ts, vertex), through a permutation. *)
 let sort_segment c_vertex c_commit c_value lo hi =
-  let sorted = ref true in
-  let s = ref (lo + 1) in
-  while !sorted && !s < hi do
-    let p = !s - 1 and q = !s in
-    if
-      c_commit.(p) > c_commit.(q)
-      || (c_commit.(p) = c_commit.(q) && c_vertex.(p) > c_vertex.(q))
-    then sorted := false;
-    incr s
-  done;
-  if not !sorted then begin
-    let len = hi - lo in
-    let perm = Array.init len (fun i -> lo + i) in
-    Array.sort
-      (fun a b ->
-        let c = compare c_commit.(a) c_commit.(b) in
-        if c <> 0 then c else compare c_vertex.(a) c_vertex.(b))
-      perm;
-    let tv = Array.init len (fun i -> c_vertex.(perm.(i))) in
-    let tc = Array.init len (fun i -> c_commit.(perm.(i))) in
-    let tl = Array.init len (fun i -> c_value.(perm.(i))) in
-    Array.blit tv 0 c_vertex lo len;
-    Array.blit tc 0 c_commit lo len;
-    Array.blit tl 0 c_value lo len
-  end
+  let len = hi - lo in
+  let perm = Array.init len (fun i -> lo + i) in
+  Array.sort
+    (fun a b ->
+      let c = compare c_commit.(a) c_commit.(b) in
+      if c <> 0 then c else compare c_vertex.(a) c_vertex.(b))
+    perm;
+  let tv = Array.init len (fun i -> c_vertex.(perm.(i))) in
+  let tc = Array.init len (fun i -> c_commit.(perm.(i))) in
+  let tl = Array.init len (fun i -> c_value.(perm.(i))) in
+  Array.blit tv 0 c_vertex lo len;
+  Array.blit tc 0 c_commit lo len;
+  Array.blit tl 0 c_value lo len
 
 let sp_chains = Obs.Trace.intern "check/ts/chains"
 
 let chains ?pool ~mode (idx : Index.t) =
-  let h = idx.Index.history in
-  let num_keys = h.History.num_keys in
-  let txns = h.History.txns in
-  (* Pass A (serial): per-key counts of committed final writes. *)
+  let num_keys = idx.Index.history.History.num_keys in
+  let committed = idx.Index.committed in
+  let m = Array.length committed in
+  (* Both passes walk the committed transactions in vertex order and
+     mark each one's final writes into one scratch buffer. *)
+  let final = Index.final_scratch committed in
+  (* Pass A (serial): per-key counts of committed final writes, and the
+     per-vertex op offsets of the prediction cache. *)
   let key_off = Array.make (num_keys + 1) 0 in
-  (* Committed-op finality, flat in scan order, computed once on the
-     index and shared with any later writer-table registration; both
-     passes below walk [txns] in the same order, so per-txn offsets are
-     just a running op count. *)
-  let finals = Index.finals idx in
-  let off = ref 0 in
-  Array.iter
-    (fun (t : Txn.t) ->
-      let ops = t.Txn.ops in
-      let n = Array.length ops in
-      let committed = Txn.is_committed t in
-      let base = !off in
-      off := base + n;
-      Array.iteri
-        (fun i op ->
-          match op with
-          | Op.Write (k, _) ->
-              if committed && Bytes.unsafe_get finals (base + i) = '\001' then
-                key_off.(k + 1) <- key_off.(k + 1) + 1
-          | Op.Read _ -> ())
-        ops)
-    txns;
+  let op_base = Array.make (m + 1) 0 in
+  for sv = 0 to m - 1 do
+    let ops = committed.(sv).Txn.ops in
+    Index.mark_finals ~final ops;
+    for i = 0 to Array.length ops - 1 do
+      match ops.(i) with
+      | Op.Write (k, _) when Bytes.unsafe_get final i = '\001' ->
+          key_off.(k + 1) <- key_off.(k + 1) + 1
+      | Op.Write _ | Op.Read _ -> ()
+    done;
+    op_base.(sv + 1) <- op_base.(sv) + Array.length ops
+  done;
   for k = 1 to num_keys do
     key_off.(k) <- key_off.(k) + key_off.(k - 1)
   done;
@@ -191,56 +169,53 @@ let chains ?pool ~mode (idx : Index.t) =
   let c_vertex = Array.make total 0 in
   let c_commit = Array.make total 0 in
   let c_value = Array.make total 0 in
-  (* Pass B (serial): fill slots in scan order within each key. *)
+  (* Pass B (serial): fill slots in scan order within each key.  Within
+     a key the vertices increase, so a chain is out of (commit_ts,
+     vertex) order iff a commit timestamp decreases: flag those keys. *)
   let cur = Array.sub key_off 0 num_keys in
+  let unsorted = Int_vec.create 16 in
+  let is_unsorted = Bytes.make num_keys '\000' in
   let bad_windows = ref [] and bad_count = ref 0 in
-  off := 0;
-  Array.iteri
-    (fun ti (t : Txn.t) ->
-      let ops = t.Txn.ops in
-      let committed = Txn.is_committed t in
-      let base = !off in
-      off := base + Array.length ops;
-      if
-        mode = Verify && committed && ti > 0
-        && t.Txn.start_ts > t.Txn.commit_ts
-        && !bad_count < max_diags
-      then begin
-        bad_windows := (t.Txn.id, t.Txn.start_ts, t.Txn.commit_ts) :: !bad_windows;
-        incr bad_count
-      end;
-      Array.iteri
-        (fun oi op ->
-          match op with
-          | Op.Write (k, v) ->
-              if committed && Bytes.unsafe_get finals (base + oi) = '\001'
-              then begin
-                let s = cur.(k) in
-                cur.(k) <- s + 1;
-                c_vertex.(s) <- Index.vertex idx t.Txn.id;
-                c_commit.(s) <- t.Txn.commit_ts;
-                c_value.(s) <- v
-              end
-          | Op.Read _ -> ())
-        ops)
-    txns;
-  (* Pass C (striped): sort each key's chain by (commit_ts, vertex).
-     Stripes own disjoint key ranges of the shared arrays, so the tasks
-     share nothing mutable. *)
-  Pool.tasks pool
-    (List.init num_stripes (fun stripe () ->
-         let k = ref stripe in
-         while !k < num_keys do
-           sort_segment c_vertex c_commit c_value key_off.(!k)
-             key_off.(!k + 1);
-           k := !k + num_stripes
-         done));
-  let m = Array.length idx.Index.committed in
-  let op_base = Array.make (m + 1) 0 in
-  for i = 0 to m - 1 do
-    op_base.(i + 1) <-
-      op_base.(i) + Array.length idx.Index.committed.(i).Txn.ops
+  for sv = 0 to m - 1 do
+    let t = committed.(sv) in
+    let ops = t.Txn.ops in
+    if
+      mode = Verify && sv > 0
+      && t.Txn.start_ts > t.Txn.commit_ts
+      && !bad_count < max_diags
+    then begin
+      bad_windows := (t.Txn.id, t.Txn.start_ts, t.Txn.commit_ts) :: !bad_windows;
+      incr bad_count
+    end;
+    Index.mark_finals ~final ops;
+    for i = 0 to Array.length ops - 1 do
+      match ops.(i) with
+      | Op.Write (k, v) when Bytes.unsafe_get final i = '\001' ->
+          let s = cur.(k) in
+          cur.(k) <- s + 1;
+          if
+            s > key_off.(k)
+            && c_commit.(s - 1) > t.Txn.commit_ts
+            && Bytes.unsafe_get is_unsorted k = '\000'
+          then begin
+            Bytes.unsafe_set is_unsorted k '\001';
+            Int_vec.push unsorted k
+          end;
+          c_vertex.(s) <- sv;
+          c_commit.(s) <- t.Txn.commit_ts;
+          c_value.(s) <- v
+      | Op.Write _ | Op.Read _ -> ()
+    done
   done;
+  (* Pass C: sort the flagged keys' chains, on the pool.  Keys own
+     disjoint slices of the shared arrays, so any cut of them into
+     slices sorts to the same chains. *)
+  ignore
+    (Pool.map_slices pool ~n:(Int_vec.length unsorted) (fun lo hi ->
+         for j = lo to hi - 1 do
+           let k = Int_vec.get unsorted j in
+           sort_segment c_vertex c_commit c_value key_off.(k) key_off.(k + 1)
+         done));
   {
     idx;
     mode;

@@ -7,7 +7,7 @@
     [(commit_ts, vertex)], and the writer of a read is {e predicted} by
     binary search — the latest write with [commit_ts <= start_ts]
     (non-strict, matching the MVCC engine's visibility rule) — instead of
-    resolved through the value tables.
+    resolved through the write table.
 
     - [Verify] certifies every prediction against the value actually read
       and falls back {e per key} to full MTC value inference on any
@@ -15,14 +15,16 @@
       byte-identical with [Ignore]; the disagreements themselves are
       reported as timestamp-lie diagnostics.
     - [Trust] takes the timestamps at face value: no duplicate-value
-      screen, no value tables, every read attributed to its predicted
-      writer.  Fastest, but a lying timestamp oracle can change the
-      verdict — use [Verify] to detect one.
+      screen, no write table, every read attributed to its predicted
+      writer.  The least work, but a lying timestamp oracle can change
+      the verdict — use [Verify] to detect one.
     - [Ignore] is the classic value-only pipeline (the default).
 
-    The chain build reuses the striped key machinery of {!Index}: slots
-    are grouped per key and the per-stripe passes share no mutable state,
-    so the structure is identical for every pool size. *)
+    The chains are built like {!Index}'s write table, with commit
+    timestamps in place of values: one flat slot range per key, filled
+    in scan order by serial passes, and only the keys whose commit
+    timestamps ever decrease are sorted, on the pool, each key on its
+    own, so the structure is identical for every pool size. *)
 
 type mode = Ignore | Trust | Verify
 
@@ -108,7 +110,7 @@ val slot_commit : t -> int -> int
 
 val is_fast_key : t -> Op.key -> bool
 (** [Trust]: always.  [Verify]: true unless certification flagged the
-    key, in which case its reads resolve through the value tables. *)
+    key, in which case its reads resolve through the write table. *)
 
 val mark_slow : t -> Op.key -> unit
 (** Flag a key for per-key fallback (certification found a mismatched

@@ -310,7 +310,11 @@ let send t conn frame =
 (* ------------------------------------------------------------------ *)
 (* Shards: the checking side. *)
 
-let now () = Unix.gettimeofday ()
+(* Seconds on the monotonic clock.  Every use is a duration — idle
+   timeout, pin detection and fencing, session age and idle time — so
+   an NTP step of the wall clock cannot fence a healthy session or keep
+   a stalled one; the journal keeps its own wall offset for display. *)
+let now () = float_of_int (Obs.Clock.now_ns ()) *. 1e-9
 
 let sp_server_feed = Obs.Trace.intern "server/feed"
 

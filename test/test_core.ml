@@ -40,6 +40,79 @@ let test_index_writer_of () =
   checkb "init" true (Index.writer_of idx 0 0 = Index.Final 0);
   checkb "nobody" true (Index.writer_of idx 0 12345 = Index.Nobody)
 
+(* The key-major write table against one unstriped [Flat_index.Writers]
+   table filled in scan order, each write into its tier with "last
+   insert wins": a committed write is final iff no later op of its
+   transaction writes the key.  The histories come from the duplicate
+   screen's generator — aborted transactions, planted cross-transaction
+   duplicates (callers without the screen see them), transactions
+   writing one value twice, values reversed on no, some or all keys —
+   with values made negative on no, some or all keys. *)
+let reference_writers (h : History.t) =
+  let w = Flat_index.Writers.create ~num_keys:h.num_keys ~expected:16 in
+  Array.iter
+    (fun (t : Txn.t) ->
+      Array.iteri
+        (fun i op ->
+          match (op, t.status) with
+          | Op.Write (k, v), Txn.Aborted ->
+              Flat_index.Writers.set_aborted w k v t.id
+          | Op.Write (k, v), Txn.Committed ->
+              if Txn.final_write t.ops k = i then
+                Flat_index.Writers.set_final w k v t.id
+              else Flat_index.Writers.set_intermediate w k v t.id
+          | Op.Read _, _ -> ())
+        t.ops)
+    h.txns;
+  w
+
+let negate_values ~neg (h : History.t) =
+  let f k v = if neg = 2 || (neg = 1 && k mod 3 = 1) then -v - 7 else v in
+  History.of_array ~num_keys:h.num_keys ~num_sessions:h.num_sessions
+    (Array.map
+       (fun (t : Txn.t) ->
+         Txn.make ~id:t.id ~session:t.session ~status:t.status
+           ~start_ts:t.start_ts ~commit_ts:t.commit_ts
+           (List.map
+              (function
+                | Op.Write (k, v) -> Op.Write (k, f k v)
+                | Op.Read (k, v) -> Op.Read (k, f k v))
+              (Array.to_list t.ops)))
+       h.txns)
+
+let prop_writer_of_reference =
+  QCheck2.Test.make ~name:"index: writer_of == one unstriped Writers table"
+    ~count:300
+    ~print:(fun (c, neg) ->
+      Printf.sprintf "%s neg=%d" (Test_history.print_dup_case c) neg)
+    QCheck2.Gen.(pair Test_history.dup_case_gen (int_range 0 2))
+    (fun (c, neg) ->
+      let h = negate_values ~neg (Test_history.dup_history c) in
+      let reference = reference_writers h in
+      let probes =
+        Array.to_list h.txns
+        |> List.concat_map (fun (t : Txn.t) ->
+               List.concat_map
+                 (fun op ->
+                   let k = Op.key op and v = Op.value op in
+                   [ (k, v); (k, v + 1); (k, v - 1) ])
+                 (Array.to_list t.ops))
+        |> List.append
+             (List.init h.num_keys (fun k -> [ (k, min_int); (k, max_int) ])
+             |> List.concat)
+      in
+      let agrees idx =
+        List.for_all
+          (fun (k, v) ->
+            Index.writer_of idx k v = Flat_index.Writers.resolve reference k v)
+          probes
+      in
+      agrees (Index.build h)
+      && agrees (Index.build_deferred h)
+      && List.for_all
+           (fun size -> Pool.with_pool ~size (fun p -> agrees (Index.build ~pool:p h)))
+           [ 2; 4 ])
+
 (* --- Int_check: each intra anomaly is classified precisely --- *)
 
 let int_kind h =
@@ -357,6 +430,7 @@ let suite =
   [
     ("index: vertices", `Quick, test_index_vertices);
     ("index: writer_of", `Quick, test_index_writer_of);
+    QCheck_alcotest.to_alcotest prop_writer_of_reference;
     ("int: clean txn passes", `Quick, test_int_clean);
     ("int: each intra anomaly classified", `Quick, test_int_each_anomaly);
     ("int: inter anomalies pass the screen", `Quick, test_int_inter_anomalies_pass_screen);

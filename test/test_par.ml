@@ -15,9 +15,7 @@ let qtest = QCheck_alcotest.to_alcotest
 (* Edges in CSR traversal order: equal lists <=> equal offsets/targets/
    labels arrays, which is the determinism contract (stronger than the
    multiset equality test_flat already covers). *)
-let csr_edges ?pool h =
-  let idx = Index.build ?pool h in
-  match Deps.build ?pool ~rt:Deps.Rt_sweep idx with
+let frozen_edges = function
   | Error e -> Error e
   | Ok d ->
       let c = Deps.freeze d in
@@ -26,6 +24,9 @@ let csr_edges ?pool h =
         Csr.iter_succ c u (fun v lab -> acc := (u, lab, v) :: !acc)
       done;
       Ok (List.rev !acc)
+
+let csr_edges ?pool h =
+  frozen_edges (Deps.build ?pool ~rt:Deps.Rt_sweep (Index.build ?pool h))
 
 let prop_pool_csr_identical =
   QCheck2.Test.make ~name:"sharded CSR bit-identical for any pool size"

@@ -268,6 +268,66 @@ let prop_lies_caught_or_harmless =
                  | _ -> trust_r = ignore_r))
         [ Checker.SER; Checker.SI ])
 
+(* --- the timestamp path freezes the value path's CSR --- *)
+
+(* [Deps.build ~ts] promises the CSR of the value-only build, edge order
+   included: reader groups are numbered by chain slot on fast keys and
+   by write-table slot on slow ones, in first-appearance order on both.
+   A PASS renders the same whatever the edge order, so the verdict
+   properties above cannot see a numbering slip; this compares the
+   frozen CSR in traversal order.  [None] when the screen fails. *)
+let ts_csr ?pool ~mode h =
+  let idx = Index.build_deferred h in
+  match Ts.build ?pool ~mode idx with
+  | Error _ -> None
+  | Ok tsi -> (
+      match Int_check.check_ts ?pool tsi with
+      | Error _ -> None
+      | Ok () ->
+          Some
+            ( Test_par.frozen_edges
+                (Deps.build ?pool ~ts:tsi ~rt:Deps.Rt_sweep idx),
+              tsi.Ts.slow_keys ))
+
+let csr_identical ~mode h =
+  let value = Test_par.csr_edges h in
+  List.for_all
+    (fun size ->
+      let run pool = ts_csr ?pool ~mode h in
+      let got =
+        if size = 1 then run None
+        else Pool.with_pool ~size (fun p -> run (Some p))
+      in
+      match got with Some (csr, _) -> csr = value | None -> false)
+    [ 1; 2; 4 ]
+
+let prop_ts_csr_identical =
+  QCheck2.Test.make ~name:"ts-path CSR == value-path CSR (trust, verify)"
+    ~count:40 ~print:print_stream_params stream_params_gen (fun p ->
+      let h = stream_history p in
+      csr_identical ~mode:Ts.Trust h && csr_identical ~mode:Ts.Verify h)
+
+let prop_ts_csr_identical_lying_clock =
+  QCheck2.Test.make ~name:"ts-path CSR == value-path CSR (verify, lying clock)"
+    ~count:40 ~print:print_stream_params stream_params_gen (fun p ->
+      let h = mangle_ts (p.Stream_gen.seed + 5) (stream_history p) in
+      csr_identical ~mode:Ts.Verify h)
+
+(* A clock that lies for a few transactions leaves most keys fast and
+   flags a few slow, so one build numbers groups both ways; pin that
+   this happens. *)
+let test_ts_csr_mixed_numbering () =
+  let p =
+    { Stream_gen.default with num_txns = 300; num_keys = 40; num_sessions = 6;
+      seed = 17; ts_lie = 0.05 }
+  in
+  let h = stream_history p in
+  match ts_csr ~mode:Ts.Verify h with
+  | None -> Alcotest.fail "the clean corpus must pass the INT screen"
+  | Some (csr, slow) ->
+      checkb "some keys slow, some fast" true (slow > 0 && slow < 40);
+      checkb "CSR identical" true (csr = Test_par.csr_edges h)
+
 (* --- the binary codec rejects inverted windows at write time --- *)
 
 let test_bin_writer_rejects_inverted_window () =
@@ -495,4 +555,8 @@ let suite =
     qtest prop_verify_equals_ignore_across_pools;
     qtest prop_trust_equals_ignore_on_faithful;
     qtest prop_lies_caught_or_harmless;
+    qtest prop_ts_csr_identical;
+    qtest prop_ts_csr_identical_lying_clock;
+    Alcotest.test_case "ts-path CSR: mixed group numbering" `Quick
+      test_ts_csr_mixed_numbering;
   ]
