@@ -15,10 +15,24 @@ type t = {
   mutable table : table option;
 }
 
+type writer =
+  | Final of Txn.id
+  | Intermediate of Txn.id
+  | Aborted of Txn.id
+  | Nobody
+
 (* Tiers in resolution order: lower wins. *)
 let tier_final = 0
 let tier_intermediate = 1
 let tier_aborted = 2
+
+let decode_writer who =
+  if who < 0 then Nobody
+  else
+    let id = who lsr 2 and tier = who land 3 in
+    if tier = tier_final then Final id
+    else if tier = tier_intermediate then Intermediate id
+    else Aborted id
 
 (* Finality of each write, one byte per op position, into the
    caller-provided scratch [final] (length >= Array.length ops).
@@ -180,12 +194,6 @@ let vertex t id =
   if v < 0 then invalid_arg (Printf.sprintf "Index.vertex: T%d is aborted" id);
   v
 
-type writer = Flat_index.Writers.who =
-  | Final of Txn.id
-  | Intermediate of Txn.id
-  | Aborted of Txn.id
-  | Nobody
-
 let num_slots t = Array.length (table t).w_value
 
 (* Binary search for the end of [v]'s run in [k]'s slice, then walk the
@@ -218,10 +226,4 @@ let final_vertex t s =
 
 let writer_of t k v =
   let s = slot_of t k v in
-  if s < 0 then Nobody
-  else
-    let who = (table t).w_who.(s) in
-    let id = who lsr 2 and tier = who land 3 in
-    if tier = tier_final then Final id
-    else if tier = tier_intermediate then Intermediate id
-    else Aborted id
+  if s < 0 then Nobody else decode_writer (table t).w_who.(s)

@@ -45,11 +45,21 @@ val txn_of_vertex : t -> int -> Txn.t
 val vertex : t -> Txn.id -> int
 (** @raise Invalid_argument on an aborted transaction. *)
 
-type writer = Flat_index.Writers.who =
+type writer =
   | Final of Txn.id
   | Intermediate of Txn.id
   | Aborted of Txn.id
   | Nobody
+
+val tier_final : int
+val tier_intermediate : int
+val tier_aborted : int
+(** Writer tiers in resolution order: a lower tier wins. *)
+
+val decode_writer : int -> writer
+(** Decode a write-table cell [(id lsl 2) lor tier]; a negative cell is
+    [Nobody].  {!Online}'s version table stores its writers in the same
+    encoding. *)
 
 val mark_finals : final:Bytes.t -> Op.t array -> unit
 (** Finality of each write, one byte per op position ['\001'] / ['\000'],

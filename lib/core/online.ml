@@ -1,10 +1,13 @@
 (* The streaming checker's hot path is flat ints end to end: a
    Pearce–Kelly graph grown in place (no edge replay on capacity
-   doubling), edge labels in a packed-int map, and reader/overwriter/
-   extender tiers on Flat_index — no tuple-keyed hashtables, no boxed
-   list cells.  Feeding a committed transaction allocates a bounded
-   amount (the transaction's own op-list views plus amortized vector
-   growth), independent of how many transactions came before. *)
+   doubling), edge labels in a packed-int map, and one version table —
+   a slot per (key, value) pair holding its writer, reader and
+   overwriter chains, SI extender and death position — behind one
+   packed-pair index.  No tuple-keyed hashtables outside the spill for
+   unpackable pairs, no boxed list cells.  Feeding a committed
+   transaction allocates a bounded amount (the transaction's own
+   op-list views plus amortized vector growth), independent of how many
+   transactions came before. *)
 
 (* Int-packed dependency labels (same scheme as the Deps flat edge
    stream): 0/1/2 are the keyless constants, a keyed label packs as
@@ -78,6 +81,291 @@ module Grow = struct
     if p >= 0 then unpack_dep p else Deps.Rt_chain
 end
 
+(* The version table.  Unique values make each (key, value) pair name
+   exactly one version, and every value-derived edge is read off that
+   version (paper Section IV): WR from its writer, WW when a reader also
+   overwrites it, RW from its readers to its overwriters.  So a version
+   is one slot, found through one packed-pair index (unpackable pairs
+   through a tuple-keyed spill), with one column per fact: the packed
+   pair, the writer, the reader- and overwriter-chain heads, the SI
+   extender and its write, and the death position.  Chain cells of both
+   kinds share one cons pool; a push prepends, so a chain iterates
+   newest first — the order the cycle-witness DFS observes. *)
+module Versions = struct
+  type t = {
+    num_keys : int;
+    mutable index : Flat_index.t;  (** packed pair -> slot *)
+    spill : (Op.key * Op.value, int) Hashtbl.t;  (** unpackable pair -> slot *)
+    mutable pair : Int_vec.t;  (** packed pair; -1 for a spill slot *)
+    mutable writer : Int_vec.t;
+        (** [(id lsl 2) lor tier] as in {!Index}; -1 none *)
+    mutable readers : Int_vec.t;  (** chain head cell; -1 empty *)
+    mutable overwriters : Int_vec.t;
+    mutable ext_txn : Int_vec.t;  (** SI extender; -1 none *)
+    mutable ext_write : Int_vec.t;  (** the extender's own write of the key *)
+    mutable death : Int_vec.t;  (** arrival position of the death; -1 alive *)
+    mutable cell_txn : Int_vec.t;
+    mutable cell_next : Int_vec.t;  (** -1 ends a chain *)
+  }
+
+  let create ~num_keys =
+    let col () = Int_vec.create 256 in
+    {
+      num_keys;
+      index = Flat_index.create ~capacity:512 ();
+      spill = Hashtbl.create 8;
+      pair = col ();
+      writer = col ();
+      readers = col ();
+      overwriters = col ();
+      ext_txn = col ();
+      ext_write = col ();
+      death = col ();
+      cell_txn = Int_vec.create 64;
+      cell_next = Int_vec.create 64;
+    }
+
+  let num_keys t = t.num_keys
+  let length t = Int_vec.length t.pair
+
+  let add t p =
+    let s = length t in
+    Int_vec.push t.pair p;
+    Int_vec.push t.writer (-1);
+    Int_vec.push t.readers (-1);
+    Int_vec.push t.overwriters (-1);
+    Int_vec.push t.ext_txn (-1);
+    Int_vec.push t.ext_write 0;
+    Int_vec.push t.death (-1);
+    s
+
+  let find t k v =
+    let p = Flat_index.pack_pair ~num_keys:t.num_keys k v in
+    if p >= 0 then Flat_index.get t.index p
+    else match Hashtbl.find_opt t.spill (k, v) with Some s -> s | None -> -1
+
+  let slot_packed t p =
+    let s = Flat_index.get t.index p in
+    if s >= 0 then s
+    else begin
+      let s = add t p in
+      Flat_index.set t.index p s;
+      s
+    end
+
+  let slot t k v =
+    let p = Flat_index.pack_pair ~num_keys:t.num_keys k v in
+    if p >= 0 then slot_packed t p
+    else
+      match Hashtbl.find_opt t.spill (k, v) with
+      | Some s -> s
+      | None ->
+          let s = add t (-1) in
+          Hashtbl.replace t.spill (k, v) s;
+          s
+
+  (* A write replaces the recorded writer unless the recorded tier is
+     stronger, so the column answers what three last-set-wins tables
+     consulted final, then intermediate, then aborted would. *)
+  let write t k v ~tier id =
+    let s = slot t k v in
+    let w = Int_vec.get t.writer s in
+    if w < 0 || w land 3 >= tier then
+      Int_vec.set t.writer s ((id lsl 2) lor tier)
+
+  let resolve t k v =
+    let s = find t k v in
+    if s < 0 then Index.Nobody else Index.decode_writer (Int_vec.get t.writer s)
+
+  let push t heads s x =
+    let c = Int_vec.length t.cell_txn in
+    Int_vec.push t.cell_txn x;
+    Int_vec.push t.cell_next (Int_vec.get heads s);
+    Int_vec.set heads s c
+
+  let iter_chain t heads s f =
+    let c = ref (Int_vec.get heads s) in
+    while !c >= 0 do
+      f (Int_vec.get t.cell_txn !c);
+      c := Int_vec.get t.cell_next !c
+    done
+
+  let push_reader t s x = push t t.readers s x
+  let push_overwriter t s x = push t t.overwriters s x
+  let iter_readers t s f = iter_chain t t.readers s f
+  let iter_overwriters t s f = iter_chain t t.overwriters s f
+  let extender t s = Int_vec.get t.ext_txn s
+  let extender_write t s = Int_vec.get t.ext_write s
+
+  let set_extender t s id w =
+    Int_vec.set t.ext_txn s id;
+    Int_vec.set t.ext_write s w
+
+  let death t s = Int_vec.get t.death s
+  let kill t p pos = Int_vec.set t.death (slot_packed t p) pos
+
+  let iter_txns t f =
+    for s = 0 to length t - 1 do
+      let w = Int_vec.get t.writer s in
+      if w >= 0 && w land 3 = Index.tier_final then f (w lsr 2)
+    done;
+    for c = 0 to Int_vec.length t.cell_txn - 1 do
+      f (Int_vec.get t.cell_txn c)
+    done
+
+  (* Keep the spill slots and the packed slots [keep] accepts, in slot
+     order, in columns sized for the survivors; each surviving chain is
+     re-pushed oldest first into a fresh pool, so it still iterates
+     newest first. *)
+  let compact t keep =
+    let n = length t in
+    let remap = Array.make n (-1) and m = ref 0 in
+    for s = 0 to n - 1 do
+      if Int_vec.get t.pair s < 0 || keep s then begin
+        remap.(s) <- !m;
+        incr m
+      end
+    done;
+    let col v =
+      let v' = Int_vec.create !m in
+      for s = 0 to n - 1 do
+        if remap.(s) >= 0 then Int_vec.push v' (Int_vec.get v s)
+      done;
+      v'
+    in
+    let cell_txn = Int_vec.create 64 and cell_next = Int_vec.create 64 in
+    let scratch = Int_vec.create 16 in
+    let to_scratch = Int_vec.push scratch in
+    let rechain heads =
+      let heads' = Int_vec.create !m in
+      for s = 0 to n - 1 do
+        if remap.(s) >= 0 then begin
+          Int_vec.clear scratch;
+          iter_chain t heads s to_scratch;
+          let head = ref (-1) in
+          for i = Int_vec.length scratch - 1 downto 0 do
+            let c = Int_vec.length cell_txn in
+            Int_vec.push cell_txn (Int_vec.get scratch i);
+            Int_vec.push cell_next !head;
+            head := c
+          done;
+          Int_vec.push heads' !head
+        end
+      done;
+      heads'
+    in
+    let readers = rechain t.readers in
+    let overwriters = rechain t.overwriters in
+    t.readers <- readers;
+    t.overwriters <- overwriters;
+    t.cell_txn <- cell_txn;
+    t.cell_next <- cell_next;
+    t.pair <- col t.pair;
+    t.writer <- col t.writer;
+    t.ext_txn <- col t.ext_txn;
+    t.ext_write <- col t.ext_write;
+    t.death <- col t.death;
+    t.index <- Flat_index.create ~capacity:(2 * !m) ();
+    for s = 0 to !m - 1 do
+      let p = Int_vec.get t.pair s in
+      if p >= 0 then Flat_index.set t.index p s
+    done;
+    Hashtbl.filter_map_inplace (fun _ s -> Some remap.(s)) t.spill
+
+  let words t =
+    let cap v = Array.length (Int_vec.data v) in
+    Flat_index.words t.index
+    + (8 * Hashtbl.length t.spill)
+    + cap t.pair + cap t.writer + cap t.readers + cap t.overwriters
+    + cap t.ext_txn + cap t.ext_write + cap t.death + cap t.cell_txn
+    + cap t.cell_next
+
+  (* The columns and the pool go out verbatim (chain order is in the
+     cell indices), the spill in slot order; decode rebuilds the index
+     from the pair column. *)
+  let encode buf t =
+    Binio_core.add_uvarint buf t.num_keys;
+    List.iter (Int_vec.encode buf)
+      [ t.pair; t.writer; t.readers; t.overwriters; t.ext_txn; t.ext_write;
+        t.death; t.cell_txn; t.cell_next ];
+    let spill = Hashtbl.fold (fun kv s acc -> (s, kv) :: acc) t.spill [] in
+    Binio_core.add_uvarint buf (List.length spill);
+    List.iter
+      (fun (s, (k, v)) ->
+        Binio_core.add_varint buf k;
+        Binio_core.add_varint buf v;
+        Binio_core.add_uvarint buf s)
+      (List.sort compare spill)
+
+  let decode r =
+    let num_keys = Binio_core.read_uvarint r in
+    let col () = Int_vec.decode r in
+    let pair = col () in
+    let writer = col () in
+    let readers = col () in
+    let overwriters = col () in
+    let ext_txn = col () in
+    let ext_write = col () in
+    let death = col () in
+    let cell_txn = col () in
+    let cell_next = col () in
+    let n = Int_vec.length pair and ncells = Int_vec.length cell_txn in
+    if
+      List.exists
+        (fun v -> Int_vec.length v <> n)
+        [ writer; readers; overwriters; ext_txn; ext_write; death ]
+      || Int_vec.length cell_next <> ncells
+    then Binio_core.fail "version table: column lengths disagree";
+    let index = Flat_index.create ~capacity:(2 * n) () in
+    let spill_slots = ref 0 in
+    for s = 0 to n - 1 do
+      let p = Int_vec.get pair s in
+      if p < -1 || (p >= 0 && (num_keys = 0 || Flat_index.mem index p)) then
+        Binio_core.fail "version table: slot %d has a bad pair %d" s p;
+      if p >= 0 then Flat_index.set index p s else incr spill_slots;
+      let w = Int_vec.get writer s in
+      if w < -1 || (w >= 0 && w land 3 > Index.tier_aborted) then
+        Binio_core.fail "version table: slot %d has a bad writer %d" s w;
+      List.iter
+        (fun v ->
+          let c = Int_vec.get v s in
+          if c < -1 || c >= ncells then
+            Binio_core.fail "version table: slot %d names cell %d of %d" s c
+              ncells)
+        [ readers; overwriters ];
+      if Int_vec.get ext_txn s < -1 || Int_vec.get death s < -1 then
+        Binio_core.fail "version table: slot %d out of range" s
+    done;
+    (* a chain links only to older cells, so it ends *)
+    for c = 0 to ncells - 1 do
+      let next = Int_vec.get cell_next c in
+      if next < -1 || next >= c then
+        Binio_core.fail "version table: cell %d links to cell %d" c next
+    done;
+    let m = Binio_core.read_uvarint r in
+    if m <> !spill_slots then
+      Binio_core.fail "version table: %d spill entries for %d spill slots" m
+        !spill_slots;
+    let spill = Hashtbl.create (Stdlib.max 8 m) in
+    let named = Bytes.make n '\000' in
+    for _ = 1 to m do
+      let k = Binio_core.read_varint r in
+      let v = Binio_core.read_varint r in
+      let s = Binio_core.read_uvarint r in
+      if
+        s < 0 || s >= n
+        || Int_vec.get pair s >= 0
+        || Bytes.get named s <> '\000'
+        || Flat_index.pack_pair ~num_keys k v >= 0
+        || Hashtbl.mem spill (k, v)
+      then Binio_core.fail "version table: bad spill entry for slot %d" s;
+      Bytes.set named s '\001';
+      Hashtbl.replace spill (k, v) s
+    done;
+    { num_keys; index; spill; pair; writer; readers; overwriters; ext_txn;
+      ext_write; death; cell_txn; cell_next }
+end
+
 (* Watermark GC policy.  [Gc_auto] compacts when the live-word estimate
    exceeds twice the post-GC floor (with a fixed minimum so tiny sessions
    never bother); [Gc_words n] compacts past an absolute ceiling. *)
@@ -105,11 +393,7 @@ type t = {
   mutable next_vertex : int;
   mutable vertex_txn : Int_vec.t;  (** vertex -> txn id; -1 for helper vertices *)
   mutable txn_vertex : Flat_index.t;  (** txn id -> base vertex (SI: the d-vertex) *)
-  mutable writers : Flat_index.Writers.t;
-      (** final / intermediate / aborted writer resolution, int-packed *)
-  mutable readers : Flat_index.Multi.t;
-  mutable overwriters : Flat_index.Multi.t;
-  mutable extender : Flat_index.Pairs.t;  (** (k, v) -> (reader txn, its write) *)
+  versions : Versions.t;
   session_last : Flat_index.t;  (** session -> last committed txn id *)
   mutable seen_ids : Flat_index.t;
   (* SSER stream state: commits in arrival (= commit_ts) order *)
@@ -123,8 +407,8 @@ type t = {
      bounded and unbounded runs while [next_vertex] tracks the physical
      (possibly compacted) vertex space.  The install windows track, per
      key, the packed pairs of the two newest final installs; a version
-     evicted from both slots is recorded in [dead_at] with the arrival
-     position of its death and becomes prunable once every session's
+     evicted from both slots gets the arrival position of its death in
+     its slot's death column and becomes prunable once every session's
      feed frontier has passed that position.  Aborted installs follow a
      different clock: a leaked aborted version (the MongoDB-style fault)
      stays readable until a committed write on the same key shadows it,
@@ -141,7 +425,6 @@ type t = {
   ab_pending : Int_vec.t array;
       (** per key: aborted installs not yet shadowed by a final one *)
   mutable ab_words : int;  (** summed capacity of the [ab_pending] vectors *)
-  mutable dead_at : Flat_index.t;  (** packed pair -> death position *)
   sessions : Flat_index.t;  (** session -> frontier slot *)
   sl_pos : Int_vec.t;  (** slot -> arrival position of the last fed txn *)
   sl_cts : Int_vec.t;  (** slot -> commit_ts frontier of the session *)
@@ -217,10 +500,7 @@ let live_words t =
   + Flat_index.words t.graph.Grow.labels
   + Array.length (Int_vec.data t.vertex_txn)
   + Flat_index.words t.txn_vertex
-  + Flat_index.Writers.words t.writers
-  + Flat_index.Multi.words t.readers
-  + Flat_index.Multi.words t.overwriters
-  + Flat_index.Pairs.words t.extender
+  + Versions.words t.versions
   + Flat_index.words t.session_last
   + Flat_index.words t.seen_ids
   + Array.length (Int_vec.data t.commit_ts)
@@ -230,7 +510,6 @@ let live_words t =
   + Array.length (Int_vec.data t.ch_writer)
   + Array.length (Int_vec.data t.ch_value)
   + Array.length (Int_vec.data t.ch_next)
-  + Flat_index.words t.dead_at
   + (2 * Array.length t.fin_cur)
   + t.ab_words
   + Flat_index.words t.sessions
@@ -287,10 +566,7 @@ let create ?(skew = 0) ?(ts = Ts.Ignore) ?(gc = Gc_off) ~level ~num_keys () =
       next_vertex = 0;
       vertex_txn = Int_vec.create 256;
       txn_vertex = Flat_index.create ~capacity:256 ();
-      writers = Flat_index.Writers.create ~num_keys ~expected:1024;
-      readers = Flat_index.Multi.create ~num_keys ();
-      overwriters = Flat_index.Multi.create ~num_keys ();
-      extender = Flat_index.Pairs.create ~num_keys ();
+      versions = Versions.create ~num_keys:nk;
       session_last = Flat_index.create ~capacity:16 ();
       seen_ids = Flat_index.create ~capacity:1024 ();
       commit_ts = Int_vec.create 256;
@@ -317,7 +593,6 @@ let create ?(skew = 0) ?(ts = Ts.Ignore) ?(gc = Gc_off) ~level ~num_keys () =
       fin_prev = Array.make nk (-1);
       ab_pending = Array.init nk (fun _ -> Int_vec.create 0);
       ab_words = 4 * nk (* [Int_vec.create 0] holds 4 slots *);
-      dead_at = Flat_index.create ~capacity:64 ();
       sessions = Flat_index.create ~capacity:16 ();
       sl_pos = Int_vec.create 16;
       sl_cts = Int_vec.create 16;
@@ -328,7 +603,7 @@ let create ?(skew = 0) ?(ts = Ts.Ignore) ?(gc = Gc_off) ~level ~num_keys () =
   let init_writes = Txn.final_writes init in
   List.iter
     (fun (k, v) ->
-      Flat_index.Writers.set_final t.writers k v init.Txn.id;
+      Versions.write t.versions k v ~tier:Index.tier_final init.Txn.id;
       let p = Flat_index.pack_pair ~num_keys:nk k v in
       if p >= 0 then t.fin_cur.(k) <- p)
     init_writes;
@@ -348,7 +623,7 @@ let create ?(skew = 0) ?(ts = Ts.Ignore) ?(gc = Gc_off) ~level ~num_keys () =
       init_writes;
   t
 
-let resolve t k v = Flat_index.Writers.resolve t.writers k v
+let resolve t k v = Versions.resolve t.versions k v
 
 (* --- watermark GC: retention bookkeeping ---------------------------- *)
 
@@ -367,11 +642,12 @@ let resolve t k v = Flat_index.Writers.resolve t.writers k v
    shadows it, so the pair waits in [ab_pending] and dies only at the
    next final install on its key — the same frontier argument then
    covers its in-flight readers.  Unpackable pairs never die (they spill
-   anyway). *)
+   anyway).  Deaths go through the packed pair, so a death whose slot a
+   compaction already dropped opens a fresh one. *)
 
 let maybe_dead t k p =
   if p >= 0 && p <> t.fin_cur.(k) && p <> t.fin_prev.(k) then
-    Flat_index.set t.dead_at p t.count
+    Versions.kill t.versions p t.count
 
 let window_install t k v =
   let p = Flat_index.pack_pair ~num_keys:t.num_keys k v in
@@ -384,7 +660,7 @@ let window_install t k v =
     end;
     let pending = t.ab_pending.(k) in
     for i = 0 to Int_vec.length pending - 1 do
-      Flat_index.set t.dead_at (Int_vec.get pending i) t.count
+      Versions.kill t.versions (Int_vec.get pending i) t.count
     done;
     Int_vec.clear pending
   end
@@ -402,7 +678,7 @@ let note_aborted t k v =
    supported fault, so they die at their own install position. *)
 let mark_dead_now t k v =
   let p = Flat_index.pack_pair ~num_keys:t.num_keys k v in
-  if p >= 0 then Flat_index.set t.dead_at p t.count
+  if p >= 0 then Versions.kill t.versions p t.count
 
 (* Advance the session's feed frontier — on every fed transaction,
    committed or aborted. *)
@@ -552,7 +828,9 @@ let divergence_screen t (txn : Txn.t) =
       | Some _ -> acc
       | None ->
           if Txn.writes_key txn k then begin
-            let other = Flat_index.Pairs.first t.extender k v in
+            let vs = t.versions in
+            let s = Versions.slot vs k v in
+            let other = Versions.extender vs s in
             if other >= 0 then
               Some
                 (Checker.Diverged
@@ -563,13 +841,13 @@ let divergence_screen t (txn : Txn.t) =
                        | Index.Final w -> w
                        | Index.Intermediate w | Index.Aborted w -> w
                        | Index.Nobody -> -1);
-                     reader1 = (other, Flat_index.Pairs.second t.extender k v);
+                     reader1 = (other, Versions.extender_write vs s);
                      reader2 =
                        ( txn.Txn.id,
                          Option.value (Txn.write_of txn k) ~default:0 );
                    })
             else begin
-              Flat_index.Pairs.set t.extender k v txn.Txn.id
+              Versions.set_extender vs s txn.Txn.id
                 (Option.value (Txn.write_of txn k) ~default:0);
               None
             end
@@ -586,37 +864,41 @@ let feed_committed t (txn : Txn.t) =
   in
   add_all_edges t (Flat_index.get t.txn_vertex prev) vtx Deps.SO;
   Flat_index.set t.session_last txn.Txn.session txn.Txn.id;
-  (* WR / WW / RW. *)
+  (* WR / WW / RW, all off the version read. *)
+  let vs = t.versions in
   List.iter
     (fun (k, v) ->
       match resolve_ts t ~count:false ~start_ts:txn.Txn.start_ts k v with
       | Index.Final w when w <> txn.Txn.id ->
           let wv = Flat_index.get t.txn_vertex w in
           add_all_edges t wv vtx (Deps.WR k);
-          Flat_index.Multi.iter t.overwriters k v (fun o ->
+          (* a timestamp-attributed read may name a version with no
+             recorded writer: it gets a slot all the same *)
+          let s = Versions.slot vs k v in
+          Versions.iter_overwriters vs s (fun o ->
               if o <> txn.Txn.id then
                 add_all_edges t vtx (Flat_index.get t.txn_vertex o) (Deps.RW k));
           if Txn.writes_key txn k then begin
             add_all_edges t wv vtx (Deps.WW k);
-            Flat_index.Multi.iter t.readers k v (fun r ->
+            Versions.iter_readers vs s (fun r ->
                 if r <> txn.Txn.id then
                   add_all_edges t
                     (Flat_index.get t.txn_vertex r)
                     vtx (Deps.RW k));
-            Flat_index.Multi.push t.overwriters k v txn.Txn.id
+            Versions.push_overwriter vs s txn.Txn.id
           end;
-          Flat_index.Multi.push t.readers k v txn.Txn.id
+          Versions.push_reader vs s txn.Txn.id
       | _ -> () (* excluded by the screen *))
     (Txn.external_reads txn);
   (* Record writes for future resolution. *)
   List.iter
     (fun (k, v) ->
-      Flat_index.Writers.set_final t.writers k v txn.Txn.id;
+      Versions.write vs k v ~tier:Index.tier_final txn.Txn.id;
       window_install t k v)
     (Txn.final_writes txn);
   List.iter
     (fun (k, v) ->
-      Flat_index.Writers.set_intermediate t.writers k v txn.Txn.id;
+      Versions.write vs k v ~tier:Index.tier_intermediate txn.Txn.id;
       mark_dead_now t k v)
     (Txn.intermediate_writes txn);
   (* Timestamp modes: extend the per-key version chains.  After the
@@ -693,9 +975,10 @@ let gc t =
        S plus one boundary node (the newest with commit_ts <= S) — any
        future prediction lands in that suffix because session seriality
        puts every future start_ts above S.  Chain survivors protect
-       their value records, keeping prediction and value resolution
+       their version slots, keeping prediction and value resolution
        consistent. *)
-    let protected_ = Flat_index.create ~capacity:16 () in
+    let vs = t.versions in
+    let protected_ = Bytes.make (Versions.length vs) '\000' in
     if t.ts_mode <> Ts.Ignore then begin
       let new_head = Flat_index.create ~capacity:256 () in
       let nc = Int_vec.create 16 and nw = Int_vec.create 16 in
@@ -719,11 +1002,8 @@ let gc t =
             Int_vec.push nv (Int_vec.get t.ch_value n);
             Int_vec.push nn (Flat_index.get new_head k);
             Flat_index.set new_head k slot;
-            let p =
-              Flat_index.pack_pair ~num_keys:t.num_keys k
-                (Int_vec.get t.ch_value n)
-            in
-            if p >= 0 then Flat_index.set protected_ p 1
+            let vslot = Versions.find vs k (Int_vec.get t.ch_value n) in
+            if vslot >= 0 then Bytes.set protected_ vslot '\001'
           done);
       t.chain_head <- new_head;
       t.ch_commit <- nc;
@@ -731,19 +1011,14 @@ let gc t =
       t.ch_value <- nv;
       t.ch_next <- nn
     end;
-    (* 2. Drop dead version records whose death every session has
-       passed. *)
-    let keep_pair p =
-      Flat_index.mem protected_ p
-      ||
-      let d = Flat_index.get t.dead_at p in
-      not (d >= 0 && d < h)
-    in
-    t.writers <- Flat_index.Writers.keep t.writers keep_pair;
-    t.readers <- Flat_index.Multi.keep t.readers keep_pair;
-    t.overwriters <- Flat_index.Multi.keep t.overwriters keep_pair;
-    t.extender <- Flat_index.Pairs.keep t.extender keep_pair;
-    t.dead_at <- Flat_index.filtered t.dead_at keep_pair;
+    (* 2. One compaction of the version table: drop every packed slot
+       whose death every session has passed, unless a chain protects
+       it. *)
+    Versions.compact vs (fun slot ->
+        Bytes.get protected_ slot = '\001'
+        ||
+        let d = Versions.death vs slot in
+        not (d >= 0 && d < h));
     Obs.Trace.exit sp_gc_versions t1;
     let t1 = Obs.Trace.enter () in
     (* 3. SSER real-time index: a future search runs with start_ts > S,
@@ -788,9 +1063,7 @@ let gc t =
         end
       end
     in
-    Flat_index.Writers.iter_final t.writers pin_txn;
-    Flat_index.Multi.iter_members t.readers pin_txn;
-    Flat_index.Multi.iter_members t.overwriters pin_txn;
+    Versions.iter_txns vs pin_txn;
     Flat_index.iter t.session_last (fun _ id -> pin_txn id);
     for i = 0 to Int_vec.length t.ch_writer - 1 do
       pin_txn (Int_vec.get t.ch_writer i)
@@ -906,7 +1179,8 @@ let add_txn_inner t (txn : Txn.t) =
             (fun op ->
               match op with
               | Op.Write (k, v) ->
-                  Flat_index.Writers.set_aborted t.writers k v txn.Txn.id;
+                  Versions.write t.versions k v ~tier:Index.tier_aborted
+                    txn.Txn.id;
                   note_aborted t k v
               | Op.Read _ -> ())
             txn.Txn.ops;
@@ -958,13 +1232,13 @@ let add_txn t (txn : Txn.t) =
 
 (* Serializes the whole checker state directly — the flat int structures
    go to varints, no history replay.  Structures whose iteration order
-   the cycle-witness DFS observes (PK adjacency + order, the Multi cons
-   pools, the version-chain vectors) are written verbatim; hash layouts
-   are not (unobservable).  A restored checker therefore renders
-   byte-identical counterexamples and verdicts for any continuation of
-   the stream.  Poisoned checkers are not snapshotted — the persistence
-   layer stores their rendered verdict instead, which is all a poisoned
-   session can ever produce again. *)
+   the cycle-witness DFS observes (PK adjacency + order, the version
+   table's columns and chain pool, the version-chain vectors) are
+   written verbatim; hash layouts are not (unobservable).  A restored
+   checker therefore renders byte-identical counterexamples and verdicts
+   for any continuation of the stream.  Poisoned checkers are not
+   snapshotted — the persistence layer stores their rendered verdict
+   instead, which is all a poisoned session can ever produce again. *)
 
 let level_byte = function Checker.SSER -> 0 | Checker.SER -> 1 | Checker.SI -> 2
 
@@ -995,10 +1269,7 @@ let encode buf t =
   Binio_core.add_uvarint buf t.next_vertex;
   Int_vec.encode buf t.vertex_txn;
   Flat_index.encode buf t.txn_vertex;
-  Flat_index.Writers.encode buf t.writers;
-  Flat_index.Multi.encode buf t.readers;
-  Flat_index.Multi.encode buf t.overwriters;
-  Flat_index.Pairs.encode buf t.extender;
+  Versions.encode buf t.versions;
   Flat_index.encode buf t.session_last;
   Flat_index.encode buf t.seen_ids;
   Int_vec.encode buf t.commit_ts;
@@ -1028,7 +1299,6 @@ let encode buf t =
   Array.iter (Binio_core.add_varint buf) t.fin_cur;
   Array.iter (Binio_core.add_varint buf) t.fin_prev;
   Array.iter (Int_vec.encode buf) t.ab_pending;
-  Flat_index.encode buf t.dead_at;
   Flat_index.encode buf t.sessions;
   Int_vec.encode buf t.sl_pos;
   Int_vec.encode buf t.sl_cts
@@ -1047,10 +1317,7 @@ let decode r =
   let next_vertex = Binio_core.read_uvarint r in
   let vertex_txn = Int_vec.decode r in
   let txn_vertex = Flat_index.decode r in
-  let writers = Flat_index.Writers.decode r in
-  let readers = Flat_index.Multi.decode r in
-  let overwriters = Flat_index.Multi.decode r in
-  let extender = Flat_index.Pairs.decode r in
+  let versions = Versions.decode r in
   let session_last = Flat_index.decode r in
   let seen_ids = Flat_index.decode r in
   let commit_ts = Int_vec.decode r in
@@ -1081,11 +1348,13 @@ let decode r =
   let num_keys = Binio_core.read_uvarint r in
   if num_keys < 0 || num_keys > Binio_core.remaining r then
     Binio_core.fail "online snapshot: num_keys %d overruns input" num_keys;
+  if Versions.num_keys versions <> num_keys then
+    Binio_core.fail "online snapshot: version table keyed for %d keys, not %d"
+      (Versions.num_keys versions) num_keys;
   let read_window () = Array.init num_keys (fun _ -> Binio_core.read_varint r) in
   let fin_cur = read_window () in
   let fin_prev = read_window () in
   let ab_pending = Array.init num_keys (fun _ -> Int_vec.decode r) in
-  let dead_at = Flat_index.decode r in
   let sessions = Flat_index.decode r in
   let sl_pos = Int_vec.decode r in
   let sl_cts = Int_vec.decode r in
@@ -1108,10 +1377,7 @@ let decode r =
     next_vertex;
     vertex_txn;
     txn_vertex;
-    writers;
-    readers;
-    overwriters;
-    extender;
+    versions;
     session_last;
     seen_ids;
     commit_ts;
@@ -1137,7 +1403,6 @@ let decode r =
     fin_prev;
     ab_pending;
     ab_words = ab_pending_words ab_pending;
-    dead_at;
     sessions;
     sl_pos;
     sl_cts;

@@ -11,6 +11,10 @@
     - RW from the version's earlier readers to the new overwriter, and
       from the new reader to the version's existing overwriters.
 
+    All three are read off one version record per [(key, value)] pair
+    ({!Versions}): its writer, its reader and overwriter chains, its SI
+    extender and the position where it died.
+
     For SI the edges go into the two-vertex product encoding (cycles =
     SI-forbidden cycles, see {!Polysi}), and the DIVERGENCE screen runs on
     the fly.  For SSER, transactions must be fed in commit order (the
@@ -53,6 +57,73 @@ module Grow : sig
   (** Distinct edges accepted so far. *)
 end
 
+(** The version table behind every value-derived edge: one slot per
+    [(key, value)] pair — with unique values, one per version — holding
+    its writer, the heads of its reader and overwriter chains, its SI
+    extender and the arrival position of its death.  Pairs that pack
+    ({!Flat_index.pack_pair}) are found through one int index; the rest
+    (keys outside [num_keys], negative values, values past the packing
+    bound) go through a tuple-keyed spill and are never compacted away.
+    Exposed for white-box tests. *)
+module Versions : sig
+  type t
+
+  val create : num_keys:int -> t
+
+  val find : t -> Op.key -> Op.value -> int
+  (** The pair's slot, or [-1] if it has none. *)
+
+  val slot : t -> Op.key -> Op.value -> int
+  (** The pair's slot, added if it has none. *)
+
+  val write : t -> Op.key -> Op.value -> tier:int -> Txn.id -> unit
+  (** Record a writer of the pair at an {!Index} tier.  It replaces the
+      recorded writer unless that one's tier is stronger. *)
+
+  val resolve : t -> Op.key -> Op.value -> Index.writer
+  (** Who produced the pair: its final writer, else its intermediate
+      one, else its aborted one, and within a tier the last recorded —
+      what three last-set-wins tables consulted in that order answer. *)
+
+  val push_reader : t -> int -> Txn.id -> unit
+  val push_overwriter : t -> int -> Txn.id -> unit
+
+  val iter_readers : t -> int -> (Txn.id -> unit) -> unit
+  (** A slot's readers, newest push first. *)
+
+  val iter_overwriters : t -> int -> (Txn.id -> unit) -> unit
+  (** A slot's overwriters, newest push first. *)
+
+  val extender : t -> int -> Txn.id
+  (** The slot's SI extender, or [-1]. *)
+
+  val extender_write : t -> int -> Op.value
+  (** The extender's own write of the key; meaningful when
+      {!extender} is set. *)
+
+  val set_extender : t -> int -> Txn.id -> Op.value -> unit
+
+  val death : t -> int -> int
+  (** Arrival position of the slot's death, or [-1] while alive. *)
+
+  val kill : t -> int -> int -> unit
+  (** [kill t p pos] records death position [pos] for the packed pair
+      [p], adding its slot if it has none. *)
+
+  val compact : t -> (int -> bool) -> unit
+  (** [compact t keep] drops every packed slot [keep] rejects; spill
+      slots always stay.  Survivors keep their relative order but are
+      renumbered, and every chain keeps its newest-first order. *)
+
+  val encode : Buffer.t -> t -> unit
+  (** The columns and the chain pool verbatim, then the spill. *)
+
+  val decode : Binio_core.reader -> t
+  (** Inverse of {!encode}.
+      @raise Binio_core.Decode_error on a column-length mismatch or a
+      slot, cell or spill reference out of range. *)
+end
+
 type t
 
 (** Watermark GC policy for long-lived sessions.  [Gc_off] (the
@@ -69,9 +140,13 @@ type t
     ever feed this checker has fed at least once before the first
     compaction}.  Under that discipline verdicts, rendered
     counterexamples and {!stats} counters are identical to an unbounded
-    run.  Known sharp edges, all below the watermark only: duplicate
-    writes of a pruned value and reuse of a pruned transaction id are
-    no longer detected, and under [Ts.Verify] a {e lying} oracle whose
+    run.  A compaction drops the version records ({!Versions} slots)
+    whose death every session's feed frontier has passed, truncates the
+    timestamp chains and the SSER real-time index, and compacts the
+    graph below the oldest vertex a future edge can still name.  Known
+    sharp edges, all below the watermark only: duplicate writes of a
+    pruned value and reuse of a pruned transaction id are no longer
+    detected, and under [Ts.Verify] a {e lying} oracle whose
     reported start timestamp falls below the compacted horizon counts a
     certification mismatch where an unbounded run may have predicted
     fast — the read falls back to value resolution either way, so

@@ -189,86 +189,42 @@ let pinned_sessions t n = Obs.Gauge.set t.horizon_pinned n
 let pin_fence t = Obs.Counter.incr t.pin_fences
 
 let txns_fed t = Obs.Counter.get t.txns_fed
-let violations t = Obs.Counter.get t.violations
 let throttles t = Obs.Counter.get t.throttles
-let sessions_opened t = Obs.Counter.get t.sessions_opened
 let queue_high_water t = Obs.Gauge.get t.queue_high_water
 let feed_p50_ns t = Obs.Histogram.percentile t.feed_ns 50.0
 let feed_p99_ns t = Obs.Histogram.percentile t.feed_ns 99.0
 let feed_words_mean t = Obs.Histogram.mean t.feed_words
-let wal_bytes t = Obs.Counter.get t.wal_bytes
-let wal_fsyncs t = Obs.Counter.get t.wal_fsyncs
-let snapshots t = Obs.Counter.get t.snapshots
-let replay_frames t = Obs.Counter.get t.replay_frames
-let open_conns_now t = Obs.Gauge.get t.open_conns
-let epoll_wakeups t = Obs.Counter.get t.epoll_wakeups
-let gc_runs t = Obs.Counter.get t.gc_runs
-let gc_reclaimed_words t = Obs.Counter.get t.gc_reclaimed_words
-let live_words_now t = Obs.Gauge.get t.live_words
-let gc_p99_ns t = Obs.Histogram.percentile t.gc_ns 99.0
 let pinned_sessions_now t = Obs.Gauge.get t.horizon_pinned
 let pin_fences t = Obs.Counter.get t.pin_fences
-let feed_words_p50 t = Obs.Histogram.percentile t.feed_words 50.0
-let feed_words_p99 t = Obs.Histogram.percentile t.feed_words 99.0
+
+(* The Stats JSON walks the registry the Prometheus exporter walks: after
+   [uptime_s], each instrument in registration order under its name less
+   the [mtc_] prefix and the [_total] suffix — one source of truth for
+   metric names. *)
+let json_key name =
+  (* every name [create] registers starts with [mtc_] *)
+  let n = String.length name in
+  let n = if String.ends_with ~suffix:"_total" name then n - 6 else n in
+  String.sub name 4 (n - 4)
 
 let to_json t =
-  let ns = Obs.Histogram.snapshot t.feed_ns in
-  let words = Obs.Histogram.snapshot t.feed_words in
-  let gcns = Obs.Histogram.snapshot t.gc_ns in
-  Printf.sprintf
-    "{\"uptime_s\":%.3f,\"connections\":%d,\"sessions_opened\":%d,\
-     \"sessions_closed\":%d,\"txns_fed\":%d,\"syncs\":%d,\
-     \"violations\":%d,\"frames_in\":%d,\"frames_out\":%d,\
-     \"throttles\":%d,\"protocol_errors\":%d,\"queue_high_water\":%d,\
-     \"wal_bytes\":%d,\"wal_fsyncs\":%d,\"snapshots\":%d,\
-     \"replay_frames\":%d,\"replay_ms\":%d,\"open_conns\":%d,\
-     \"epoll_wakeups\":%d,\"gc_runs\":%d,\"gc_reclaimed_words\":%d,\
-     \"live_words\":%d,\"gc_last_reclaimed_words\":%d,\
-     \"horizon_pinned_sessions\":%d,\"pin_fences\":%d,\
-     \"feed_ns\":{\"count\":%d,\"mean\":%.0f,\"p50\":%d,\"p99\":%d,\
-     \"max\":%d},\
-     \"feed_words\":{\"count\":%d,\"mean\":%.0f,\"p50\":%d,\"p99\":%d,\
-     \"max\":%d},\
-     \"gc_ns\":{\"count\":%d,\"mean\":%.0f,\"p50\":%d,\"p99\":%d,\
-     \"max\":%d}}"
-    (uptime_s t)
-    (Obs.Counter.get t.connections)
-    (Obs.Counter.get t.sessions_opened)
-    (Obs.Counter.get t.sessions_closed)
-    (Obs.Counter.get t.txns_fed)
-    (Obs.Counter.get t.syncs)
-    (Obs.Counter.get t.violations)
-    (Obs.Counter.get t.frames_in)
-    (Obs.Counter.get t.frames_out)
-    (Obs.Counter.get t.throttles)
-    (Obs.Counter.get t.protocol_errors)
-    (Obs.Gauge.get t.queue_high_water)
-    (Obs.Counter.get t.wal_bytes)
-    (Obs.Counter.get t.wal_fsyncs)
-    (Obs.Counter.get t.snapshots)
-    (Obs.Counter.get t.replay_frames)
-    (Obs.Gauge.get t.replay_ms)
-    (Obs.Gauge.get t.open_conns)
-    (Obs.Counter.get t.epoll_wakeups)
-    (Obs.Counter.get t.gc_runs)
-    (Obs.Counter.get t.gc_reclaimed_words)
-    (Obs.Gauge.get t.live_words)
-    (Obs.Gauge.get t.gc_last_reclaimed)
-    (Obs.Gauge.get t.horizon_pinned)
-    (Obs.Counter.get t.pin_fences)
-    ns.Obs.Histogram.s_count
-    (Obs.Histogram.mean_of ns)
-    (Obs.Histogram.percentile_of ns 50.0)
-    (Obs.Histogram.percentile_of ns 99.0)
-    ns.Obs.Histogram.s_max words.Obs.Histogram.s_count
-    (Obs.Histogram.mean_of words)
-    (Obs.Histogram.percentile_of words 50.0)
-    (Obs.Histogram.percentile_of words 99.0)
-    words.Obs.Histogram.s_max gcns.Obs.Histogram.s_count
-    (Obs.Histogram.mean_of gcns)
-    (Obs.Histogram.percentile_of gcns 50.0)
-    (Obs.Histogram.percentile_of gcns 99.0)
-    gcns.Obs.Histogram.s_max
+  let b = Buffer.create 1024 in
+  Printf.bprintf b "{\"uptime_s\":%.3f" (uptime_s t);
+  Obs.Metrics.iter t.reg (fun ~name ~help:_ instrument ->
+      Printf.bprintf b ",\"%s\":" (json_key name);
+      match instrument with
+      | Obs.Metrics.I_counter c -> Printf.bprintf b "%d" (Obs.Counter.get c)
+      | Obs.Metrics.I_gauge g -> Printf.bprintf b "%d" (Obs.Gauge.get g)
+      | Obs.Metrics.I_histogram h ->
+          let s = Obs.Histogram.snapshot h in
+          Printf.bprintf b
+            "{\"count\":%d,\"mean\":%.0f,\"p50\":%d,\"p99\":%d,\"max\":%d}"
+            s.Obs.Histogram.s_count (Obs.Histogram.mean_of s)
+            (Obs.Histogram.percentile_of s 50.0)
+            (Obs.Histogram.percentile_of s 99.0)
+            s.Obs.Histogram.s_max);
+  Buffer.add_char b '}';
+  Buffer.contents b
 
 (* The process-wide instance `mtc serve` reports from; embedders can
    create their own. *)

@@ -77,9 +77,7 @@ val pin_fence : t -> unit
 (** {1 Reading} *)
 
 val txns_fed : t -> int
-val violations : t -> int
 val throttles : t -> int
-val sessions_opened : t -> int
 val queue_high_water : t -> int
 
 val feed_p50_ns : t -> int
@@ -88,29 +86,14 @@ val feed_p99_ns : t -> int
     to within a factor of two. *)
 
 val feed_words_mean : t -> float
-val wal_bytes : t -> int
-val wal_fsyncs : t -> int
-val snapshots : t -> int
-val replay_frames : t -> int
-val open_conns_now : t -> int
-val epoll_wakeups : t -> int
-val gc_runs : t -> int
-val gc_reclaimed_words : t -> int
-val live_words_now : t -> int
-
-val gc_p99_ns : t -> int
-(** Compaction-pause p99; same bucket-edge caveat as the latency
-    percentiles. *)
 
 val pinned_sessions_now : t -> int
 val pin_fences : t -> int
 
-val feed_words_p50 : t -> int
-val feed_words_p99 : t -> int
-(** Per-feed allocated minor-heap words; same bucket-edge caveat as the
-    latency percentiles. *)
-
 val to_json : t -> string
-(** One JSON object with every counter plus the feed-latency,
-    feed-allocation and GC-pause summaries (count / mean / p50 / p99 /
-    max; nanoseconds, minor-heap words and nanoseconds respectively). *)
+(** One JSON object: [uptime_s], then every instrument of {!registry}
+    in registration order, keyed by its name without the [mtc_] prefix
+    and the [_total] suffix.  Counters and gauges are numbers;
+    histograms (feed latency in ns, feed allocation in minor-heap
+    words, GC pause in ns) are count / mean / p50 / p99 / max objects
+    read from one snapshot. *)

@@ -3,11 +3,13 @@
 # `mtc gen` clean / skewed / lying corpora (same seed => same ops and
 # values, only the timestamps differ), `--timestamps verify` must agree
 # byte-for-byte with `ignore` everywhere while reporting every
-# certification mismatch on stderr, `trust` must be the fastest mode on
-# a clean corpus, and `-j 1/2/4` must print byte-identical output in
-# all three modes.  A corpus with one duplicate write must get the same
-# malformed verdict from ignore and verify at every -j.  Wired into
-# `dune build @check` from the root dune file.
+# certification mismatch on stderr, `trust` must do the least work on
+# a clean corpus (its profile skips the duplicate-value screen and the
+# write table that `ignore` runs), and `-j 1/2/4` must print
+# byte-identical output in all three modes.  A corpus with one
+# duplicate write must get the same malformed verdict from ignore and
+# verify at every -j.  Wired into `dune build @check` from the root
+# dune file.
 set -u
 
 MTC="$1"
@@ -81,27 +83,27 @@ for level in ser si; do
   [ "$rc" -le 1 ] || fail "lying corpus: trust must exit 0/1 at $level, got $rc"
 done
 
-# -- trust must be the fastest mode on a clean corpus: it skips the
-# duplicate-value screen and certification, and ignore builds the
-# eager writer tables.  ignore's screen is a flat pass, not a
-# hashtable, so the margin is modest (dev build, 2-vCPU VM: ignore
-# took 1.24x trust's time on this corpus); a plain <= comparison still
-# holds, and one retry absorbs scheduler noise.
-ms() { # file mode -> milliseconds on stdout
-  local t0 t1
-  t0=$(date +%s%N)
-  check "$1" ser "$2" 1 || fail "timing run must pass ($2)"
-  t1=$(date +%s%N)
-  echo $(( (t1 - t0) / 1000000 ))
+# -- trust does the least work on a clean corpus: its --profile phase
+# table lists the timestamp chains (check/ts/chains) and neither the
+# duplicate-value screen (check/unique) nor the write table
+# (infer/index/writers); ignore's lists both.  The phases are counted,
+# not timed: both skipped passes are flat scans, and a "trust must not
+# be slower than ignore" timing failed about one run in ten on correct
+# code.
+phases() { # mode -> phase names of a profiled SER check, one a line
+  "$MTC" check "$TMP/clean.bin" --level ser --timestamps "$1" --profile -j 1 \
+    > "$TMP/prof" 2>/dev/null || fail "profiled run must pass ($1)"
+  awk '{ print $1 }' "$TMP/prof"
 }
-t_ignore=$(ms "$TMP/clean.bin" ignore)
-t_trust=$(ms "$TMP/clean.bin" trust)
-if [ "$t_trust" -gt "$t_ignore" ]; then
-  t_ignore=$(ms "$TMP/clean.bin" ignore)
-  t_trust=$(ms "$TMP/clean.bin" trust)
-  [ "$t_trust" -le "$t_ignore" ] \
-    || fail "trust (${t_trust}ms) must not be slower than ignore (${t_ignore}ms)"
-fi
+p_trust=$(phases trust)
+p_ignore=$(phases ignore)
+grep -qx "check/ts/chains" <<< "$p_trust" \
+  || fail "trust's profile must list check/ts/chains"
+for phase in check/unique infer/index/writers; do
+  grep -qx "$phase" <<< "$p_trust" && fail "trust's profile lists $phase"
+  grep -qx "$phase" <<< "$p_ignore" \
+    || fail "ignore's profile must list $phase"
+done
 
 # -- byte-identical stdout and stderr across -j in all three modes, on
 # the corpus most at risk (lying: verify exercises fallback + report)

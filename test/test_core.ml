@@ -40,31 +40,41 @@ let test_index_writer_of () =
   checkb "init" true (Index.writer_of idx 0 0 = Index.Final 0);
   checkb "nobody" true (Index.writer_of idx 0 12345 = Index.Nobody)
 
-(* The key-major write table against one unstriped [Flat_index.Writers]
-   table filled in scan order, each write into its tier with "last
-   insert wins": a committed write is final iff no later op of its
-   transaction writes the key.  The histories come from the duplicate
-   screen's generator — aborted transactions, planted cross-transaction
-   duplicates (callers without the screen see them), transactions
-   writing one value twice, values reversed on no, some or all keys —
-   with values made negative on no, some or all keys. *)
+(* The key-major write table against three last-insert-wins Hashtbl
+   tables (final, intermediate, aborted) filled in scan order: a
+   committed write is final iff no later op of its transaction writes
+   the key.  The histories come from the duplicate screen's generator —
+   aborted transactions, planted cross-transaction duplicates (callers
+   without the screen see them), transactions writing one value twice,
+   values reversed on no, some or all keys — with values made negative
+   on no, some or all keys. *)
 let reference_writers (h : History.t) =
-  let w = Flat_index.Writers.create ~num_keys:h.num_keys ~expected:16 in
+  let final = Hashtbl.create 16
+  and intermediate = Hashtbl.create 16
+  and aborted = Hashtbl.create 16 in
   Array.iter
     (fun (t : Txn.t) ->
       Array.iteri
         (fun i op ->
           match (op, t.status) with
-          | Op.Write (k, v), Txn.Aborted ->
-              Flat_index.Writers.set_aborted w k v t.id
+          | Op.Write (k, v), Txn.Aborted -> Hashtbl.replace aborted (k, v) t.id
           | Op.Write (k, v), Txn.Committed ->
-              if Txn.final_write t.ops k = i then
-                Flat_index.Writers.set_final w k v t.id
-              else Flat_index.Writers.set_intermediate w k v t.id
+              Hashtbl.replace
+                (if Txn.final_write t.ops k = i then final else intermediate)
+                (k, v) t.id
           | Op.Read _, _ -> ())
         t.ops)
     h.txns;
-  w
+  fun k v ->
+    match
+      ( Hashtbl.find_opt final (k, v),
+        Hashtbl.find_opt intermediate (k, v),
+        Hashtbl.find_opt aborted (k, v) )
+    with
+    | Some id, _, _ -> Index.Final id
+    | None, Some id, _ -> Index.Intermediate id
+    | None, None, Some id -> Index.Aborted id
+    | None, None, None -> Index.Nobody
 
 let negate_values ~neg (h : History.t) =
   let f k v = if neg = 2 || (neg = 1 && k mod 3 = 1) then -v - 7 else v in
@@ -81,7 +91,7 @@ let negate_values ~neg (h : History.t) =
        h.txns)
 
 let prop_writer_of_reference =
-  QCheck2.Test.make ~name:"index: writer_of == one unstriped Writers table"
+  QCheck2.Test.make ~name:"index: writer_of == three last-insert-wins tables"
     ~count:300
     ~print:(fun (c, neg) ->
       Printf.sprintf "%s neg=%d" (Test_history.print_dup_case c) neg)
@@ -104,7 +114,7 @@ let prop_writer_of_reference =
       let agrees idx =
         List.for_all
           (fun (k, v) ->
-            Index.writer_of idx k v = Flat_index.Writers.resolve reference k v)
+            Index.writer_of idx k v = reference k v)
           probes
       in
       agrees (Index.build h)

@@ -1,7 +1,8 @@
 (* Tests for the allocation-light inference pipeline: the int-packed
-   Flat_index (raw map + writer tiers, including the spill path for
-   unpackable pairs), Int_vec, and the dependency builder checked
-   against a brute-force reference written from the definitions. *)
+   Flat_index map, Online's version table (including the spill path
+   for unpackable pairs) against a Hashtbl model, Int_vec, and the
+   dependency builder checked against a brute-force reference written
+   from the definitions. *)
 
 let checkb = Alcotest.(check bool)
 let checki = Alcotest.(check int)
@@ -53,45 +54,261 @@ let test_map_adversarial_keys () =
   done;
   checkb "colliding keys survive" true !ok
 
-(* --- Flat_index.Writers: tiers and the unpackable spill --- *)
+(* --- Online.Versions against a Hashtbl model --- *)
 
+module V = Online.Versions
+
+type vop =
+  | W of int * int * int * int  (* key, value, tier, txn *)
+  | R of int * int * int  (* reader push *)
+  | O of int * int * int  (* overwriter push *)
+  | E of int * int * int * int  (* extender: key, value, txn, its write *)
+  | D of int * int * int  (* death position, packed pairs only *)
+  | C of int  (* compaction, keep predicate seeded by the int *)
+  | Roundtrip  (* encode, then continue on the decoded table *)
+
+(* Per pair: the three last-set-wins writer tables, both chains newest
+   first, the extender and the death.  A pair is in the model exactly
+   when the table has a slot for it. *)
+type vrec = {
+  mutable fin : int option;
+  mutable inter : int option;
+  mutable ab : int option;
+  mutable rd : int list;
+  mutable ow : int list;
+  mutable ext : (int * int) option;
+  mutable dead : int;
+}
+
+let packs nk k v = Flat_index.pack_pair ~num_keys:nk k v >= 0
+
+(* Keys one past each end of [0, num_keys) and values that are negative
+   or past the packing bound spill; the rest pack. *)
+let domain nk =
+  let keys = List.init (nk + 2) (fun i -> i - 1) in
+  let values =
+    [ 0; 1; 2; 3; 4; -1; -3; max_int / nk; (max_int / nk) + 1; max_int - 5;
+      max_int ]
+  in
+  List.concat_map (fun k -> List.map (fun v -> (k, v)) values) keys
+
+let keeps seed (k, v) = Hashtbl.hash (seed, k, v) land 1 = 0
+
+let pair_of_op = function
+  | W (k, v, _, _) | R (k, v, _) | O (k, v, _) | E (k, v, _, _) | D (k, v, _) ->
+      Some (k, v)
+  | C _ | Roundtrip -> None
+
+(* Run [ops] on a table and on the model, comparing after every op on
+   the whole domain, every pair an op names and the [extra] pairs. *)
+let run_versions ?(extra = []) nk ops =
+  let probes =
+    List.sort_uniq compare (domain nk @ List.filter_map pair_of_op ops @ extra)
+  in
+  let t = ref (V.create ~num_keys:nk) in
+  let m : (int * int, vrec) Hashtbl.t = Hashtbl.create 16 in
+  let record kv =
+    match Hashtbl.find_opt m kv with
+    | Some r -> r
+    | None ->
+        let r =
+          { fin = None; inter = None; ab = None; rd = []; ow = []; ext = None;
+            dead = -1 }
+        in
+        Hashtbl.replace m kv r;
+        r
+  in
+  let expected kv =
+    match Hashtbl.find_opt m kv with
+    | None -> Index.Nobody
+    | Some r -> (
+        match (r.fin, r.inter, r.ab) with
+        | Some id, _, _ -> Index.Final id
+        | None, Some id, _ -> Index.Intermediate id
+        | None, None, Some id -> Index.Aborted id
+        | None, None, None -> Index.Nobody)
+  in
+  let chain iter s =
+    let l = ref [] in
+    iter !t s (fun x -> l := x :: !l);
+    List.rev !l
+  in
+  let agrees () =
+    List.for_all
+      (fun ((k, v) as kv) ->
+        let s = V.find !t k v in
+        V.resolve !t k v = expected kv
+        &&
+        match Hashtbl.find_opt m kv with
+        | None -> s < 0
+        | Some r ->
+            s >= 0
+            && chain V.iter_readers s = r.rd
+            && chain V.iter_overwriters s = r.ow
+            && (match r.ext with
+               | None -> V.extender !t s = -1
+               | Some (id, w) ->
+                   V.extender !t s = id && V.extender_write !t s = w)
+            && V.death !t s = r.dead)
+      probes
+  in
+  List.for_all
+    (fun op ->
+      (match op with
+      | W (k, v, tier, id) ->
+          V.write !t k v ~tier id;
+          let r = record (k, v) in
+          if tier = Index.tier_final then r.fin <- Some id
+          else if tier = Index.tier_intermediate then r.inter <- Some id
+          else r.ab <- Some id
+      | R (k, v, id) ->
+          V.push_reader !t (V.slot !t k v) id;
+          let r = record (k, v) in
+          r.rd <- id :: r.rd
+      | O (k, v, id) ->
+          V.push_overwriter !t (V.slot !t k v) id;
+          let r = record (k, v) in
+          r.ow <- id :: r.ow
+      | E (k, v, id, w) ->
+          V.set_extender !t (V.slot !t k v) id w;
+          (record (k, v)).ext <- Some (id, w)
+      | D (k, v, pos) ->
+          if packs nk k v then begin
+            V.kill !t (Flat_index.pack_pair ~num_keys:nk k v) pos;
+            (record (k, v)).dead <- pos
+          end
+      | C seed ->
+          let pair_of = Hashtbl.create 16 in
+          Hashtbl.iter
+            (fun (k, v) _ -> Hashtbl.replace pair_of (V.find !t k v) (k, v))
+            m;
+          V.compact !t (fun s ->
+              match Hashtbl.find_opt pair_of s with
+              | Some kv -> keeps seed kv
+              | None -> true);
+          Hashtbl.filter_map_inplace
+            (fun (k, v) r ->
+              if packs nk k v && not (keeps seed (k, v)) then None else Some r)
+            m
+      | Roundtrip ->
+          let buf = Buffer.create 256 in
+          V.encode buf !t;
+          t := V.decode (Binio_core.reader (Buffer.contents buf)));
+      agrees ())
+    ops
+
+let vop_gen nk =
+  QCheck2.Gen.(
+    let* k, v = oneofl (domain nk) in
+    let* id = int_range 1 40 in
+    frequency
+      [
+        (6, map (fun tier -> W (k, v, tier, id)) (int_range 0 2));
+        (3, return (R (k, v, id)));
+        (3, return (O (k, v, id)));
+        (2, map (fun w -> E (k, v, id, w)) (int_range (-5) 5));
+        (2, map (fun pos -> D (k, v, pos)) (int_range 0 99));
+        (1, map (fun seed -> C seed) (int_range 0 1_000_000));
+        (1, return Roundtrip);
+      ])
+
+let print_vop = function
+  | W (k, v, tier, id) -> Printf.sprintf "W(%d,%d,tier %d,T%d)" k v tier id
+  | R (k, v, id) -> Printf.sprintf "R(%d,%d,T%d)" k v id
+  | O (k, v, id) -> Printf.sprintf "O(%d,%d,T%d)" k v id
+  | E (k, v, id, w) -> Printf.sprintf "E(%d,%d,T%d,%d)" k v id w
+  | D (k, v, pos) -> Printf.sprintf "D(%d,%d,@%d)" k v pos
+  | C seed -> Printf.sprintf "C(%d)" seed
+  | Roundtrip -> "Roundtrip"
+
+let prop_versions_model =
+  QCheck2.Test.make ~name:"versions: table == Hashtbl model" ~count:300
+    ~print:(fun (nk, ops) ->
+      Printf.sprintf "num_keys=%d [%s]" nk
+        (String.concat "; " (List.map print_vop ops)))
+    QCheck2.Gen.(
+      let* nk = int_range 1 6 in
+      let* ops = list_size (int_range 1 80) (vop_gen nk) in
+      return (nk, ops))
+    (fun (nk, ops) -> run_versions nk ops)
+
+(* Writer tiers on one packed pair: final shadows intermediate shadows
+   aborted, whatever the order they are set in. *)
 let test_writers_tiers () =
-  let w = Flat_index.Writers.create ~num_keys:4 ~expected:8 in
-  Flat_index.Writers.set_aborted w 1 10 3;
-  checkb "aborted tier" true
-    (Flat_index.Writers.resolve w 1 10 = Flat_index.Writers.Aborted 3);
-  Flat_index.Writers.set_intermediate w 1 10 2;
-  checkb "intermediate shadows aborted" true
-    (Flat_index.Writers.resolve w 1 10 = Flat_index.Writers.Intermediate 2);
-  Flat_index.Writers.set_final w 1 10 1;
-  checkb "final shadows intermediate" true
-    (Flat_index.Writers.resolve w 1 10 = Flat_index.Writers.Final 1);
-  checkb "other value nobody" true
-    (Flat_index.Writers.resolve w 1 11 = Flat_index.Writers.Nobody);
-  checkb "other key nobody" true
-    (Flat_index.Writers.resolve w 2 10 = Flat_index.Writers.Nobody)
+  checkb "tier shadowing" true
+    (run_versions 4 ~extra:[ (1, 11); (2, 10) ]
+       [ W (1, 10, Index.tier_aborted, 3); W (1, 10, Index.tier_intermediate, 2);
+         W (1, 10, Index.tier_final, 1); W (1, 10, Index.tier_aborted, 4) ])
 
+(* Spilled pairs (past the packing bound, negative, and a key outside
+   the range) resolve like packed ones, next to a packed one, through a
+   compaction and a round trip. *)
 let test_writers_spill () =
-  (* Values beyond the pack guard (v * num_keys would overflow) and
-     negative values take the tuple-keyed spill table; resolution must be
-     identical. *)
-  let w = Flat_index.Writers.create ~num_keys:1000 ~expected:8 in
   let huge = max_int - 5 in
-  Flat_index.Writers.set_final w 3 huge 7;
-  Flat_index.Writers.set_intermediate w 4 (-2) 8;
-  Flat_index.Writers.set_aborted w 5 huge 9;
-  checkb "huge value resolves final" true
-    (Flat_index.Writers.resolve w 3 huge = Flat_index.Writers.Final 7);
-  checkb "negative value resolves intermediate" true
-    (Flat_index.Writers.resolve w 4 (-2) = Flat_index.Writers.Intermediate 8);
-  checkb "huge aborted resolves" true
-    (Flat_index.Writers.resolve w 5 huge = Flat_index.Writers.Aborted 9);
-  checkb "near-miss key nobody" true
-    (Flat_index.Writers.resolve w 6 huge = Flat_index.Writers.Nobody);
-  (* Packed and spilled entries coexist. *)
-  Flat_index.Writers.set_final w 3 42 11;
-  checkb "packed entry next to spill" true
-    (Flat_index.Writers.resolve w 3 42 = Flat_index.Writers.Final 11)
+  checkb "unpackable spill" true
+    (run_versions 1000 ~extra:[ (6, huge); (3, 43) ]
+       [ W (3, huge, Index.tier_final, 7); W (4, -2, Index.tier_intermediate, 8);
+         W (5, huge, Index.tier_aborted, 9); W (1000, 1, Index.tier_final, 10);
+         W (3, 42, Index.tier_final, 11); C 0; Roundtrip ])
+
+(* A table written column by column, for the decoder's range checks. *)
+let encoded_table ?(num_keys = 4) ?(pair = [ 4 ]) ?(readers = [ -1 ])
+    ?(cells = [ (7, -1) ]) ?(spill = []) () =
+  let buf = Buffer.create 64 in
+  let vec l =
+    let v = Int_vec.create 4 in
+    List.iter (Int_vec.push v) l;
+    Int_vec.encode buf v
+  in
+  let n = List.length pair in
+  Binio_core.add_uvarint buf num_keys;
+  vec pair;
+  vec (List.init n (fun _ -> -1));
+  vec readers;
+  vec (List.init n (fun _ -> -1));
+  vec (List.init n (fun _ -> -1));
+  vec (List.init n (fun _ -> 0));
+  vec (List.init n (fun _ -> -1));
+  vec (List.map fst cells);
+  vec (List.map snd cells);
+  Binio_core.add_uvarint buf (List.length spill);
+  List.iter
+    (fun (k, v, s) ->
+      Binio_core.add_varint buf k;
+      Binio_core.add_varint buf v;
+      Binio_core.add_uvarint buf s)
+    spill;
+  Buffer.contents buf
+
+let test_versions_decode_refuses () =
+  let decodes s =
+    match V.decode (Binio_core.reader s) with
+    | _ -> true
+    | exception Binio_core.Decode_error _ -> false
+  in
+  checkb "well-formed table decodes" true
+    (decodes
+       (encoded_table ~pair:[ 4; -1 ] ~readers:[ 0; -1 ]
+          ~spill:[ (-1, 3, 1) ] ()));
+  List.iter
+    (fun (what, s) -> checkb what false (decodes s))
+    [
+      ("reader head past the pool", encoded_table ~readers:[ 1 ] ());
+      ("cell linking to a newer cell",
+       encoded_table ~readers:[ 1 ] ~cells:[ (7, 1); (8, 0) ] ());
+      ("cell linking to itself", encoded_table ~cells:[ (7, 0) ] ());
+      ("column lengths disagree", encoded_table ~readers:[ -1; -1 ] ());
+      ("duplicate packed pair",
+       encoded_table ~pair:[ 4; 4 ] ~readers:[ -1; -1 ] ());
+      ("spill slot out of range",
+       encoded_table ~pair:[ -1 ] ~spill:[ (-1, 3, 5) ] ());
+      ("spill entry naming a packed slot",
+       encoded_table ~pair:[ 4; -1 ] ~readers:[ -1; -1 ]
+         ~spill:[ (-1, 3, 0) ] ());
+      ("spill pair that packs",
+       encoded_table ~pair:[ -1 ] ~spill:[ (1, 3, 0) ] ());
+      ("spill slot without an entry", encoded_table ~pair:[ -1 ] ());
+    ]
 
 (* --- Int_vec --- *)
 
@@ -380,8 +597,11 @@ let suite =
     ("flat map: negative value rejected", `Quick,
      test_map_negative_value_rejected);
     ("flat map: adversarial keys", `Quick, test_map_adversarial_keys);
+    qtest prop_versions_model;
     ("writers: tier shadowing", `Quick, test_writers_tiers);
     ("writers: unpackable spill", `Quick, test_writers_spill);
+    ("versions: decode refuses bad references", `Quick,
+     test_versions_decode_refuses);
     ("int_vec: push/get/data", `Quick, test_int_vec);
     qtest prop_edges_match_reference;
     qtest prop_sweep_encodes_reference_rt;

@@ -307,6 +307,92 @@ let prop_gc_equals_unbounded =
       in
       lockstep ~ts ~level ~num_keys (stream_of h))
 
+(* --- unpackable values end to end ------------------------------------ *)
+
+(* Every non-initial value negated on keys = 1 mod 3 and moved past the
+   packing bound on keys = 2 mod 3: those versions all take the version
+   table's spill path.  Values are only ever compared for equality, so
+   the verdict position, the anomaly class and the logical stats must
+   not move — under no GC, under compaction after every feed (once every
+   session has fed), and under compaction plus a snapshot round trip
+   every 25 feeds. *)
+let unpackable ~num_keys (t : Txn.t) =
+  let bound = (max_int / num_keys) + 1 in
+  let f k v =
+    if v = 0 then v
+    else if k mod 3 = 1 then -v
+    else if k mod 3 = 2 then v + bound
+    else v
+  in
+  Txn.make ~id:t.id ~session:t.session ~status:t.status ~start_ts:t.start_ts
+    ~commit_ts:t.commit_ts
+    (List.map
+       (function
+         | Op.Write (k, v) -> Op.Write (k, f k v)
+         | Op.Read (k, v) -> Op.Read (k, f k v))
+       (Array.to_list t.ops))
+
+(* First violation (position and anomaly class) and the final logical
+   stats of one run; [mode] 0 = no GC, 1 = GC after every feed once all
+   sessions have fed, 2 = the same plus a snapshot round trip every 25
+   feeds. *)
+let verdict_run ~mode ~ts ~level ~num_keys stream =
+  let o = ref (Online.create ~ts ~level ~num_keys ()) in
+  let sessions =
+    List.length
+      (List.sort_uniq compare (List.map (fun t -> t.Txn.session) stream))
+  in
+  let seen = Hashtbl.create 8 in
+  let rec go i = function
+    | [] -> None
+    | txn :: rest -> (
+        Hashtbl.replace seen txn.Txn.session ();
+        match Online.add_txn !o txn with
+        | Online.Violation v -> Some (i, Report.classify v)
+        | Online.Ok_so_far ->
+            if mode > 0 && Hashtbl.length seen = sessions then
+              ignore (Online.gc !o);
+            if mode = 2 && (i + 1) mod 25 = 0 then begin
+              let buf = Buffer.create 1024 in
+              Online.encode buf !o;
+              o := Online.decode (Binio_core.reader (Buffer.contents buf))
+            end;
+            go (i + 1) rest)
+  in
+  let first = go 0 stream in
+  let s = Online.stats !o in
+  (first, logical_stats s, s.Online.s_gc_runs)
+
+let test_unpackable_values_metamorphic () =
+  let num_keys = 10 in
+  List.iter
+    (fun fault ->
+      for seed = 1 to 2 do
+        let stream =
+          stream_of
+            (engine_history ~num_txns:150 ~level:Isolation.Snapshot ~fault
+               ~seed ())
+        in
+        let spilled = List.map (unpackable ~num_keys) stream in
+        List.iter
+          (fun level ->
+            List.iter
+              (fun ts ->
+                for mode = 0 to 2 do
+                  checkb
+                    (Printf.sprintf "%s seed %d %s ts %s gc mode %d"
+                       (Fault.name fault) seed (Checker.level_name level)
+                       (Ts.mode_name ts) mode)
+                    true
+                    (verdict_run ~mode ~ts ~level ~num_keys stream
+                    = verdict_run ~mode ~ts ~level ~num_keys spilled)
+                done)
+              [ Ts.Ignore; Ts.Verify; Ts.Trust ])
+          [ Checker.SI; Checker.SER; Checker.SSER ]
+      done)
+    [ Fault.No_fault; Fault.Lost_update 0.2; Fault.Aborted_read 0.2;
+      Fault.Causality_violation 0.1; Fault.Write_skew 0.2 ]
+
 (* --- O(1) live-word accounting -------------------------------------- *)
 
 (* Feed [stream] under [gc], demanding {!Online.check_invariant} (the
@@ -480,6 +566,8 @@ let suite =
     ("policy spellings round-trip", `Quick, test_gc_policy_strings);
     ("snapshot round-trip across GC", `Quick, test_gc_restore_roundtrip);
     qtest prop_gc_equals_unbounded;
+    ("unpackable values: same verdicts and stats", `Quick,
+     test_unpackable_values_metamorphic);
     ("aborted writes grow a pending vector", `Quick, test_ab_pending_growth);
     ("live-word totals hold through auto GC", `Quick, test_live_words_auto_gc);
     qtest prop_live_words_accounting;

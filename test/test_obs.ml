@@ -450,6 +450,60 @@ let test_prometheus_service_registry () =
        (fun l -> l = "mtc_connections_total 1")
        (String.split_on_char '\n' text))
 
+(* [Metrics.to_json] after [uptime_s], with every instrument set to a
+   distinct value.  The literal is the output of the hand-written
+   printf this JSON replaced, so the registry walk keeps every key, its
+   order and its number format. *)
+let stats_json_state () =
+  let m = Metrics.create () in
+  let times n f = for _ = 1 to n do f m done in
+  times 1 Metrics.connection;
+  times 2 Metrics.session_opened;
+  times 3 Metrics.session_closed;
+  List.iter
+    (fun (ns, words) -> Metrics.feed m ~ns ~words)
+    [ (1_500, 40); (90_000, 7); (3, 1_000); (250, 12) ];
+  times 5 Metrics.sync;
+  times 6 Metrics.violation;
+  times 7 Metrics.frame_in;
+  times 8 Metrics.frame_out;
+  times 9 Metrics.throttle;
+  times 10 Metrics.protocol_error;
+  Metrics.queue_depth m 11;
+  Metrics.wal_write m ~bytes:12;
+  times 13 Metrics.wal_fsync;
+  times 14 Metrics.snapshot;
+  Metrics.replay m ~frames:15 ~ms:16.4;
+  Metrics.open_conns m 17;
+  times 18 Metrics.epoll_wakeup;
+  for i = 1 to 19 do
+    Metrics.gc_run m ~ns:(1_000 * i * i) ~reclaimed:(100 + i)
+  done;
+  Metrics.live_words m 22;
+  Metrics.pinned_sessions m 23;
+  times 24 Metrics.pin_fence;
+  m
+
+let after_uptime json =
+  let i = String.index json ',' in
+  String.sub json i (String.length json - i)
+
+let test_stats_json_from_registry () =
+  Alcotest.(check string)
+    "stats JSON after uptime_s"
+    ",\"connections\":1,\"sessions_opened\":2,\"sessions_closed\":3,\
+     \"txns_fed\":4,\"syncs\":5,\"violations\":6,\"frames_in\":7,\
+     \"frames_out\":8,\"throttles\":9,\"protocol_errors\":10,\
+     \"queue_high_water\":11,\"wal_bytes\":12,\"wal_fsyncs\":13,\
+     \"snapshots\":14,\"replay_frames\":15,\"replay_ms\":16,\"open_conns\":17,\
+     \"epoll_wakeups\":18,\"gc_runs\":19,\"gc_reclaimed_words\":2090,\
+     \"live_words\":22,\"gc_last_reclaimed_words\":119,\"horizon_pinned_sessions\":23,\
+     \"pin_fences\":24,\"feed_ns\":{\"count\":4,\"mean\":22938,\
+     \"p50\":255,\"p99\":90000,\"max\":90000},\"feed_words\":{\"count\":4,\
+     \"mean\":265,\"p50\":15,\"p99\":1000,\"max\":1000},\"gc_ns\":{\"count\":19,\
+     \"mean\":130000,\"p50\":131071,\"p99\":361000,\"max\":361000}}"
+    (after_uptime (Metrics.to_json (stats_json_state ())))
+
 (* ------------------------------------------------------------------ *)
 (* Event journal. *)
 
@@ -588,6 +642,8 @@ let suite =
      test_prometheus_grammar_and_buckets);
     ("prometheus: service registry exposition", `Quick,
      test_prometheus_service_registry);
+    ("stats JSON: registry walk, pinned bytes", `Quick,
+     test_stats_json_from_registry);
     qtest prop_journal_concurrent_appends;
     ("journal: drain consumes, events does not", `Quick,
      test_journal_drain_consumes);

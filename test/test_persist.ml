@@ -197,38 +197,47 @@ let test_snapshot_roundtrip () =
       | es -> Alcotest.fail (Printf.sprintf "%d entries" (List.length es))));
   Sys.remove path
 
-(* A snapshot from a future format version must be refused with a
+(* A snapshot from another format version must be refused with a
    message that names both versions — even when its CRC is valid — and
-   any tampering that does not fix the CRC must be refused too. *)
+   any tampering that does not fix the CRC must be refused too.  Both a
+   future version and the previous one (whose checker state has a
+   different layout) are refused by name. *)
 let test_snapshot_version_mismatch () =
   let path = temp_name ".snap" in
   Snapshot_store.write ~path ~shard:0 ~nshards:1 ~gen:1 ~next_sid:2 [];
   let full = read_file path in
   let magic_len = 8 and crc_len = 4 in
-  (* the version is the payload's leading uvarint; 2 and 3 are both
+  checki "stored version byte" 3 (Char.code full.[magic_len]);
+  (* the version is the payload's leading uvarint; 2, 3 and 4 are all
      single bytes, so patch in place and recompute the trailing CRC *)
-  let b = Bytes.of_string full in
-  checki "stored version byte" 2 (Char.code (Bytes.get b magic_len));
-  Bytes.set b magic_len (Char.chr 3);
-  let payload =
-    Bytes.sub_string b magic_len (Bytes.length b - magic_len - crc_len)
+  let with_version v =
+    let b = Bytes.of_string full in
+    Bytes.set b magic_len (Char.chr v);
+    let payload =
+      Bytes.sub_string b magic_len (Bytes.length b - magic_len - crc_len)
+    in
+    let crc = Crc32.string payload in
+    for i = 0 to 3 do
+      Bytes.set b
+        (Bytes.length b - crc_len + i)
+        (Char.chr ((crc lsr (8 * i)) land 0xff))
+    done;
+    write_file path (Bytes.to_string b)
   in
-  let crc = Crc32.string payload in
-  for i = 0 to 3 do
-    Bytes.set b
-      (Bytes.length b - crc_len + i)
-      (Char.chr ((crc lsr (8 * i)) land 0xff))
-  done;
-  write_file path (Bytes.to_string b);
-  (match Snapshot_store.read path with
-  | Ok _ -> Alcotest.fail "future version must be refused"
-  | Error e ->
-      checkb "names both versions"
-        (contains ~sub:"snapshot version 3 (this build reads 2)" e)
-        true);
+  List.iter
+    (fun (v, msg) ->
+      with_version v;
+      match Snapshot_store.read path with
+      | Ok _ -> Alcotest.failf "snapshot version %d must be refused" v
+      | Error e ->
+          checkb ("names both versions: " ^ msg) (contains ~sub:msg e) true)
+    [
+      (4, "snapshot version 4 (this build reads 3)");
+      (2, "snapshot version 2 (this build reads 3)");
+    ];
   (* same patch without the CRC fix: caught as corruption *)
   let b = Bytes.of_string full in
-  Bytes.set b magic_len (Char.chr 3);
+  Bytes.set b magic_len (Char.chr 4);
   write_file path (Bytes.to_string b);
   (match Snapshot_store.read path with
   | Ok _ -> Alcotest.fail "tampered snapshot must be refused"
