@@ -242,7 +242,8 @@ let online_feed_rows () =
    4096 feeds: it grows with the stream under [off] and stays flat under
    [auto] / an absolute ceiling.  [retained] cross-checks the estimate
    against the real major heap: growth of [Gc.stat].heap_words across
-   the run after a [Gc.compact] on both sides.  30k transactions under
+   the run after a [Gc.compact] on both sides.  [gc (ms)] is the time
+   spent compacting: each run's [Online.gc_last_ns], summed.  30k transactions under
    --smoke, 300k otherwise; these rows are the numbers promoted to
    BENCH_PR9.json. *)
 let bounded_feed_rows () =
@@ -256,11 +257,16 @@ let bounded_feed_rows () =
         ~num_keys:p.Stream_gen.num_keys ()
     in
     let peak = ref 0 and fed = ref 0 in
+    let runs = ref 0 and gc_ns = ref 0 in
     let t0 = Unix.gettimeofday () in
     Stream_gen.generate p (fun txn ->
         (match Online.add_txn o txn with
         | Online.Ok_so_far -> ()
         | Online.Violation _ -> failwith "kernels: clean stream flagged");
+        if Online.gc_runs o > !runs then begin
+          runs := Online.gc_runs o;
+          gc_ns := !gc_ns + Online.gc_last_ns o
+        end;
         incr fed;
         if !fed land 4095 = 0 then
           peak := Stdlib.max !peak (Online.live_words o));
@@ -277,6 +283,7 @@ let bounded_feed_rows () =
       string_of_int retained;
       string_of_int s.Online.s_gc_runs;
       string_of_int s.Online.s_gc_reclaimed_words;
+      Printf.sprintf "%.1f" (float_of_int !gc_ns /. 1e6);
     ]
   in
   [ row Online.Gc_off; row Online.Gc_auto; row (Online.Gc_words 2_000_000) ]
@@ -639,7 +646,7 @@ let run () =
   Bench_util.print_table
     ~header:
       [ "config"; "txns/s"; "live peak (words)"; "live final (words)";
-        "retained heap (words)"; "gc runs"; "reclaimed (words)" ]
+        "retained heap (words)"; "gc runs"; "reclaimed (words)"; "gc (ms)" ]
     (bounded_feed_rows ());
   Bench_util.subsection
     "observability: full SER check, tracing disabled vs enabled (median of 9)";

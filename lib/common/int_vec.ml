@@ -17,6 +17,10 @@ let get t i = t.data.(i)
 let set t i x = t.data.(i) <- x
 let clear t = t.len <- 0
 
+let truncate t n =
+  if n < 0 || n > t.len then invalid_arg "Int_vec.truncate";
+  t.len <- n
+
 let pop t =
   t.len <- t.len - 1;
   t.data.(t.len)

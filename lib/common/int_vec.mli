@@ -20,6 +20,11 @@ val clear : t -> unit
 (** Reset the length to 0 without releasing the backing array — the
     idiom for per-call scratch buffers reused across calls. *)
 
+val truncate : t -> int -> unit
+(** [truncate t n] keeps the first [n] elements ([n <= length t]),
+    without releasing the backing array — the tail of an in-place
+    filter. *)
+
 val pop : t -> int
 (** Remove and return the last element; the vector must be non-empty. *)
 

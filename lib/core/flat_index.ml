@@ -69,6 +69,36 @@ let set t k v =
     t.size <- t.size + 1
   end
 
+(* Backward-shift deletion: later entries of the probe run move back
+   into the hole, so lookups never meet a tombstone and a table that
+   removes as much as it adds stays as fast as a fresh one. *)
+let remove t k =
+  let i = probe t k in
+  if t.vals.(i) >= 0 then begin
+    t.size <- t.size - 1;
+    t.vals.(i) <- -1;
+    let mask = t.mask in
+    let hole = ref i and j = ref i and scanning = ref true in
+    while !scanning do
+      j := (!j + 1) land mask;
+      if t.vals.(!j) < 0 then scanning := false
+      else begin
+        let h = slot t t.keys.(!j) in
+        (* the entry may stay iff its home slot lies cyclically in
+           (hole, j]; otherwise it moves back into the hole *)
+        let stays =
+          if !j > !hole then h > !hole && h <= !j else h > !hole || h <= !j
+        in
+        if not stays then begin
+          t.keys.(!hole) <- t.keys.(!j);
+          t.vals.(!hole) <- t.vals.(!j);
+          t.vals.(!j) <- -1;
+          hole := !j
+        end
+      end
+    done
+  end
+
 (* Snapshot codec: size then the live (key, value) pairs in slot order.
    Decode re-inserts into a fresh map — probe layout is unobservable
    (the interface is get/set/mem), so re-insertion is equivalence-
@@ -101,9 +131,11 @@ let iter t f =
     if t.vals.(i) >= 0 then f t.keys.(i) t.vals.(i)
   done
 
-(* Words-of-memory estimator: the two backing arrays plus the header.
-   O(1); used by the online checker's GC trigger. *)
-let words t = 4 + (2 * Array.length t.vals)
+(* Words-of-memory estimator for the online checker's GC trigger: a key
+   and a value slot per binding, doubled for the 1/2 load bound, plus
+   the header.  O(1), and it counts bindings, not capacity, so it falls
+   when [remove] does. *)
+let words t = 4 + (4 * t.size)
 
 (* --- int-packed (key, value) pairs --- *)
 

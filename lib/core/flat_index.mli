@@ -25,6 +25,11 @@ val set : t -> int -> int -> unit
 (** [set t k v] binds [k] to [v], replacing any previous binding.
     @raise Invalid_argument if [v < 0] (reserved for "absent"). *)
 
+val remove : t -> int -> unit
+(** [remove t k] unbinds [k] (no-op if unbound), by backward-shift
+    deletion: no tombstones, so lookups stay as short as in a table that
+    never held [k]. *)
+
 val get : t -> int -> int
 (** [get t k] is the value bound to [k], or [-1] if unbound. *)
 
@@ -36,7 +41,9 @@ val iter : t -> (int -> int -> unit) -> unit
     beyond determinism for a fixed insertion history). *)
 
 val words : t -> int
-(** Rough size of the backing store in words, O(1). *)
+(** Rough size in words of the live bindings (a key and a value slot
+    each, doubled for the ½ load bound, plus a header), O(1).  It counts bindings, not capacity,
+    so it falls with {!remove}. *)
 
 val encode : Buffer.t -> t -> unit
 (** Snapshot serialization: the live pairs.  Probe layout is not

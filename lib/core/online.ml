@@ -1,10 +1,10 @@
 (* The streaming checker's hot path is flat ints end to end: a
    Pearce–Kelly graph grown in place (no edge replay on capacity
-   doubling), edge labels in a packed-int map, and one version table —
-   a slot per (key, value) pair holding its writer, reader and
-   overwriter chains, SI extender and death position — behind one
-   packed-pair index.  No tuple-keyed hashtables outside the spill for
-   unpackable pairs, no boxed list cells.  Feeding a committed
+   doubling) whose successor entries carry the packed labels, and one
+   version table — a slot per (key, value) pair holding its writer,
+   reader and overwriter chains, SI extender and death position —
+   behind one packed-pair index.  No tuple-keyed hashtables outside the
+   spill for unpackable pairs, no boxed list cells.  Feeding a committed
    transaction allocates a bounded amount (the transaction's own
    op-list views plus amortized vector growth), independent of how many
    transactions came before. *)
@@ -29,55 +29,31 @@ let unpack_dep p =
     let k = q lsr 2 in
     match q land 3 with 0 -> Deps.WR k | 1 -> Deps.WW k | _ -> Deps.RW k
 
-(* Growable Pearce–Kelly graph with labelled edges.  Capacity doubles in
-   place ({!Pearce_kelly.ensure}); a duplicate edge is accepted without
-   touching the label or the count, and a rejected (cycle-closing) edge
-   leaves no label behind — the label of the offending edge travels with
-   the rejection instead (see {!cycle_of_path}). *)
+(* The Pearce–Kelly graph with dependency labels.  Each accepted edge's
+   packed label rides in its successor entry, so a duplicate edge is
+   accepted without touching the label or the count, a rejected
+   (cycle-closing) edge leaves no label behind — the label of the
+   offending edge travels with the rejection instead (see
+   {!cycle_of_path}) — and a freed edge takes its label with it.
+   [edge_count] is logical: the distinct edges ever accepted, which GC
+   does not lower. *)
 module Grow = struct
-  type t = {
-    pk : Pearce_kelly.t;
-    mutable capacity : int;
-    mutable edge_count : int;  (** distinct edges accepted *)
-    mutable labels : Flat_index.t;  (** packed (u lsl 31) lor v -> packed dep *)
-  }
+  type t = { pk : Pearce_kelly.t; mutable edge_count : int }
 
-  let create () =
-    {
-      pk = Pearce_kelly.create 64;
-      capacity = 64;
-      edge_count = 0;
-      labels = Flat_index.create ~capacity:256 ();
-    }
-
+  let create () = { pk = Pearce_kelly.create 64; edge_count = 0 }
   let edge_count t = t.edge_count
-
-  let ensure t needed =
-    if needed > t.capacity then begin
-      let capacity = ref t.capacity in
-      while needed > !capacity do
-        capacity := 2 * !capacity
-      done;
-      Pearce_kelly.ensure t.pk !capacity;
-      t.capacity <- !capacity
-    end
-
-  let edge_key u v = (u lsl 31) lor v
 
   (* [Error path]: vertex path [v; ...; u] for the rejected edge u -> v. *)
   let add_edge t u v lab =
-    ensure t (1 + Stdlib.max u v);
-    if Pearce_kelly.mem_edge t.pk u v then Ok () (* duplicate: no-op *)
-    else
-      match Pearce_kelly.add_edge t.pk u v with
-      | Ok () ->
-          Flat_index.set t.labels (edge_key u v) (pack_dep lab);
-          t.edge_count <- t.edge_count + 1;
-          Ok ()
-      | Error path -> Error path
+    let before = Pearce_kelly.num_edges t.pk in
+    match Pearce_kelly.add_labelled_edge t.pk u v (pack_dep lab) with
+    | Ok () ->
+        t.edge_count <- t.edge_count + Pearce_kelly.num_edges t.pk - before;
+        Ok ()
+    | Error _ as e -> e
 
   let label t u v =
-    let p = Flat_index.get t.labels (edge_key u v) in
+    let p = Pearce_kelly.label t.pk u v in
     if p >= 0 then unpack_dep p else Deps.Rt_chain
 end
 
@@ -390,22 +366,27 @@ type t = {
   ts_mode : Ts.mode;
   num_keys : int;
   graph : Grow.t;
-  mutable next_vertex : int;
-  mutable vertex_txn : Int_vec.t;  (** vertex -> txn id; -1 for helper vertices *)
-  mutable txn_vertex : Flat_index.t;  (** txn id -> base vertex (SI: the d-vertex) *)
+  mutable next_vertex : int;  (** one above every vertex id handed out *)
+  vertex_txn : Int_vec.t;
+      (** vertex -> txn id; -1 for helper vertices, [free_vertex] while
+          on the free list *)
+  txn_vertex : Flat_index.t;
+      (** txn id -> base vertex (SI: the d-vertex), or [aborted_vertex];
+          also the set of ids seen, which {!add_txn} refuses to reuse *)
+  free : Int_vec.t;  (** freed vertex units by base vertex, reused last first *)
+  aborted : Int_vec.t;  (** aborted ids fed since the last GC run *)
   versions : Versions.t;
   session_last : Flat_index.t;  (** session -> last committed txn id *)
-  mutable seen_ids : Flat_index.t;
   (* SSER stream state: commits in arrival (= commit_ts) order *)
   mutable commit_ts : Int_vec.t;
   mutable commit_helper : Int_vec.t;  (** helper vertex of the same commit *)
   mutable last_commit : int;
   mutable count : int;
   mutable poisoned : Checker.violation option;
-  (* Watermark GC state (see {!gc_run}).  [total_vertices] is the
-     logical allocation count — it keeps {!stats} identical between
-     bounded and unbounded runs while [next_vertex] tracks the physical
-     (possibly compacted) vertex space.  The install windows track, per
+  (* Watermark GC state (see {!gc}).  [total_vertices] is the logical
+     allocation count — it keeps {!stats} identical between bounded and
+     unbounded runs while [next_vertex] tracks the physical vertex
+     space, whose freed ids are reused.  The install windows track, per
      key, the packed pairs of the two newest final installs; a version
      evicted from both slots gets the arrival position of its death in
      its slot's death column and becomes prunable once every session's
@@ -491,18 +472,31 @@ let frontier_sessions t = Int_vec.length t.sl_pos
 let ab_pending_words ab =
   Array.fold_left (fun acc v -> acc + Array.length (Int_vec.data v)) 0 ab
 
+(* A vertex unit is what one allocation takes and one GC run frees:
+   one vertex, or an SI transaction's adjacent (d, r) pair.  The
+   initial transaction's unit is vertex 0 (and 1). *)
+let vertices_per_txn level = match level with Checker.SI -> 2 | _ -> 1
+
+let free_vertex = -2
+let aborted_vertex = max_int
+
 (* Rough live size in words of every structure the checker retains.
-   O(1): every term is a capacity the structure already holds, and the
-   two that sum over many vectors (PK adjacency, [ab_pending]) are
-   running totals kept where those vectors grow. *)
+   O(1).  What GC frees in place — graph vertices and edges, id-table
+   bindings — is counted live, not by the capacity it leaves behind, so
+   a run lowers the estimate by what it frees and the [Gc_auto] floor
+   follows the live size down.  The rest is rebuilt at GC and counted
+   by capacity; [ab_pending] sums many vectors, so its capacity is a
+   running total kept where they grow. *)
 let live_words t =
-  Pearce_kelly.words t.graph.Grow.pk
-  + Flat_index.words t.graph.Grow.labels
-  + Array.length (Int_vec.data t.vertex_txn)
+  let live_vertices =
+    t.next_vertex - (vertices_per_txn t.level * Int_vec.length t.free)
+  in
+  ((Pearce_kelly.vertex_words + 1) * live_vertices)
+  + Pearce_kelly.words t.graph.Grow.pk
   + Flat_index.words t.txn_vertex
+  + Int_vec.length t.aborted
   + Versions.words t.versions
   + Flat_index.words t.session_last
-  + Flat_index.words t.seen_ids
   + Array.length (Int_vec.data t.commit_ts)
   + Array.length (Int_vec.data t.commit_helper)
   + Flat_index.words t.chain_head
@@ -516,11 +510,70 @@ let live_words t =
   + Array.length (Int_vec.data t.sl_pos)
   + Array.length (Int_vec.data t.sl_cts)
 
+(* The vertex tables agree with each other and the graph: [vertex_txn]
+   covers every id handed out; the free list names distinct, aligned,
+   non-initial units whose vertices, and only those, are marked free and
+   isolated; and [txn_vertex] maps each id to the base of a live unit
+   holding that id, or to [aborted_vertex] (every id in [aborted]).  The
+   first disagreement, if any.  O(vertices + ids): for decode and
+   tests. *)
+let vertex_tables_error t =
+  let unit = vertices_per_txn t.level in
+  let n = t.next_vertex and pk = t.graph.Grow.pk in
+  let err = ref None in
+  let fail fmt =
+    Printf.ksprintf (fun m -> if !err = None then err := Some m) fmt
+  in
+  if Int_vec.length t.vertex_txn <> n then
+    fail "vertex map length %d <> next vertex %d" (Int_vec.length t.vertex_txn) n
+  else if n < unit || n mod unit <> 0 || n > Pearce_kelly.n pk then
+    fail "next vertex %d outside the graph's %d" n (Pearce_kelly.n pk)
+  else begin
+    let listed = Bytes.make n '\000' in
+    for i = 0 to Int_vec.length t.free - 1 do
+      let b = Int_vec.get t.free i in
+      if b < unit || b >= n || b mod unit <> 0 || Bytes.get listed b <> '\000'
+      then fail "free-list entry %d out of range, repeated or initial" b
+      else begin
+        Bytes.set listed b '\001';
+        for v = b to b + unit - 1 do
+          if Int_vec.get t.vertex_txn v <> free_vertex then
+            fail "free-list entry %d is live" b
+        done
+      end
+    done;
+    let marked = ref 0 in
+    for v = 0 to n - 1 do
+      let id = Int_vec.get t.vertex_txn v in
+      if id = free_vertex then begin
+        incr marked;
+        Pearce_kelly.iter_succ pk v (fun _ -> fail "free vertex %d has edges" v)
+      end
+      else if id < -1 then fail "vertex %d maps to %d" v id
+      else if id >= 0 && Flat_index.get t.txn_vertex id <> v - (v mod unit) then
+        fail "vertex %d of T%d is not its transaction's" v id
+    done;
+    if !marked <> unit * Int_vec.length t.free then
+      fail "%d vertices marked free, %d listed" !marked
+        (unit * Int_vec.length t.free);
+    Flat_index.iter t.txn_vertex (fun id b ->
+        if b <> aborted_vertex && (b >= n || Int_vec.get t.vertex_txn b <> id)
+        then fail "T%d maps to vertex %d" id b);
+    for i = 0 to Int_vec.length t.aborted - 1 do
+      let id = Int_vec.get t.aborted i in
+      if Flat_index.get t.txn_vertex id <> aborted_vertex then
+        fail "aborted T%d is not recorded" id
+    done
+  end;
+  !err
+
 (* For tests: the running totals behind {!live_words} equal a recount
-   (the graph's through {!Pearce_kelly.check_invariant}). *)
+   (the graph's through {!Pearce_kelly.check_invariant}), and the vertex
+   tables agree. *)
 let check_invariant t =
   Pearce_kelly.check_invariant t.graph.Grow.pk
   && t.ab_words = ab_pending_words t.ab_pending
+  && vertex_tables_error t = None
 
 let stats t =
   {
@@ -535,23 +588,42 @@ let stats t =
     s_live_words = live_words t;
   }
 
-let vertices_per_txn level = match level with Checker.SI -> 2 | _ -> 1
+(* A unit from the free list, else from fresh ids.  Either way its
+   vertices take new top positions: a new transaction's first edges come
+   in from vertices allocated before it (its session predecessor, the
+   writers it read), and a position above theirs keeps those edges on
+   the insert path that needs no reorder. *)
+let alloc_unit t =
+  let unit = vertices_per_txn t.level and pk = t.graph.Grow.pk in
+  let base =
+    if Int_vec.length t.free > 0 then Int_vec.pop t.free
+    else begin
+      let base = t.next_vertex in
+      t.next_vertex <- base + unit;
+      Pearce_kelly.ensure pk t.next_vertex;
+      for _ = 1 to unit do
+        Int_vec.push t.vertex_txn (-1)
+      done;
+      base
+    end
+  in
+  for v = base to base + unit - 1 do
+    Pearce_kelly.fresh pk v
+  done;
+  t.total_vertices <- t.total_vertices + unit;
+  base
 
 let alloc_vertices t (txn : Txn.t) =
-  let base = t.next_vertex in
-  let n = vertices_per_txn t.level in
-  t.next_vertex <- base + n;
-  t.total_vertices <- t.total_vertices + n;
+  let base = alloc_unit t in
   Flat_index.set t.txn_vertex txn.Txn.id base;
-  Int_vec.push t.vertex_txn txn.Txn.id;
-  if n = 2 then Int_vec.push t.vertex_txn txn.Txn.id;
+  for v = base to base + vertices_per_txn t.level - 1 do
+    Int_vec.set t.vertex_txn v txn.Txn.id
+  done;
   base
 
 let alloc_helper t =
-  let h = t.next_vertex in
-  t.next_vertex <- h + 1;
-  t.total_vertices <- t.total_vertices + 1;
-  Int_vec.push t.vertex_txn (-1);
+  let h = alloc_unit t in
+  Int_vec.set t.vertex_txn h (-1);
   h
 
 let create ?(skew = 0) ?(ts = Ts.Ignore) ?(gc = Gc_off) ~level ~num_keys () =
@@ -566,9 +638,10 @@ let create ?(skew = 0) ?(ts = Ts.Ignore) ?(gc = Gc_off) ~level ~num_keys () =
       next_vertex = 0;
       vertex_txn = Int_vec.create 256;
       txn_vertex = Flat_index.create ~capacity:256 ();
+      free = Int_vec.create 16;
+      aborted = Int_vec.create 16;
       versions = Versions.create ~num_keys:nk;
       session_last = Flat_index.create ~capacity:16 ();
-      seen_ids = Flat_index.create ~capacity:1024 ();
       commit_ts = Int_vec.create 256;
       commit_helper = Int_vec.create 256;
       last_commit = min_int;
@@ -599,7 +672,6 @@ let create ?(skew = 0) ?(ts = Ts.Ignore) ?(gc = Gc_off) ~level ~num_keys () =
     }
   in
   let init = History.init_txn ~num_keys in
-  Flat_index.set t.seen_ids init.Txn.id 1;
   let init_writes = Txn.final_writes init in
   List.iter
     (fun (k, v) ->
@@ -949,13 +1021,13 @@ let sp_gc_vertices = Obs.Trace.intern "online/gc/vertices"
 (* One GC run: establish the feed frontiers, drop every version record
    whose death the whole fleet of sessions has passed, truncate the
    version chains and the SSER real-time index to the reachable suffix,
-   pin every vertex a future edge can still name, and compact the graph
-   below the smallest pinned order index (the watermark).  Returns the
-   estimated words reclaimed.  Safe only under the documented stream
-   discipline: sessions are serial, streams arrive in commit order, and
-   every session that will ever feed has fed at least once before the
-   first GC (a session joining later must not read versions older than
-   the current frontier). *)
+   pin every vertex a future edge can still name, and free every vertex
+   unit below the smallest pinned position (the watermark) in place.
+   Returns the estimated words reclaimed.  Safe only under the documented
+   stream discipline: sessions are serial, streams arrive in commit
+   order, and every session that will ever feed has fed at least once
+   before the first GC (a session joining later must not read versions
+   older than the current frontier). *)
 let gc t =
   if t.poisoned <> None || Int_vec.length t.sl_pos = 0 then 0
   else begin
@@ -1024,29 +1096,32 @@ let gc t =
     (* 3. SSER real-time index: a future search runs with start_ts > S,
        so it lands at or after the position S itself lands at — keep
        that suffix. *)
-    let rt_start =
-      if t.level <> Checker.SSER then 0
-      else begin
-        let len = Int_vec.length t.commit_ts in
-        let lo = ref 0 and hi = ref (len - 1) and best = ref (-1) in
-        while !lo <= !hi do
-          let mid = (!lo + !hi) / 2 in
-          if Int_vec.get t.commit_ts mid + t.skew < s then begin
-            best := mid;
-            lo := mid + 1
-          end
-          else hi := mid - 1
-        done;
-        Stdlib.max 0 !best
-      end
-    in
+    if t.level = Checker.SSER then begin
+      let len = Int_vec.length t.commit_ts in
+      let lo = ref 0 and hi = ref (len - 1) and best = ref (-1) in
+      while !lo <= !hi do
+        let mid = (!lo + !hi) / 2 in
+        if Int_vec.get t.commit_ts mid + t.skew < s then begin
+          best := mid;
+          lo := mid + 1
+        end
+        else hi := mid - 1
+      done;
+      let ncts = Int_vec.create 256 and nch = Int_vec.create 256 in
+      for i = Stdlib.max 0 !best to len - 1 do
+        Int_vec.push ncts (Int_vec.get t.commit_ts i);
+        Int_vec.push nch (Int_vec.get t.commit_helper i)
+      done;
+      t.commit_ts <- ncts;
+      t.commit_helper <- nch
+    end;
     (* 4. Pin every vertex a future edge can name — session-order
        predecessors, resolvable writers, reader/overwriter chain
        members, version-chain writers, surviving real-time helpers.
-       The watermark W is the smallest order index among them: every
-       vertex at or above W survives, everything below can never be
-       traversed again (every future DFS is bounded below by the order
-       index of a pinned endpoint). *)
+       The watermark W is the smallest position among them.  Every
+       future edge names a pinned vertex or a new one (at the top), and
+       every search it starts stays at or above the position of one of
+       its endpoints, so nothing below W is traversed again. *)
     let pk = t.graph.Grow.pk in
     let w = ref max_int in
     let consider v =
@@ -1057,7 +1132,7 @@ let gc t =
     let pin_txn id =
       if id <> History.init_id then begin
         let base = Flat_index.get t.txn_vertex id in
-        if base >= 0 then begin
+        if base >= 0 && base <> aborted_vertex then begin
           consider base;
           if si then consider (base + 1)
         end
@@ -1068,65 +1143,48 @@ let gc t =
     for i = 0 to Int_vec.length t.ch_writer - 1 do
       pin_txn (Int_vec.get t.ch_writer i)
     done;
-    if t.level = Checker.SSER then
-      for i = rt_start to Int_vec.length t.commit_helper - 1 do
-        consider (Int_vec.get t.commit_helper i)
-      done;
+    for i = 0 to Int_vec.length t.commit_helper - 1 do
+      consider (Int_vec.get t.commit_helper i)
+    done;
     let w = !w in
     Obs.Trace.exit sp_gc_pin t1;
     let t1 = Obs.Trace.enter () in
-    (* 5. Compact the graph below the watermark (the implicit initial
-       transaction always survives — it has no in-edges, so edges from
-       it always take the consistent-record path) and migrate the edge
-       labels in the same pass. *)
-    let init_vcount = vertices_per_txn t.level in
-    let pn = Pearce_kelly.n pk in
-    let keep = Array.make pn false in
-    for v = 0 to t.next_vertex - 1 do
-      keep.(v) <- v < init_vcount || Pearce_kelly.order_index pk v >= w
+    (* 5. Every unit wholly below the watermark goes on the free list,
+       its vertex-table entries cleared — except the initial
+       transaction's, which has no in-edges and stays below everything.
+       Survivors keep their ids, so nothing is remapped.  Aborted ids
+       fed since the last run leave the id table too: they have no
+       vertex to free them. *)
+    let unit = vertices_per_txn t.level in
+    let freed = Int_vec.create 64 in
+    let b = ref unit in
+    while !b < t.next_vertex do
+      let base = !b in
+      let id = Int_vec.get t.vertex_txn base in
+      if
+        id <> free_vertex
+        && Pearce_kelly.order_index pk base < w
+        && (unit = 1 || Pearce_kelly.order_index pk (base + 1) < w)
+      then begin
+        if id >= 0 then Flat_index.remove t.txn_vertex id;
+        for v = base to base + unit - 1 do
+          Int_vec.set t.vertex_txn v free_vertex;
+          Int_vec.push freed v
+        done;
+        Int_vec.push t.free base
+      end;
+      b := base + unit
     done;
-    let old_labels = t.graph.Grow.labels in
-    let new_labels = Flat_index.create ~capacity:256 () in
-    let remap =
-      Pearce_kelly.compact pk ~keep ~on_edge:(fun ou ov nu nv ->
-          let p = Flat_index.get old_labels (Grow.edge_key ou ov) in
-          if p >= 0 then Flat_index.set new_labels (Grow.edge_key nu nv) p)
-    in
-    t.graph.Grow.labels <- new_labels;
-    t.graph.Grow.capacity <- Pearce_kelly.n pk;
-    Obs.Trace.exit sp_gc_graph t1;
-    let t1 = Obs.Trace.enter () in
-    (* 6. Re-home the vertex-keyed side tables under the remap. *)
-    let old_vt = t.vertex_txn in
-    let nvt = Int_vec.create 256 in
-    for v = 0 to t.next_vertex - 1 do
-      if remap.(v) >= 0 then Int_vec.push nvt (Int_vec.get old_vt v)
+    for i = 0 to Int_vec.length t.aborted - 1 do
+      Flat_index.remove t.txn_vertex (Int_vec.get t.aborted i)
     done;
-    t.vertex_txn <- nvt;
-    let ntv = Flat_index.create ~capacity:256 () in
-    let nseen = Flat_index.create ~capacity:256 () in
-    Flat_index.set nseen History.init_id 1;
-    Flat_index.iter t.txn_vertex (fun id base ->
-        if base < pn && remap.(base) >= 0 then begin
-          Flat_index.set ntv id remap.(base);
-          Flat_index.set nseen id 1
-        end);
-    t.txn_vertex <- ntv;
-    t.seen_ids <- nseen;
-    if t.level = Checker.SSER then begin
-      let len = Int_vec.length t.commit_ts in
-      let ncts = Int_vec.create 256 and nch = Int_vec.create 256 in
-      for i = rt_start to len - 1 do
-        Int_vec.push ncts (Int_vec.get t.commit_ts i);
-        Int_vec.push nch remap.(Int_vec.get t.commit_helper i)
-      done;
-      t.commit_ts <- ncts;
-      t.commit_helper <- nch
-    end;
-    (* version-chain nodes reference writers by txn id, not vertex, so
-       the chains themselves need no remap *)
-    t.next_vertex <- Pearce_kelly.n pk;
+    Int_vec.clear t.aborted;
     Obs.Trace.exit sp_gc_vertices t1;
+    let t1 = Obs.Trace.enter () in
+    (* 6. Free them in the graph, by their edges. *)
+    Pearce_kelly.free pk
+      (Array.sub (Int_vec.data freed) 0 (Int_vec.length freed));
+    Obs.Trace.exit sp_gc_graph t1;
     let after = live_words t in
     t.gc_floor <- after;
     t.gc_runs <- t.gc_runs + 1;
@@ -1156,7 +1214,7 @@ let add_txn_inner t (txn : Txn.t) =
   match t.poisoned with
   | Some v -> Violation v
   | None -> (
-      if Flat_index.mem t.seen_ids txn.Txn.id || txn.Txn.id <= 0 then
+      if Flat_index.mem t.txn_vertex txn.Txn.id || txn.Txn.id <= 0 then
         invalid_arg
           (Printf.sprintf "Online.add_txn: transaction id %d invalid or reused"
              txn.Txn.id);
@@ -1170,11 +1228,12 @@ let add_txn_inner t (txn : Txn.t) =
              "Online.add_txn: SSER streams must arrive in commit order"
            else
              "Online.add_txn: timestamp modes need commit-order streams");
-      Flat_index.set t.seen_ids txn.Txn.id 1;
       t.count <- t.count + 1;
       note_session t txn.Txn.session txn.Txn.commit_ts;
       match txn.Txn.status with
       | Txn.Aborted ->
+          Flat_index.set t.txn_vertex txn.Txn.id aborted_vertex;
+          Int_vec.push t.aborted txn.Txn.id;
           Array.iter
             (fun op ->
               match op with
@@ -1262,16 +1321,15 @@ let encode buf t =
   Buffer.add_char buf (Char.chr (level_byte t.level));
   Binio_core.add_varint buf t.skew;
   Buffer.add_char buf (Char.chr (ts_byte t.ts_mode));
-  Binio_core.add_uvarint buf t.graph.Grow.capacity;
   Binio_core.add_uvarint buf t.graph.Grow.edge_count;
   Pearce_kelly.encode buf t.graph.Grow.pk;
-  Flat_index.encode buf t.graph.Grow.labels;
   Binio_core.add_uvarint buf t.next_vertex;
   Int_vec.encode buf t.vertex_txn;
   Flat_index.encode buf t.txn_vertex;
+  Int_vec.encode buf t.free;
+  Int_vec.encode buf t.aborted;
   Versions.encode buf t.versions;
   Flat_index.encode buf t.session_last;
-  Flat_index.encode buf t.seen_ids;
   Int_vec.encode buf t.commit_ts;
   Int_vec.encode buf t.commit_helper;
   Binio_core.add_varint buf t.last_commit;
@@ -1307,19 +1365,16 @@ let decode r =
   let level = level_of_byte (Binio_core.read_byte r) in
   let skew = Binio_core.read_varint r in
   let ts_mode = ts_of_byte (Binio_core.read_byte r) in
-  let capacity = Binio_core.read_uvarint r in
   let edge_count = Binio_core.read_uvarint r in
   let pk = Pearce_kelly.decode r in
-  let labels = Flat_index.decode r in
-  if Pearce_kelly.n pk > capacity then
-    Binio_core.fail "online snapshot: capacity %d below vertex count" capacity;
-  let graph = { Grow.pk; capacity; edge_count; labels } in
+  let graph = { Grow.pk; edge_count } in
   let next_vertex = Binio_core.read_uvarint r in
   let vertex_txn = Int_vec.decode r in
   let txn_vertex = Flat_index.decode r in
+  let free = Int_vec.decode r in
+  let aborted = Int_vec.decode r in
   let versions = Versions.decode r in
   let session_last = Flat_index.decode r in
-  let seen_ids = Flat_index.decode r in
   let commit_ts = Int_vec.decode r in
   let commit_helper = Int_vec.decode r in
   let last_commit = Binio_core.read_varint r in
@@ -1358,9 +1413,6 @@ let decode r =
   let sessions = Flat_index.decode r in
   let sl_pos = Int_vec.decode r in
   let sl_cts = Int_vec.decode r in
-  if next_vertex <> Int_vec.length vertex_txn then
-    Binio_core.fail "online snapshot: vertex map length %d <> next vertex %d"
-      (Int_vec.length vertex_txn) next_vertex;
   if total_vertices < next_vertex then
     Binio_core.fail "online snapshot: total vertices %d below live %d"
       total_vertices next_vertex;
@@ -1368,45 +1420,52 @@ let decode r =
     Int_vec.length sl_pos <> Int_vec.length sl_cts
     || Flat_index.length sessions <> Int_vec.length sl_pos
   then Binio_core.fail "online snapshot: session frontier tables disagree";
-  {
-    level;
-    skew;
-    ts_mode;
-    num_keys;
-    graph;
-    next_vertex;
-    vertex_txn;
-    txn_vertex;
-    versions;
-    session_last;
-    seen_ids;
-    commit_ts;
-    commit_helper;
-    last_commit;
-    count;
-    poisoned = None;
-    chain_head;
-    ch_commit;
-    ch_writer;
-    ch_value;
-    ch_next;
-    ts_slow;
-    ts_fast;
-    ts_mismatched;
-    gc_policy;
-    gc_floor;
-    gc_runs;
-    gc_reclaimed;
-    gc_last_ns = 0;
-    total_vertices;
-    fin_cur;
-    fin_prev;
-    ab_pending;
-    ab_words = ab_pending_words ab_pending;
-    sessions;
-    sl_pos;
-    sl_cts;
-  }
+  let t =
+    {
+      level;
+      skew;
+      ts_mode;
+      num_keys;
+      graph;
+      next_vertex;
+      vertex_txn;
+      txn_vertex;
+      free;
+      aborted;
+      versions;
+      session_last;
+      commit_ts;
+      commit_helper;
+      last_commit;
+      count;
+      poisoned = None;
+      chain_head;
+      ch_commit;
+      ch_writer;
+      ch_value;
+      ch_next;
+      ts_slow;
+      ts_fast;
+      ts_mismatched;
+      gc_policy;
+      gc_floor;
+      gc_runs;
+      gc_reclaimed;
+      gc_last_ns = 0;
+      total_vertices;
+      fin_cur;
+      fin_prev;
+      ab_pending;
+      ab_words = ab_pending_words ab_pending;
+      sessions;
+      sl_pos;
+      sl_cts;
+    }
+  in
+  (match vertex_tables_error t with
+  | Some e -> Binio_core.fail "online snapshot: %s" e
+  | None -> ());
+  t
 
 let check_stream ?skew ?ts ?gc ~level ~num_keys txns =
   let t = create ?skew ?ts ?gc ~level ~num_keys () in

@@ -34,15 +34,16 @@
     transactions to arrive in commit-timestamp order (the natural
     stream order), which keeps the chains sorted by construction. *)
 
-(** The growable labelled Pearce–Kelly graph backing the checker.
-    Exposed for white-box tests of its edge accounting: duplicate edges
-    are accepted without bumping the count, capacity grows in place
-    without replaying edges, and a rejected (cycle-closing) edge leaves
-    no label behind. *)
+(** The labelled Pearce–Kelly graph backing the checker: each edge's
+    label rides in its successor entry.  Exposed for white-box tests of
+    its edge accounting: duplicate edges are accepted without bumping
+    the count, and a rejected (cycle-closing) edge leaves no label
+    behind. *)
 module Grow : sig
   type t
 
   val create : unit -> t
+  (** A graph with room for 64 vertices. *)
 
   val add_edge : t -> int -> int -> Deps.dep -> (unit, int list) result
   (** [add_edge t u v lab] inserts [u -> v] labelled [lab].  A duplicate
@@ -54,7 +55,7 @@ module Grow : sig
       accepted. *)
 
   val edge_count : t -> int
-  (** Distinct edges accepted so far. *)
+  (** Distinct edges accepted so far; freeing edges does not lower it. *)
 end
 
 (** The version table behind every value-derived edge: one slot per
@@ -142,8 +143,12 @@ type t
     counterexamples and {!stats} counters are identical to an unbounded
     run.  A compaction drops the version records ({!Versions} slots)
     whose death every session's feed frontier has passed, truncates the
-    timestamp chains and the SSER real-time index, and compacts the
-    graph below the oldest vertex a future edge can still name.  Known
+    timestamp chains and the SSER real-time index, and frees in place
+    every graph vertex below the oldest position a future edge can still
+    reach: by its edges, its id going on a free list that later
+    transactions reuse.  Survivors keep their ids, so nothing is
+    renumbered, and a run costs the pin scan, the version table and what
+    it frees — not a rebuild of what it keeps.  Known
     sharp edges, all below the watermark only: duplicate writes of a
     pruned value and reuse of a pruned transaction id are no longer
     detected, and under [Ts.Verify] a {e lying} oracle whose
@@ -196,8 +201,8 @@ val gc_policy : t -> gc
 val gc : t -> int
 (** Run one watermark compaction now (regardless of policy — tests use
     this for GC-after-every-txn torture).  Returns the estimated words
-    reclaimed; a no-op (0) on a poisoned checker or before any session
-    has fed. *)
+    reclaimed (the fall in {!live_words}); a no-op (0) on a poisoned
+    checker or before any session has fed. *)
 
 val gc_runs : t -> int
 (** Compactions performed so far (manual + automatic). *)
@@ -212,14 +217,18 @@ val gc_reclaimed_words : t -> int
 
 val live_words : t -> int
 (** Estimated words of memory retained by the checker's live
-    structures: the capacity of every table, vector and graph array it
-    holds.  O(1).  The auto-GC trigger compares it with the policy
-    ceiling every 64 feeds. *)
+    structures.  O(1).  What GC frees in place — graph vertices and
+    edges, id-table bindings — counts by what is live, so a compaction
+    lowers the estimate by what it frees and the [Gc_auto] floor
+    follows; what GC rebuilds (the version table, the chains, the SSER
+    index) counts by capacity.  The auto-GC trigger compares it with the
+    policy ceiling every 64 feeds. *)
 
 val check_invariant : t -> bool
-(** For tests: the running capacity totals behind {!live_words} equal a
-    recount of the vectors they cover, and the graph satisfies
-    {!Pearce_kelly.check_invariant}. *)
+(** For tests: the running capacity total behind {!live_words} equals a
+    recount, the graph satisfies {!Pearce_kelly.check_invariant}, and
+    the vertex tables and free list agree with each other and the
+    graph. *)
 
 val watermark_pos : t -> int
 (** The GC horizon as it stands right now: the minimum arrival
@@ -266,7 +275,8 @@ val encode : Buffer.t -> t -> unit
 val decode : Binio_core.reader -> t
 (** Inverse of {!encode}.
     @raise Binio_core.Decode_error on truncated, malformed or
-    inconsistent input. *)
+    inconsistent input — among it a free-list entry that is out of
+    range, repeated, live or the initial transaction's. *)
 
 val check_stream :
   ?skew:int -> ?ts:Ts.mode -> ?gc:gc -> level:Checker.level -> num_keys:int ->

@@ -6,52 +6,56 @@
    inside [List.iteri], O(k²) in the affected-region size k.  This
    version is flat ints end to end:
 
-   - adjacency: one growable {!Int_vec} per vertex and direction;
-   - edge membership: a single open-addressed int set over packed
-     [(u lsl 31) lor v] keys (backward-shift deletion, no tombstones, so
-     the SAT solver's backtracking [remove_edge] stays cheap);
+   - edges: one growable {!Int_vec} per vertex and direction and nothing
+     else.  A successor entry packs the edge's label above the target
+     ([(label lsl 31) lor v]); a predecessor entry is the source.  An
+     edge is found by scanning the shorter of its source's successors
+     and its target's predecessors — every edge the online checker adds
+     has a just-allocated endpoint, so that side is a handful of
+     entries — and no edge-set hash table is probed, grown or kept;
    - DFS scratch: epoch-stamped mark/parent arrays and reusable stack
      vectors, so discovery allocates nothing;
    - reorder: in-place heapsort of the two affected regions by current
-     order index, then a linear merge of their index pools — O(k log k)
+     position, then a linear merge of their position pools — O(k log k)
      and allocation-free.
 
-   Capacity grows in place ({!ensure}): new vertices are isolated and
-   take the largest order indices, so existing edges and the maintained
-   order survive a grow — callers no longer replay their edge list. *)
+   Vertex ids are stable.  Capacity grows in place ({!ensure}): new
+   vertices are isolated and take positions above every other, so
+   existing edges and the maintained order survive a grow.  {!free}
+   isolates a batch of vertices by their edges, and {!fresh} hands an
+   isolated id a new top position for reuse.  Positions are therefore
+   distinct but not dense: a reorder only permutes the positions of the
+   vertices it touches, and nothing indexes by position. *)
 
 type t = {
   mutable n : int;
-  mutable succ : Int_vec.t array;
-  mutable pred : Int_vec.t array;
-  mutable adj_words : int;  (* summed capacity of every succ/pred vector *)
-  mutable ord : int array;  (* vertex -> topological index (a permutation) *)
-  (* open-addressed edge set over packed (u, v); -1 marks an empty slot *)
-  mutable eset : int array;
-  mutable emask : int;  (* capacity - 1; capacity is a power of two *)
+  mutable succ : Int_vec.t array;  (* entries (label lsl 31) lor target *)
+  mutable pred : Int_vec.t array;  (* entries: the source *)
+  mutable ord : int array;  (* vertex -> position: distinct, not dense *)
+  mutable top : int;  (* above every position handed out so far *)
   mutable ecount : int;
-  (* reusable DFS / reorder scratch *)
+  (* reusable DFS / reorder / free scratch *)
   mutable mark : int array;  (* epoch stamps: mark.(v) = epoch <=> visited *)
   mutable epoch : int;
   mutable parent : int array;  (* valid only for vertices marked this epoch *)
   stack : Int_vec.t;
   df : Int_vec.t;  (* forward-affected region *)
   db : Int_vec.t;  (* backward-affected region *)
-  pool : Int_vec.t;  (* merged order-index pool *)
+  pool : Int_vec.t;  (* merged position pool *)
 }
 
-let rec ceil_pow2 n c = if c >= n then c else ceil_pow2 n (2 * c)
+(* The adjacency of a vertex with no edges in that direction, shared by
+   every such slot and never pushed to: a vertex gets its own vector at
+   its first edge, so unused capacity and freed vertices hold none. *)
+let no_edges = Int_vec.create 0
 
 let create n =
-  let cap = ceil_pow2 (Stdlib.max 16 n) 16 in
   {
     n;
-    succ = Array.init n (fun _ -> Int_vec.create 4);
-    pred = Array.init n (fun _ -> Int_vec.create 4);
-    adj_words = 8 * n;
+    succ = Array.make n no_edges;
+    pred = Array.make n no_edges;
     ord = Array.init n (fun i -> i);
-    eset = Array.make cap (-1);
-    emask = cap - 1;
+    top = n;
     ecount = 0;
     mark = Array.make n 0;
     epoch = 0;
@@ -67,123 +71,79 @@ let num_edges t = t.ecount
 
 let ensure t needed =
   if needed > t.n then begin
-    let old_n = t.n and old_succ = t.succ and old_pred = t.pred in
-    t.succ <-
-      Array.init needed (fun i ->
-          if i < old_n then old_succ.(i) else Int_vec.create 4);
-    t.pred <-
-      Array.init needed (fun i ->
-          if i < old_n then old_pred.(i) else Int_vec.create 4);
-    t.adj_words <- t.adj_words + (8 * (needed - old_n));
-    (* new vertices are isolated: giving them their own index extends the
-       permutation with the largest order positions, which any existing
-       topological order is consistent with *)
-    let ord = Array.init needed (fun i -> i) in
+    let old_n = t.n in
+    let n = Stdlib.max needed (2 * old_n) in
+    let vecs a =
+      let a' = Array.make n no_edges in
+      Array.blit a 0 a' 0 old_n;
+      a'
+    in
+    t.succ <- vecs t.succ;
+    t.pred <- vecs t.pred;
+    (* new vertices are isolated: positions above every existing one are
+       consistent with any topological order *)
+    let ord = Array.init n (fun i -> t.top + i - old_n) in
     Array.blit t.ord 0 ord 0 old_n;
     t.ord <- ord;
-    let mark = Array.make needed 0 in
+    t.top <- t.top + n - old_n;
+    let mark = Array.make n 0 in
     Array.blit t.mark 0 mark 0 old_n;
     t.mark <- mark;
-    let parent = Array.make needed (-1) in
+    let parent = Array.make n (-1) in
     Array.blit t.parent 0 parent 0 old_n;
     t.parent <- parent;
-    t.n <- needed
+    t.n <- n
   end
 
-(* --- edge-membership set --- *)
+(* --- edges --- *)
 
-let pack u v = (u lsl 31) lor v
+let vmask = (1 lsl 31) - 1
+let max_label = (1 lsl 31) - 1
 
-let eslot mask k =
-  let h = k * 0x2545F4914F6CDD1D in
-  (h lxor (h lsr 31)) land mask
-
-(* Index of [k]'s slot if present, of the insertion slot otherwise. *)
-let eprobe t k =
-  let i = ref (eslot t.emask k) in
-  while t.eset.(!i) <> -1 && t.eset.(!i) <> k do
-    i := (!i + 1) land t.emask
+(* Index in [vec] of the first entry [e] with [e land mask = x], or -1. *)
+let find vec mask x =
+  let a = Int_vec.data vec and len = Int_vec.length vec in
+  let i = ref 0 in
+  while !i < len && a.(!i) land mask <> x do
+    incr i
   done;
-  !i
+  if !i < len then !i else -1
 
-let egrow t =
-  let old = t.eset in
-  let cap = 2 * Array.length old in
-  t.eset <- Array.make cap (-1);
-  t.emask <- cap - 1;
-  Array.iter (fun k -> if k <> -1 then t.eset.(eprobe t k) <- k) old
+let mem_edge t u v =
+  let sv = t.succ.(u) and pv = t.pred.(v) in
+  if Int_vec.length sv <= Int_vec.length pv then find sv vmask v >= 0
+  else find pv (-1) u >= 0
 
-let eadd t k =
-  (* keep the load factor at or below 1/2 *)
-  if 2 * (t.ecount + 1) > Array.length t.eset then egrow t;
-  let i = eprobe t k in
-  if t.eset.(i) <> k then begin
-    t.eset.(i) <- k;
-    t.ecount <- t.ecount + 1
-  end
+let label t u v =
+  let sv = t.succ.(u) in
+  let i = find sv vmask v in
+  if i < 0 then -1 else Int_vec.get sv i lsr 31
 
-let eremove t k =
-  let i = eprobe t k in
-  if t.eset.(i) = k then begin
-    t.ecount <- t.ecount - 1;
-    t.eset.(i) <- -1;
-    (* backward-shift deletion: re-seat later entries of the probe run so
-       lookups never need tombstones *)
-    let mask = t.emask in
-    let hole = ref i and j = ref i and scanning = ref true in
-    while !scanning do
-      j := (!j + 1) land mask;
-      let k' = t.eset.(!j) in
-      if k' = -1 then scanning := false
-      else begin
-        let h = eslot mask k' in
-        (* the entry may stay iff its home slot lies cyclically in
-           (hole, j]; otherwise it moves back into the hole *)
-        let stays =
-          if !j > !hole then h > !hole && h <= !j else h > !hole || h <= !j
-        in
-        if not stays then begin
-          t.eset.(!hole) <- k';
-          t.eset.(!j) <- -1;
-          hole := !j
-        end
-      end
-    done
-  end
-
-let mem_edge t u v = t.eset.(eprobe t (pack u v)) <> -1
-
-(* --- adjacency --- *)
-
-let vec_remove vec x =
+let swap_remove vec i =
   let len = Int_vec.length vec in
-  let rec find i =
-    if i >= len then -1 else if Int_vec.get vec i = x then i else find (i + 1)
-  in
-  let i = find 0 in
-  if i >= 0 then begin
-    Int_vec.set vec i (Int_vec.get vec (len - 1));
-    ignore (Int_vec.pop vec)
+  Int_vec.set vec i (Int_vec.get vec (len - 1));
+  ignore (Int_vec.pop vec)
+
+let push_adj vecs u x =
+  let vec = vecs.(u) in
+  if vec == no_edges then begin
+    let vec = Int_vec.create 4 in
+    Int_vec.push vec x;
+    vecs.(u) <- vec
   end
+  else Int_vec.push vec x
 
-(* Push onto an adjacency vector, charging any capacity doubling to
-   [adj_words] — the only place a vector's capacity changes between
-   rebuilds ([remove_edge] only shrinks lengths). *)
-let push_adj t vec x =
-  let cap = Array.length (Int_vec.data vec) in
-  Int_vec.push vec x;
-  t.adj_words <- t.adj_words + Array.length (Int_vec.data vec) - cap
-
-let record_edge t u v =
-  push_adj t t.succ.(u) v;
-  push_adj t t.pred.(v) u;
-  eadd t (pack u v)
+let record_edge t u v lab =
+  push_adj t.succ u ((lab lsl 31) lor v);
+  push_adj t.pred v u;
+  t.ecount <- t.ecount + 1
 
 let remove_edge t u v =
-  if mem_edge t u v then begin
-    eremove t (pack u v);
-    vec_remove t.succ.(u) v;
-    vec_remove t.pred.(v) u
+  let i = find t.succ.(u) vmask v in
+  if i >= 0 then begin
+    swap_remove t.succ.(u) i;
+    swap_remove t.pred.(v) (find t.pred.(v) (-1) u);
+    t.ecount <- t.ecount - 1
   end
 
 let order_index t v = t.ord.(v)
@@ -208,7 +168,7 @@ let dfs_forward t v ~ub ~target =
     let deg = Int_vec.length sv in
     let i = ref 0 in
     while (not !hit) && !i < deg do
-      let w = Int_vec.get sv !i in
+      let w = Int_vec.get sv !i land vmask in
       if t.ord.(w) <= ub && t.mark.(w) <> ep then begin
         t.parent.(w) <- x;
         if w = target then hit := true
@@ -250,9 +210,8 @@ let build_path t ~v ~target =
   let rec path acc x = if x = v then x :: acc else path (x :: acc) t.parent.(x) in
   path [] target
 
-(* In-place heapsort of [vec]'s prefix keyed by current order index —
-   ord is a permutation, so keys are distinct and the result order is
-   deterministic. *)
+(* In-place heapsort of [vec]'s prefix keyed by current position —
+   positions are distinct, so the result order is deterministic. *)
 let sort_by_ord t vec =
   let a = Int_vec.data vec and len = Int_vec.length vec in
   let ord = t.ord in
@@ -291,12 +250,14 @@ let c_reorders =
     ~help:"Accepted edges that required reordering an affected region"
     "mtc_pk_reorders_total"
 
-let add_edge t u v =
+let add_labelled_edge t u v lab =
+  if lab < 0 || lab > max_label then
+    invalid_arg "Pearce_kelly.add_labelled_edge: label out of range";
   if u = v then Error [ u ]
   else if mem_edge t u v then Ok ()
   else if t.ord.(u) < t.ord.(v) then begin
     (* already consistent with the order: just record *)
-    record_edge t u v;
+    record_edge t u v lab;
     Obs.Counter.incr c_inserts;
     Ok ()
   end
@@ -305,10 +266,10 @@ let add_edge t u v =
     Error (build_path t ~v ~target:u)
   else begin
     let t0 = Obs.Trace.enter () in
-    (* affected region: ord in [ord(v), ord(u)].  delta_b (reaching u)
-       takes the smallest indices of the combined pool, then delta_f
-       (reachable from v) — each group keeping its internal relative
-       order. *)
+    (* affected region: positions in [ord(v), ord(u)].  delta_b
+       (reaching u) takes the smallest positions of the combined pool,
+       then delta_f (reachable from v) — each group keeping its internal
+       relative order. *)
     dfs_backward t u ~lb:t.ord.(v);
     sort_by_ord t t.df;
     sort_by_ord t t.db;
@@ -337,146 +298,139 @@ let add_edge t u v =
       ord.(df.(j)) <- pool.(!k);
       incr k
     done;
-    record_edge t u v;
+    record_edge t u v lab;
     Obs.Counter.incr c_inserts;
     Obs.Counter.incr c_reorders;
     Obs.Trace.exit sp_reorder t0;
     Ok ()
   end
 
+let add_edge t u v = add_labelled_edge t u v 0
+
 let iter_succ t u f =
   let sv = t.succ.(u) in
   for i = 0 to Int_vec.length sv - 1 do
-    f (Int_vec.get sv i)
+    f (Int_vec.get sv i land vmask)
   done
 
-(* [adj_words] recounted over every vertex: where the vectors are
-   rebuilt wholesale ({!compact}, {!decode}) and in {!check_invariant}. *)
-let count_adj_words t =
-  let adj = ref 0 in
-  for v = 0 to t.n - 1 do
-    adj :=
-      !adj
-      + Array.length (Int_vec.data t.succ.(v))
-      + Array.length (Int_vec.data t.pred.(v))
-  done;
-  !adj
-
-(* ord + mark + parent + two words of header per adjacency vector *)
-let words t = (5 * t.n) + t.adj_words + Array.length t.eset
-
-(* Watermark compaction: drop every vertex [keep] rejects and renumber
-   the survivors to a dense prefix, preserving their relative
-   topological order.  Soundness is the caller's obligation: no future
-   edge may name a dropped vertex, and — because every recorded edge
-   goes forward in the order — a dropped vertex can only be adjacent to
-   other dropped vertices or appear in a survivor's pred list, where a
-   traversal bounded below by a surviving vertex's order index never
-   follows it.  Relative order is preserved exactly, so subsequent
-   insertions discover identical affected regions and cycle witnesses
-   (up to the renumbering) as the uncompacted structure would. *)
-let compact ?(on_edge = fun _ _ _ _ -> ()) t ~keep =
-  if Array.length keep < t.n then
-    invalid_arg "Pearce_kelly.compact: keep array too short";
-  let remap = Array.make t.n (-1) in
-  let m = ref 0 in
-  for v = 0 to t.n - 1 do
-    if keep.(v) then begin
-      remap.(v) <- !m;
-      incr m
+(* Free a batch of vertices by their edges.  Every edge with a freed
+   endpoint is counted off once: an out-edge from its source's
+   successors, an in-edge from a kept vertex from the target's
+   predecessors.  The kept neighbours met on the way are stamped once
+   each and their vectors filtered once each afterwards, so a kept
+   vertex adjacent to many freed ones — the caller's oldest, long-lived
+   vertices — costs its degree once, not once per freed neighbour.  The
+   filter keeps the survivors' relative order. *)
+let free t vs =
+  let ep = t.epoch + 1 in
+  (* [ep] stamps a freed vertex, [ep + 1] a kept neighbour *)
+  t.epoch <- ep + 1;
+  let mark = t.mark in
+  Array.iter (fun f -> mark.(f) <- ep) vs;
+  let kept = t.stack in
+  Int_vec.clear kept;
+  let touch w =
+    if mark.(w) < ep then begin
+      mark.(w) <- ep + 1;
+      Int_vec.push kept w
     end
-  done;
-  let m = !m in
-  let old_of_new = Array.make m 0 in
-  for v = 0 to t.n - 1 do
-    if keep.(v) then old_of_new.(remap.(v)) <- v
-  done;
-  (* re-rank: walk old order positions ascending, assign dense ranks to
-     survivors — an order-respecting renumbering of the permutation *)
-  let inv = Array.make t.n 0 in
-  for v = 0 to t.n - 1 do
-    inv.(t.ord.(v)) <- v
-  done;
-  let ord = Array.make m 0 in
-  let rank = ref 0 in
-  for r = 0 to t.n - 1 do
-    let v = inv.(r) in
-    if keep.(v) then begin
-      ord.(remap.(v)) <- !rank;
-      incr rank
-    end
-  done;
-  let filter_vec ~u vec =
-    let len = Int_vec.length vec in
-    let out = Int_vec.create 4 in
-    for i = 0 to len - 1 do
-      let w = Int_vec.get vec i in
-      if keep.(w) then begin
-        Int_vec.push out remap.(w);
-        if u >= 0 then on_edge u w remap.(u) remap.(w)
+  in
+  Array.iter
+    (fun f ->
+      let sv = t.succ.(f) in
+      t.ecount <- t.ecount - Int_vec.length sv;
+      for i = 0 to Int_vec.length sv - 1 do
+        touch (Int_vec.get sv i land vmask)
+      done;
+      let pv = t.pred.(f) in
+      for i = 0 to Int_vec.length pv - 1 do
+        let w = Int_vec.get pv i in
+        if mark.(w) <> ep then begin
+          t.ecount <- t.ecount - 1;
+          touch w
+        end
+      done;
+      t.succ.(f) <- no_edges;
+      t.pred.(f) <- no_edges)
+    vs;
+  let drop_freed vec mask =
+    let a = Int_vec.data vec in
+    let j = ref 0 in
+    for i = 0 to Int_vec.length vec - 1 do
+      let x = a.(i) in
+      if mark.(x land mask) <> ep then begin
+        a.(!j) <- x;
+        incr j
       end
     done;
-    out
+    if !j < Int_vec.length vec then Int_vec.truncate vec !j
   in
-  let succ =
-    Array.init m (fun j ->
-        let u = old_of_new.(j) in
-        filter_vec ~u t.succ.(u))
-  in
-  let pred = Array.init m (fun j -> filter_vec ~u:(-1) t.pred.(old_of_new.(j))) in
-  t.n <- m;
-  t.succ <- succ;
-  t.pred <- pred;
-  t.adj_words <- count_adj_words t;
-  t.ord <- ord;
-  t.eset <- Array.make 16 (-1);
-  t.emask <- 15;
-  t.ecount <- 0;
-  for u = 0 to m - 1 do
-    let sv = t.succ.(u) in
-    for i = 0 to Int_vec.length sv - 1 do
-      eadd t (pack u (Int_vec.get sv i))
-    done
-  done;
-  t.mark <- Array.make (Stdlib.max 1 m) 0;
-  t.parent <- Array.make (Stdlib.max 1 m) (-1);
-  t.epoch <- 0;
-  remap
+  for i = 0 to Int_vec.length kept - 1 do
+    let w = Int_vec.get kept i in
+    drop_freed t.succ.(w) vmask;
+    drop_freed t.pred.(w) (-1)
+  done
+
+let fresh t v =
+  if Int_vec.length t.succ.(v) > 0 || Int_vec.length t.pred.(v) > 0 then
+    invalid_arg "Pearce_kelly.fresh: the vertex has edges";
+  t.ord.(v) <- t.top;
+  t.top <- t.top + 1
+
+(* Per edge: its successor and predecessor entries, plus the vectors'
+   doubling slack. *)
+let words t = 3 * t.ecount
+
+(* Per vertex: position, mark, parent and the two vector slots, plus
+   the headers and four slots of each direction's first vector. *)
+let vertex_words = 21
 
 let check_invariant t =
   let ok = ref true in
+  let in_range v = v >= 0 && v < t.n in
+  let edges = Hashtbl.create 64 in
   for u = 0 to t.n - 1 do
     let sv = t.succ.(u) in
     for i = 0 to Int_vec.length sv - 1 do
-      if t.ord.(u) >= t.ord.(Int_vec.get sv i) then ok := false
+      let e = Int_vec.get sv i in
+      let v = e land vmask in
+      if e < 0 || (not (in_range v)) || t.ord.(u) >= t.ord.(v)
+         || Hashtbl.mem edges ((u lsl 31) lor v)
+      then ok := false
+      else Hashtbl.replace edges ((u lsl 31) lor v) ()
     done
   done;
-  (* ord must be a permutation *)
-  let seen = Array.make t.n false in
-  Array.iter
-    (fun i -> if i < 0 || i >= t.n || seen.(i) then ok := false else seen.(i) <- true)
-    t.ord;
-  (* adjacency, edge set and edge count must agree *)
-  let edges = ref 0 in
-  for u = 0 to t.n - 1 do
-    let sv = t.succ.(u) in
-    for i = 0 to Int_vec.length sv - 1 do
-      incr edges;
-      if not (mem_edge t u (Int_vec.get sv i)) then ok := false
+  (* every predecessor entry is a recorded edge, none twice *)
+  let preds = ref 0 in
+  for v = 0 to t.n - 1 do
+    let pv = t.pred.(v) in
+    for i = 0 to Int_vec.length pv - 1 do
+      incr preds;
+      let u = Int_vec.get pv i in
+      if not (in_range u && Hashtbl.mem edges ((u lsl 31) lor v)) then ok := false
+      else Hashtbl.remove edges ((u lsl 31) lor v)
     done
   done;
-  if !edges <> t.ecount then ok := false;
-  if t.adj_words <> count_adj_words t then ok := false;
+  if !preds <> t.ecount || Hashtbl.length edges <> 0 then ok := false;
+  (* positions are distinct and below [top] *)
+  let sorted = Array.copy t.ord in
+  Array.sort compare sorted;
+  Array.iteri
+    (fun i o ->
+      if o < 0 || o >= t.top || (i > 0 && sorted.(i - 1) = o) then ok := false)
+    sorted;
   !ok
 
-(* Snapshot codec.  The succ/pred vectors and the order permutation are
-   serialized verbatim: DFS discovery iterates succ (forward) and pred
-   (backward) in push order and ties are broken by [ord], so a restored
-   graph renders byte-identical cycle witnesses.  The edge set, edge
-   count and scratch arrays are derivable — rebuilt on decode. *)
+(* Snapshot codec.  The succ/pred vectors (labels packed in the
+   successor entries) and the positions are serialized verbatim: DFS
+   discovery iterates succ (forward) and pred (backward) in push order,
+   so a restored graph renders byte-identical cycle witnesses.  The
+   edge count and the scratch arrays are derivable — rebuilt on
+   decode. *)
 
 let encode buf t =
   Binio_core.add_uvarint buf t.n;
+  Binio_core.add_uvarint buf t.top;
   for v = 0 to t.n - 1 do
     Binio_core.add_uvarint buf t.ord.(v)
   done;
@@ -492,29 +446,20 @@ let decode r =
   if n < 0 || n > Binio_core.remaining r then
     Binio_core.fail "pearce_kelly vertex count %d overruns input" n;
   let t = create n in
-  let seen = Array.make (Stdlib.max 1 n) false in
+  t.top <- Binio_core.read_uvarint r;
   for v = 0 to n - 1 do
-    let o = Binio_core.read_uvarint r in
-    if o < 0 || o >= n || seen.(o) then
-      Binio_core.fail "pearce_kelly order is not a permutation at vertex %d" v;
-    seen.(o) <- true;
-    t.ord.(v) <- o
+    t.ord.(v) <- Binio_core.read_uvarint r
+  done;
+  let vec () =
+    let v = Int_vec.decode r in
+    if Int_vec.length v = 0 then no_edges else v
+  in
+  for v = 0 to n - 1 do
+    t.succ.(v) <- vec ();
+    t.ecount <- t.ecount + Int_vec.length t.succ.(v)
   done;
   for v = 0 to n - 1 do
-    t.succ.(v) <- Int_vec.decode r
-  done;
-  for v = 0 to n - 1 do
-    t.pred.(v) <- Int_vec.decode r
-  done;
-  t.adj_words <- count_adj_words t;
-  for u = 0 to n - 1 do
-    let sv = t.succ.(u) in
-    for i = 0 to Int_vec.length sv - 1 do
-      let v = Int_vec.get sv i in
-      if v < 0 || v >= n then
-        Binio_core.fail "pearce_kelly successor %d out of range" v;
-      eadd t (pack u v)
-    done
+    t.pred.(v) <- vec ()
   done;
   if not (check_invariant t) then
     Binio_core.fail "pearce_kelly snapshot violates the order invariant";

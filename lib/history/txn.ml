@@ -50,56 +50,135 @@ let final_write ops k =
   in
   back (Array.length ops - 1)
 
-(* Fold over ops keeping per-key first-external-read and last-write, in
-   first-occurrence order.  These three projections are what the paper's
-   [|-] judgements denote.  Hashtables, not rescans: the initial
-   transaction writes every key. *)
+(* The projections the paper's [|-] judgements denote, each in
+   first-occurrence order.  Up to [short] ops they rescan the array, as
+   the flat scans above do: no table to build, and mini-transactions
+   have at most four ops.  Rescanning is quadratic, so longer arrays
+   (the initial transaction writes every key) fold into hashtables. *)
+
+let short = 8
+
+(* No write before [i] writes [k]. *)
+let first_write ops i k =
+  let rec earlier j =
+    j >= i
+    ||
+    match ops.(j) with
+    | Op.Write (k', _) when k' = k -> false
+    | Op.Write _ | Op.Read _ -> earlier (j + 1)
+  in
+  earlier 0
+
+(* The value of the last write to [k], which must exist. *)
+let last_value ops k =
+  match ops.(final_write ops k) with
+  | Op.Write (_, v) -> v
+  | Op.Read _ -> assert false
 
 let external_reads t =
-  let written = Hashtbl.create 4 in
-  let seen = Hashtbl.create 4 in
-  let acc = ref [] in
-  Array.iter
-    (fun op ->
-      match op with
-      | Op.Write (k, _) -> Hashtbl.replace written k ()
-      | Op.Read (k, v) ->
-          if (not (Hashtbl.mem written k)) && not (Hashtbl.mem seen k) then begin
-            Hashtbl.replace seen k ();
-            acc := (k, v) :: !acc
-          end)
-    t.ops;
-  List.rev !acc
+  let ops = t.ops in
+  let n = Array.length ops in
+  if n <= short then begin
+    let acc = ref [] in
+    for i = n - 1 downto 0 do
+      match ops.(i) with
+      | Op.Read (k, v) when is_external_read ops i k -> acc := (k, v) :: !acc
+      | Op.Read _ | Op.Write _ -> ()
+    done;
+    !acc
+  end
+  else begin
+    let written = Hashtbl.create 4 in
+    let seen = Hashtbl.create 4 in
+    let acc = ref [] in
+    Array.iter
+      (fun op ->
+        match op with
+        | Op.Write (k, _) -> Hashtbl.replace written k ()
+        | Op.Read (k, v) ->
+            if (not (Hashtbl.mem written k)) && not (Hashtbl.mem seen k) then begin
+              Hashtbl.replace seen k ();
+              acc := (k, v) :: !acc
+            end)
+      ops;
+    List.rev !acc
+  end
 
 let final_writes t =
-  let last = Hashtbl.create 4 in
-  let order = ref [] in
-  Array.iter
-    (fun op ->
-      match op with
-      | Op.Write (k, v) ->
-          if not (Hashtbl.mem last k) then order := k :: !order;
-          Hashtbl.replace last k v
-      | Op.Read _ -> ())
-    t.ops;
-  List.rev_map (fun k -> (k, Hashtbl.find last k)) !order
+  let ops = t.ops in
+  let n = Array.length ops in
+  if n <= short then begin
+    let acc = ref [] in
+    for i = n - 1 downto 0 do
+      match ops.(i) with
+      | Op.Write (k, _) when first_write ops i k ->
+          acc := (k, last_value ops k) :: !acc
+      | Op.Write _ | Op.Read _ -> ()
+    done;
+    !acc
+  end
+  else begin
+    let last = Hashtbl.create 4 in
+    let order = ref [] in
+    Array.iter
+      (fun op ->
+        match op with
+        | Op.Write (k, v) ->
+            if not (Hashtbl.mem last k) then order := k :: !order;
+            Hashtbl.replace last k v
+        | Op.Read _ -> ())
+      ops;
+    List.rev_map (fun k -> (k, Hashtbl.find last k)) !order
+  end
 
 let intermediate_writes t =
-  let final = Hashtbl.create 4 in
-  List.iter (fun (k, v) -> Hashtbl.replace final k v) (final_writes t);
-  let acc = ref [] in
-  Array.iter
-    (fun op ->
-      match op with
-      | Op.Write (k, v) when Hashtbl.find final k <> v -> acc := (k, v) :: !acc
-      | Op.Write _ | Op.Read _ -> ())
-    t.ops;
-  List.rev !acc
+  let ops = t.ops in
+  let n = Array.length ops in
+  if n <= short then begin
+    let acc = ref [] in
+    for i = n - 1 downto 0 do
+      match ops.(i) with
+      | Op.Write (k, v) when v <> last_value ops k -> acc := (k, v) :: !acc
+      | Op.Write _ | Op.Read _ -> ()
+    done;
+    !acc
+  end
+  else begin
+    let final = Hashtbl.create 4 in
+    List.iter (fun (k, v) -> Hashtbl.replace final k v) (final_writes t);
+    let acc = ref [] in
+    Array.iter
+      (fun op ->
+        match op with
+        | Op.Write (k, v) when Hashtbl.find final k <> v -> acc := (k, v) :: !acc
+        | Op.Write _ | Op.Read _ -> ())
+      ops;
+    List.rev !acc
+  end
 
-let read_of t k = List.assoc_opt k (external_reads t)
-let write_of t k = List.assoc_opt k (final_writes t)
+(* Single-key questions scan once at any length: the first op on [k]
+   decides its external read, the last write its final value. *)
+
+let read_of t k =
+  let ops = t.ops in
+  let n = Array.length ops in
+  let rec go j =
+    if j >= n then None
+    else
+      match ops.(j) with
+      | Op.Read (k', v) when k' = k -> Some v
+      | Op.Write (k', _) when k' = k -> None
+      | Op.Read _ | Op.Write _ -> go (j + 1)
+  in
+  go 0
+
+let write_of t k =
+  let j = final_write t.ops k in
+  if j < 0 then None
+  else match t.ops.(j) with Op.Write (_, v) -> Some v | Op.Read _ -> None
+
 let reads_key t k = read_of t k <> None
-let writes_key t k = write_of t k <> None
+let writes_key t k = writes_key_ops t.ops k
 
 let keys t =
   let seen = Hashtbl.create 4 in

@@ -286,22 +286,53 @@ let post t action =
 (* ------------------------------------------------------------------ *)
 (* Frame egress: encode under the connection's output lock, let the
    event loop write.  Callable from any thread; errors latch [out_dead]
-   so a dead peer cannot wedge a shard. *)
+   so a dead peer cannot wedge a shard.
 
-let send t conn frame =
+   [~direct:true] is for a shard answering its session: when nothing is
+   queued ahead of the frame it writes the frame itself, non-blocking,
+   and hands the event loop only what the socket did not take.  A sync
+   or verdict then reaches the client without waking the event loop's
+   thread, which on a small box may sit on the other CPU.  The write
+   happens under [out_mu] with [out_dead] clear, and [close_conn] sets
+   [out_dead] under [out_mu] before closing the fd, so it never lands on
+   a closed (or reused) descriptor.  The event loop's own sends queue:
+   a refusal or a [Bye] relies on the flush that closes the
+   connection. *)
+
+let send ?(direct = false) t conn frame =
   Mutex.lock conn.out_mu;
   let flush =
     if conn.out_dead then false
     else begin
       Buffer.clear conn.enc_out;
       Wire.encode ~scratch:conn.enc_scratch conn.enc_out frame;
-      Queue.push (Buffer.contents conn.enc_out) conn.outq;
       Metrics.frame_out t.config.metrics;
-      if conn.flush_queued then false
-      else begin
-        conn.flush_queued <- true;
-        true
-      end
+      let enc = Buffer.contents conn.enc_out in
+      let enqueue off =
+        Queue.push enc conn.outq;
+        if Queue.length conn.outq = 1 then conn.outoff <- off;
+        if conn.flush_queued then false
+        else begin
+          conn.flush_queued <- true;
+          true
+        end
+      in
+      if not (direct && Queue.is_empty conn.outq && not conn.flush_queued)
+      then enqueue 0
+      else
+        let len = String.length enc in
+        match Unix.write_substring conn.fd enc 0 len with
+        | n when n = len -> false
+        | n -> enqueue n
+        | exception
+            Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EINTR), _, _)
+          ->
+            enqueue 0
+        | exception (Unix.Unix_error _ | Sys_error _) ->
+            (* the event loop's flush sees [out_dead] and abandons *)
+            conn.out_dead <- true;
+            conn.flush_queued <- true;
+            true
     end
   in
   Mutex.unlock conn.out_mu;
@@ -454,7 +485,7 @@ let process_session t s =
       in
       Mutex.unlock s.smu;
       let send_ep frame =
-        match ep with Some c -> send t c frame | None -> ()
+        match ep with Some c -> send ~direct:true t c frame | None -> ()
       in
       if resume then begin
         Obs.Journal.emit Obs.Journal.Throttle_off ~a:s.sid ~b:0 ~c:0;

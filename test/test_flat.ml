@@ -54,6 +54,54 @@ let test_map_adversarial_keys () =
   done;
   checkb "colliding keys survive" true !ok
 
+(* remove: backward-shift deletion against a Hashtbl model.  Keys from
+   a small range in a table that starts at 16 slots make long probe runs
+   that wrap around the end; after every set, remove or lookup each key
+   of the range must read back what the model holds. *)
+let prop_map_remove =
+  let keys = 48 in
+  let gen =
+    QCheck2.Gen.(
+      list_size (int_range 1 300)
+        (triple (int_range 0 2) (int_range 0 (keys - 1)) (int_range 0 1000)))
+  in
+  let print ops =
+    String.concat "; "
+      (List.map
+         (fun (op, k, v) ->
+           match op with
+           | 0 -> Printf.sprintf "set %d %d" k v
+           | 1 -> Printf.sprintf "remove %d" k
+           | _ -> Printf.sprintf "get %d" k)
+         ops)
+  in
+  QCheck2.Test.make ~name:"flat map: set/get/remove == Hashtbl" ~count:200
+    ~print gen (fun ops ->
+      let m = Flat_index.create () in
+      let h = Hashtbl.create 16 in
+      List.for_all
+        (fun (op, k, v) ->
+          (match op with
+          | 0 ->
+              Flat_index.set m k v;
+              Hashtbl.replace h k v
+          | 1 ->
+              Flat_index.remove m k;
+              Hashtbl.remove h k
+          | _ -> ());
+          Flat_index.length m = Hashtbl.length h
+          && List.for_all
+               (fun k ->
+                 Flat_index.get m k
+                 = Option.value (Hashtbl.find_opt h k) ~default:(-1))
+               (List.init keys Fun.id))
+        ops
+      &&
+      let bound = ref 0 in
+      Flat_index.iter m (fun k v ->
+          if Hashtbl.find_opt h k = Some v then incr bound);
+      !bound = Hashtbl.length h)
+
 (* --- Online.Versions against a Hashtbl model --- *)
 
 module V = Online.Versions
@@ -597,6 +645,7 @@ let suite =
     ("flat map: negative value rejected", `Quick,
      test_map_negative_value_rejected);
     ("flat map: adversarial keys", `Quick, test_map_adversarial_keys);
+    qtest prop_map_remove;
     qtest prop_versions_model;
     ("writers: tier shadowing", `Quick, test_writers_tiers);
     ("writers: unpackable spill", `Quick, test_writers_spill);

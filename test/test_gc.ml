@@ -134,7 +134,11 @@ let test_gc_equivalence_ts_modes () =
     ]
 
 (* A long single-session chain with an aggressive word ceiling stays at
-   a flat memory floor while the unbounded twin grows without bound. *)
+   a flat memory floor while the unbounded twin grows without bound —
+   both by the live-word estimate and by the words really reachable from
+   each checker.  Freed vertex ids must be reused: a copy that only
+   freed them holds per-vertex arrays for all 4000 ids, about 1/6 of
+   the unbounded twin, which the 1/16 bound refuses. *)
 let test_gc_bounded_growth () =
   let n = 4000 in
   let unbounded = Online.create ~level:Checker.SER ~num_keys:1 () in
@@ -156,22 +160,62 @@ let test_gc_bounded_growth () =
   checkb
     (Printf.sprintf "bounded stays small (%d vs %d words)" wb wu)
     true
-    (wb * 4 < wu)
+    (wb * 4 < wu);
+  let ru = Obj.reachable_words (Obj.repr unbounded)
+  and rb = Obj.reachable_words (Obj.repr bounded) in
+  checkb
+    (Printf.sprintf "bounded holds little (%d vs %d reachable words)" rb ru)
+    true
+    (rb * 16 < ru)
 
+(* The auto policy compacts and holds the checker to a bounded size
+   wherever the stream ends between two runs: under 1/8 of the words
+   its unbounded twin reaches (past feed 5,000 it ranges from about
+   1/15 just before a run to 1/47 just after one). *)
 let test_gc_auto_policy () =
+  let unbounded = Online.create ~level:Checker.SER ~num_keys:1 () in
   let bounded =
     Online.create ~gc:Online.Gc_auto ~level:Checker.SER ~num_keys:1 ()
   in
   for i = 1 to 20_000 do
-    ignore
-      (Online.add_txn bounded
-         (Txn.make ~id:i ~session:1 [ Op.Read (0, i - 1); Op.Write (0, i) ]))
+    let t = Txn.make ~id:i ~session:1 [ Op.Read (0, i - 1); Op.Write (0, i) ] in
+    ignore (Online.add_txn unbounded t);
+    ignore (Online.add_txn bounded t)
   done;
   checkb "auto gc ran" true (Online.gc_runs bounded > 0);
-  checki "all seen" 20_000 (Online.txns_seen bounded)
+  checki "all seen" 20_000 (Online.txns_seen bounded);
+  let ru = Obj.reachable_words (Obj.repr unbounded)
+  and rb = Obj.reachable_words (Obj.repr bounded) in
+  checkb
+    (Printf.sprintf "auto holds little (%d vs %d reachable words)" rb ru)
+    true
+    (rb * 8 < ru)
 
 (* Idempotence: with no new transactions the second compaction finds the
    structure already at its floor and reclaims nothing. *)
+(* The estimate counts what is live, not the capacity a peak left
+   behind: a compaction that keeps the same two transactions of a chain
+   lands on the same floor whether 1,000 or 10,000 transactions came
+   before it.  An estimate counting the graph's or a table's capacity
+   would carry the larger peak into the floor — the ratchet that would
+   let [Gc_auto]'s 2x trigger climb after every run. *)
+let test_gc_floor_forgets_peak () =
+  let o = Online.create ~level:Checker.SER ~num_keys:1 () in
+  let feed lo hi =
+    for i = lo to hi do
+      ignore
+        (Online.add_txn o
+           (Txn.make ~id:i ~session:1 [ Op.Read (0, i - 1); Op.Write (0, i) ]))
+    done
+  in
+  feed 1 1_000;
+  checkb "first run reclaims" true (Online.gc o > 0);
+  let floor1 = Online.live_words o in
+  feed 1_001 11_000;
+  checkb "second run reclaims" true (Online.gc o > 0);
+  checki "same floor after a larger peak" floor1 (Online.live_words o);
+  checkb "invariant" true (Online.check_invariant o)
+
 let test_gc_idempotent () =
   let o = Online.create ~level:Checker.SI ~num_keys:4 () in
   for i = 1 to 200 do
@@ -561,6 +605,7 @@ let suite =
     ("GC == unbounded under ts modes", `Quick, test_gc_equivalence_ts_modes);
     ("bounded growth on a long chain", `Quick, test_gc_bounded_growth);
     ("auto policy triggers", `Quick, test_gc_auto_policy);
+    ("GC floor forgets the peak", `Quick, test_gc_floor_forgets_peak);
     ("compaction is idempotent", `Quick, test_gc_idempotent);
     ("no-op on fresh and poisoned checkers", `Quick, test_gc_noop_cases);
     ("policy spellings round-trip", `Quick, test_gc_policy_strings);

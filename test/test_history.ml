@@ -708,6 +708,85 @@ let test_codec_file_roundtrip () =
   | Error e -> Alcotest.fail e);
   Sys.remove path
 
+(* --- Txn projections against the seed's hashtable folds --- *)
+
+(* Verbatim copies of the folds every projection used before the short
+   arrays switched to rescans: the reference the rescans must match,
+   value and first-occurrence order alike. *)
+module Fold = struct
+  let external_reads (t : Txn.t) =
+    let written = Hashtbl.create 4 in
+    let seen = Hashtbl.create 4 in
+    let acc = ref [] in
+    Array.iter
+      (fun op ->
+        match op with
+        | Op.Write (k, _) -> Hashtbl.replace written k ()
+        | Op.Read (k, v) ->
+            if (not (Hashtbl.mem written k)) && not (Hashtbl.mem seen k) then begin
+              Hashtbl.replace seen k ();
+              acc := (k, v) :: !acc
+            end)
+      t.ops;
+    List.rev !acc
+
+  let final_writes (t : Txn.t) =
+    let last = Hashtbl.create 4 in
+    let order = ref [] in
+    Array.iter
+      (fun op ->
+        match op with
+        | Op.Write (k, v) ->
+            if not (Hashtbl.mem last k) then order := k :: !order;
+            Hashtbl.replace last k v
+        | Op.Read _ -> ())
+      t.ops;
+    List.rev_map (fun k -> (k, Hashtbl.find last k)) !order
+
+  let intermediate_writes (t : Txn.t) =
+    let final = Hashtbl.create 4 in
+    List.iter (fun (k, v) -> Hashtbl.replace final k v) (final_writes t);
+    let acc = ref [] in
+    Array.iter
+      (fun op ->
+        match op with
+        | Op.Write (k, v) when Hashtbl.find final k <> v -> acc := (k, v) :: !acc
+        | Op.Write _ | Op.Read _ -> ())
+      t.ops;
+    List.rev !acc
+
+  let read_of t k = List.assoc_opt k (external_reads t)
+  let write_of t k = List.assoc_opt k (final_writes t)
+  let reads_key t k = read_of t k <> None
+  let writes_key t k = write_of t k <> None
+end
+
+(* 0-12 ops over 3 keys and 3 values, so keys and values repeat and the
+   lengths fall on both sides of the rescan cut. *)
+let prop_projections_reference =
+  let gen =
+    QCheck2.Gen.(
+      list_size (int_range 0 12)
+        (let* w = bool in
+         let* k = int_range 0 2 in
+         let* v = int_range 0 2 in
+         return (if w then Op.Write (k, v) else Op.Read (k, v))))
+  in
+  let print ops = String.concat " " (List.map Op.to_string ops) in
+  QCheck2.Test.make ~name:"txn projections == hashtable folds" ~count:1000
+    ~print gen (fun ops ->
+      let t = Txn.make ~id:1 ~session:1 ops in
+      Txn.external_reads t = Fold.external_reads t
+      && Txn.final_writes t = Fold.final_writes t
+      && Txn.intermediate_writes t = Fold.intermediate_writes t
+      && List.for_all
+           (fun k ->
+             Txn.read_of t k = Fold.read_of t k
+             && Txn.write_of t k = Fold.write_of t k
+             && Txn.reads_key t k = Fold.reads_key t k
+             && Txn.writes_key t k = Fold.writes_key t k)
+           [ 0; 1; 2; 3 ])
+
 let suite =
   [
     ("op accessors", `Quick, test_op_accessors);
@@ -722,6 +801,7 @@ let suite =
     ("txn predicates", `Quick, test_txn_predicates);
     ("txn keys order", `Quick, test_txn_keys_order);
     ("txn default timestamps", `Quick, test_txn_default_timestamps);
+    qtest prop_projections_reference;
     ("mini accepts the seven shapes", `Quick, test_mini_accepts_shapes);
     ("mini rejects non-MTs", `Quick, test_mini_rejects);
     ("mini shape_of", `Quick, test_mini_shape_of);

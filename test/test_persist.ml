@@ -199,16 +199,18 @@ let test_snapshot_roundtrip () =
 
 (* A snapshot from another format version must be refused with a
    message that names both versions — even when its CRC is valid — and
-   any tampering that does not fix the CRC must be refused too.  Both a
-   future version and the previous one (whose checker state has a
-   different layout) are refused by name. *)
+   any tampering that does not fix the CRC must be refused too.  A
+   future version and the previous two (whose checker state has a
+   different layout) are refused by name.  Inside a live entry, a
+   checker whose free list names an out-of-range, repeated, live or
+   initial vertex is refused by {!Online.decode}. *)
 let test_snapshot_version_mismatch () =
   let path = temp_name ".snap" in
   Snapshot_store.write ~path ~shard:0 ~nshards:1 ~gen:1 ~next_sid:2 [];
   let full = read_file path in
   let magic_len = 8 and crc_len = 4 in
-  checki "stored version byte" 3 (Char.code full.[magic_len]);
-  (* the version is the payload's leading uvarint; 2, 3 and 4 are all
+  checki "stored version byte" 4 (Char.code full.[magic_len]);
+  (* the version is the payload's leading uvarint; 2 to 5 are all
      single bytes, so patch in place and recompute the trailing CRC *)
   let with_version v =
     let b = Bytes.of_string full in
@@ -232,12 +234,13 @@ let test_snapshot_version_mismatch () =
       | Error e ->
           checkb ("names both versions: " ^ msg) (contains ~sub:msg e) true)
     [
-      (4, "snapshot version 4 (this build reads 3)");
-      (2, "snapshot version 2 (this build reads 3)");
+      (5, "snapshot version 5 (this build reads 4)");
+      (3, "snapshot version 3 (this build reads 4)");
+      (2, "snapshot version 2 (this build reads 4)");
     ];
   (* same patch without the CRC fix: caught as corruption *)
   let b = Bytes.of_string full in
-  Bytes.set b magic_len (Char.chr 4);
+  Bytes.set b magic_len (Char.chr 5);
   write_file path (Bytes.to_string b);
   (match Snapshot_store.read path with
   | Ok _ -> Alcotest.fail "tampered snapshot must be refused"
@@ -249,7 +252,56 @@ let test_snapshot_version_mismatch () =
     | Ok _ -> Alcotest.fail (Printf.sprintf "truncated at %d read Ok" cut)
     | Error _ -> ()
   done;
-  Sys.remove path
+  Sys.remove path;
+  (* a 50-txn chain compacted once has freed vertices to list; splice
+     other free lists into its encoding, which puts the free list right
+     after the graph, the vertex count and the two vertex tables *)
+  let o = Online.create ~level:Checker.SER ~num_keys:1 () in
+  for i = 1 to 50 do
+    ignore
+      (Online.add_txn o
+         (Txn.make ~id:i ~session:1 [ Op.Read (0, i - 1); Op.Write (0, i) ]))
+  done;
+  ignore (Online.gc o);
+  let buf = Buffer.create 1024 in
+  Online.encode buf o;
+  let blob = Buffer.contents buf in
+  let r = Binio_core.reader blob in
+  ignore (Binio_core.read_byte r);
+  ignore (Binio_core.read_varint r);
+  ignore (Binio_core.read_byte r);
+  ignore (Binio_core.read_uvarint r);
+  ignore (Pearce_kelly.decode r);
+  let next_vertex = Binio_core.read_uvarint r in
+  ignore (Int_vec.decode r);
+  ignore (Flat_index.decode r);
+  let at = Binio_core.pos r in
+  let free = Int_vec.decode r in
+  let rest = Binio_core.pos r in
+  checkb "the compaction freed vertices" true (Int_vec.length free > 1);
+  let with_free entries =
+    let b = Buffer.create (String.length blob) in
+    Buffer.add_string b (String.sub blob 0 at);
+    let v = Int_vec.create 4 in
+    List.iter (Int_vec.push v) entries;
+    Int_vec.encode b v;
+    Buffer.add_string b (String.sub blob rest (String.length blob - rest));
+    Binio_core.reader (Buffer.contents b)
+  in
+  let listed = List.init (Int_vec.length free) (Int_vec.get free) in
+  checkb "the spliced original decodes" true
+    (Online.check_invariant (Online.decode (with_free listed)));
+  List.iter
+    (fun (what, entries) ->
+      match Online.decode (with_free entries) with
+      | _ -> Alcotest.failf "free list with %s entry must be refused" what
+      | exception Binio_core.Decode_error _ -> ())
+    [
+      ("an out-of-range", next_vertex :: List.tl listed);
+      ("a repeated", List.hd listed :: listed);
+      ("a live", (next_vertex - 1) :: List.tl listed);
+      ("the initial", 0 :: List.tl listed);
+    ]
 
 (* ------------------------------------------------------------------ *)
 (* Restore == fresh feed. *)

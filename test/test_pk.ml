@@ -1,6 +1,6 @@
 (* Property tests (QCheck) for the flat Pearce–Kelly structure: random
    edge streams cross-checked against a brute-force acyclicity oracle,
-   in-place growth via [ensure], and the Online checker's equivalence
+   in-place growth via [ensure], batch freeing and id reuse, and the Online checker's equivalence
    with the batch checkers on randomized engine histories. *)
 
 let qtest = QCheck_alcotest.to_alcotest
@@ -98,95 +98,75 @@ let prop_pk_ensure_growth =
       && Pearce_kelly.num_edges grown = Pearce_kelly.num_edges fixed
       && Pearce_kelly.check_invariant grown)
 
-(* P3: compaction drops exactly the edges with a dropped endpoint,
-   keeps the survivors' relative topological order, reports each
-   surviving edge once through [on_edge] under the remap it returns,
-   holds the invariant — and the compacted structure accepts/rejects a
-   fresh edge stream over the survivors exactly like an oracle seeded
-   with the surviving edges. *)
-let prop_pk_compact =
+(* P3: [free] over every vertex below a random position (vertex 0, which
+   stands in for the online checker's initial transaction, is kept
+   wherever it sits) drops exactly the edges with a freed endpoint,
+   keeps every surviving edge's label and holds the invariant, so no
+   kept vertex's vectors still name a freed one; [fresh] lifts each reused id above every other vertex; and the
+   structure then accepts/rejects a fresh edge stream over survivors
+   and reused ids exactly like an oracle seeded with the surviving
+   edges, holding the invariant after every operation. *)
+let prop_pk_free =
   let n = 12 in
   let gen =
     QCheck2.Gen.(
       let* es = edges_gen ~n ~len:80 in
-      let* keep = list_repeat n bool in
+      let* cut = int_range 0 n in
       let* after = edges_gen ~n ~len:30 in
-      return (es, keep, after))
+      return (es, cut, after))
   in
-  let print (es, keep, after) =
-    Printf.sprintf "edges=[%s] keep=[%s] after=[%s]" (print_edges es)
-      (String.concat ""
-         (List.map (fun b -> if b then "1" else "0") keep))
+  let print (es, cut, after) =
+    Printf.sprintf "edges=[%s] cut=%d after=[%s]" (print_edges es) cut
       (print_edges after)
   in
-  QCheck2.Test.make ~name:"PK compact == oracle over survivors" ~count:200
-    ~print gen (fun (es, keep, after) ->
+  QCheck2.Test.make ~name:"PK free + reuse == oracle"
+    ~count:200 ~print gen (fun (es, cut, after) ->
       let pk = Pearce_kelly.create n in
       let o = Oracle.create n in
+      let lab u v = (u * n) + v in
       List.iter
         (fun (u, v) ->
-          ignore (Pearce_kelly.add_edge pk u v);
+          ignore (Pearce_kelly.add_labelled_edge pk u v (lab u v));
           ignore (Oracle.add o u v))
         es;
-      let order_before = Array.init n (Pearce_kelly.order_index pk) in
-      let keep = Array.of_list keep in
+      let pos = Pearce_kelly.order_index pk in
+      let below = List.filter (fun v -> v <> 0) (List.init n Fun.id) in
+      let by_pos = List.sort (fun a b -> compare (pos a) (pos b)) below in
+      let freed = List.filteri (fun i _ -> i < cut) by_pos in
       let surviving =
-        List.filter (fun (u, v) -> keep.(u) && keep.(v)) o.Oracle.edges
+        List.filter
+          (fun (u, v) -> not (List.mem u freed || List.mem v freed))
+          o.Oracle.edges
       in
-      let reported = ref [] in
-      let remap =
-        Pearce_kelly.compact pk ~keep ~on_edge:(fun ou ov nu nv ->
-            reported := (ou, ov, nu, nv) :: !reported)
-      in
-      (* remap: dense prefix over kept vertices, -1 elsewhere *)
-      let dense = ref true and next = ref 0 in
-      Array.iteri
-        (fun v nv ->
-          if keep.(v) then (
-            if nv <> !next then dense := false;
-            incr next)
-          else if nv <> -1 then dense := false)
-        remap;
-      !dense
-      && Pearce_kelly.n pk = !next
-      && Pearce_kelly.num_edges pk = List.length surviving
-      && List.length !reported = List.length surviving
+      Pearce_kelly.free pk (Array.of_list freed);
+      Pearce_kelly.num_edges pk = List.length surviving
       && List.for_all
-           (fun (ou, ov, nu, nv) ->
-             keep.(ou) && keep.(ov) && remap.(ou) = nu && remap.(ov) = nv)
-           !reported
-      && List.for_all
-           (fun (u, v) ->
-             Pearce_kelly.mem_edge pk remap.(u) remap.(v)
-             (* relative topological order preserved exactly *)
-             && order_before.(u) < order_before.(v)
-                = (Pearce_kelly.order_index pk remap.(u)
-                  < Pearce_kelly.order_index pk remap.(v)))
+           (fun (u, v) -> Pearce_kelly.label pk u v = lab u v)
            surviving
+      && List.for_all (fun v -> Pearce_kelly.label pk v 0 = -1) freed
       && Pearce_kelly.check_invariant pk
+      && List.for_all
+           (fun v ->
+             Pearce_kelly.fresh pk v;
+             List.for_all (fun x -> x = v || pos x < pos v) (List.init n Fun.id))
+           freed
       &&
-      (* the compacted structure keeps behaving like PK: replay a fresh
-         stream over the survivors against an oracle seeded with the
-         surviving (renumbered) edge set *)
-      let o2 = Oracle.create !next in
-      o2.Oracle.edges <-
-        List.map (fun (u, v) -> (remap.(u), remap.(v))) surviving;
+      let o2 = Oracle.create n in
+      o2.Oracle.edges <- surviving;
       List.for_all
         (fun (u, v) ->
-          let u = u mod Stdlib.max 1 !next and v = v mod Stdlib.max 1 !next in
-          !next = 0
-          ||
-          match (Pearce_kelly.add_edge pk u v, Oracle.add o2 u v) with
+          (match (Pearce_kelly.add_edge pk u v, Oracle.add o2 u v) with
           | Ok (), (Oracle.Added | Oracle.Dup) -> true
-          | Error _, Oracle.Cycle -> true
+          | Error path, Oracle.Cycle -> path_valid o2 u v path
           | _ -> false)
-        after
-      && Pearce_kelly.check_invariant pk)
+          && Pearce_kelly.num_edges pk = List.length o2.Oracle.edges
+          && Pearce_kelly.check_invariant pk)
+        after)
 
 (* P3b: SAT backtracking interleaves [remove_edge] with insertions.
    Accept/reject still matches the oracle, and the invariant (which
-   includes the adjacency-capacity total behind [words]) holds after
-   every operation. *)
+   includes the predecessor vectors agreeing with the edge set) holds
+   after every operation. *)
 let prop_pk_add_remove =
   let n = 10 in
   let gen =
@@ -280,7 +260,7 @@ let suite =
   [
     qtest prop_pk_matches_oracle;
     qtest prop_pk_ensure_growth;
-    qtest prop_pk_compact;
+    qtest prop_pk_free;
     qtest prop_pk_add_remove;
     qtest prop_online_equals_batch;
   ]
