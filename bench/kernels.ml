@@ -243,13 +243,17 @@ let online_feed_rows () =
    [auto] / an absolute ceiling.  [retained] cross-checks the estimate
    against the real major heap: growth of [Gc.stat].heap_words across
    the run after a [Gc.compact] on both sides.  [gc (ms)] is the time
-   spent compacting: each run's [Online.gc_last_ns], summed.  30k transactions under
-   --smoke, 300k otherwise; these rows are the numbers promoted to
-   BENCH_PR9.json. *)
+   spent compacting: each run's [Online.gc_last_ns], summed.  The
+   [words] row's ceiling is three quarters of the [off] row's final live
+   words, so it compacts at every size (half would compact after nearly
+   every 64-feed check at smoke size, where the post-GC floor is close
+   to it); the run fails when it or [auto] makes no GC run.  30k
+   transactions under --smoke, 300k otherwise; these rows are the
+   numbers promoted to BENCH_PR9.json. *)
 let bounded_feed_rows () =
   let txns = if !Bench_util.smoke then 30_000 else 300_000 in
   let p = { Stream_gen.default with num_txns = txns } in
-  let row gc =
+  let row label gc =
     Gc.compact ();
     let base_heap = (Gc.stat ()).Gc.heap_words in
     let o =
@@ -275,18 +279,24 @@ let bounded_feed_rows () =
     Gc.compact ();
     let retained = (Gc.stat ()).Gc.heap_words - base_heap in
     ignore (Sys.opaque_identity (Online.txns_seen o));
-    [
-      Printf.sprintf "bounded_feed/%s" (Online.gc_to_string gc);
-      Printf.sprintf "%.0f" (float_of_int txns /. dt);
-      string_of_int (Stdlib.max !peak s.Online.s_live_words);
-      string_of_int s.Online.s_live_words;
-      string_of_int retained;
-      string_of_int s.Online.s_gc_runs;
-      string_of_int s.Online.s_gc_reclaimed_words;
-      Printf.sprintf "%.1f" (float_of_int !gc_ns /. 1e6);
-    ]
+    if gc <> Online.Gc_off && s.Online.s_gc_runs = 0 then
+      Bench_util.miss "bounded_feed/%s made no GC run" label;
+    ( s.Online.s_live_words,
+      [
+        Printf.sprintf "bounded_feed/%s" label;
+        Printf.sprintf "%.0f" (float_of_int txns /. dt);
+        string_of_int (Stdlib.max !peak s.Online.s_live_words);
+        string_of_int s.Online.s_live_words;
+        string_of_int retained;
+        string_of_int s.Online.s_gc_runs;
+        string_of_int s.Online.s_gc_reclaimed_words;
+        Printf.sprintf "%.1f" (float_of_int !gc_ns /. 1e6);
+      ] )
   in
-  [ row Online.Gc_off; row Online.Gc_auto; row (Online.Gc_words 2_000_000) ]
+  let off_live, off = row "off" Online.Gc_off in
+  let _, auto = row "auto" Online.Gc_auto in
+  let _, words = row "words" (Online.Gc_words (3 * off_live / 4)) in
+  [ off; auto; words ]
 
 (* Tracing overhead on a full checker run: the same fixed history timed
    with spans disabled (the production default — one atomic load and a

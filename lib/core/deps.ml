@@ -88,6 +88,22 @@ let pack_wr k = 4 + ((k lsl 2) lor 0)
 let pack_ww k = 4 + ((k lsl 2) lor 1)
 let pack_rw k = 4 + ((k lsl 2) lor 2)
 
+let pack_label = function
+  | RT -> lab_rt
+  | SO -> lab_so
+  | Rt_chain -> lab_chain
+  | WR k -> pack_wr k
+  | WW k -> pack_ww k
+  | RW k -> pack_rw k
+
+let unpack_label p =
+  if p = lab_rt then RT
+  else if p = lab_so then SO
+  else if p = lab_chain then Rt_chain
+  else
+    let k = (p - 4) lsr 2 in
+    match (p - 4) land 3 with 0 -> WR k | 1 -> WW k | _ -> RW k
+
 let sp_deps = Obs.Trace.intern "infer/deps"
 let sp_so = Obs.Trace.intern "infer/deps/so"
 let sp_bucket = Obs.Trace.intern "infer/deps/bucket"
@@ -356,25 +372,12 @@ let build ?(skew = 0) ?pool ?ts ~rt (idx : Index.t) =
       let rt_l = Array.make (Int_vec.length rt_u) rt_lab in
       (* Freeze: merge the streams — SO, then the key stripes in stripe
          order, then RT — with the parallel multi-stream counting sort.
-         Keyed labels decode through per-key caches so equal labels share
-         one block instead of allocating per edge; the caches are
-         immutable after creation, hence safely shared by every decoding
-         domain. *)
-      let wr_cache = Array.init num_keys (fun k -> WR k)
-      and ww_cache = Array.init num_keys (fun k -> WW k)
-      and rw_cache = Array.init num_keys (fun k -> RW k) in
-      let decode _stream p =
-        if p = lab_rt then RT
-        else if p = lab_so then SO
-        else if p = lab_chain then Rt_chain
-        else
-          let q = p - 4 in
-          let k = q lsr 2 in
-          match q land 3 with
-          | 0 -> wr_cache.(k)
-          | 1 -> ww_cache.(k)
-          | _ -> rw_cache.(k)
-      in
+         Labels decode through one table indexed by the packed int, so
+         equal labels share one block instead of allocating per edge; the
+         table is immutable after creation, hence safely shared by every
+         decoding domain. *)
+      let labels = Array.init (pack_wr num_keys) unpack_label in
+      let decode _stream p = labels.(p) in
       let streams =
         Array.init (num_stripes + 2) (fun si ->
             if si = 0 then

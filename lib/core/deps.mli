@@ -38,6 +38,13 @@ type dep =
 val dep_name : dep -> string
 val pp_dep : Format.formatter -> dep -> unit
 
+val pack_label : dep -> int
+(** The int edge streams and graph successor entries carry: 0, 1, 2 for
+    [RT], [SO], [Rt_chain]; [4 + (k lsl 2) lor] 0, 1, 2 for [WR]/[WW]/[RW k]. *)
+
+val unpack_label : int -> dep
+(** Inverse of {!pack_label} on keys [>= 0]. *)
+
 type rt_mode = No_rt | Rt_naive | Rt_sweep
 
 type t = {

@@ -2,32 +2,13 @@
    Pearce–Kelly graph grown in place (no edge replay on capacity
    doubling) whose successor entries carry the packed labels, and one
    version table — a slot per (key, value) pair holding its writer,
-   reader and overwriter chains, SI extender and death position —
-   behind one packed-pair index.  No tuple-keyed hashtables outside the
-   spill for unpackable pairs, no boxed list cells.  Feeding a committed
+   reader and overwriter chains, SI extender, death position and
+   timestamp-chain link — behind one packed-pair index.  No tuple-keyed
+   hashtables outside the spill for unpackable pairs, no boxed list
+   cells.  Feeding a committed
    transaction allocates a bounded amount (the transaction's own
    op-list views plus amortized vector growth), independent of how many
    transactions came before. *)
-
-(* Int-packed dependency labels (same scheme as the Deps flat edge
-   stream): 0/1/2 are the keyless constants, a keyed label packs as
-   [4 + (key lsl 2) lor tag]. *)
-let pack_dep = function
-  | Deps.RT -> 0
-  | Deps.SO -> 1
-  | Deps.Rt_chain -> 2
-  | Deps.WR k -> 4 + ((k lsl 2) lor 0)
-  | Deps.WW k -> 4 + ((k lsl 2) lor 1)
-  | Deps.RW k -> 4 + ((k lsl 2) lor 2)
-
-let unpack_dep p =
-  if p = 0 then Deps.RT
-  else if p = 1 then Deps.SO
-  else if p = 2 then Deps.Rt_chain
-  else
-    let q = p - 4 in
-    let k = q lsr 2 in
-    match q land 3 with 0 -> Deps.WR k | 1 -> Deps.WW k | _ -> Deps.RW k
 
 (* The Pearce–Kelly graph with dependency labels.  Each accepted edge's
    packed label rides in its successor entry, so a duplicate edge is
@@ -46,7 +27,7 @@ module Grow = struct
   (* [Error path]: vertex path [v; ...; u] for the rejected edge u -> v. *)
   let add_edge t u v lab =
     let before = Pearce_kelly.num_edges t.pk in
-    match Pearce_kelly.add_labelled_edge t.pk u v (pack_dep lab) with
+    match Pearce_kelly.add_labelled_edge t.pk u v (Deps.pack_label lab) with
     | Ok () ->
         t.edge_count <- t.edge_count + Pearce_kelly.num_edges t.pk - before;
         Ok ()
@@ -54,7 +35,7 @@ module Grow = struct
 
   let label t u v =
     let p = Pearce_kelly.label t.pk u v in
-    if p >= 0 then unpack_dep p else Deps.Rt_chain
+    if p >= 0 then Deps.unpack_label p else Deps.Rt_chain
 end
 
 (* The version table.  Unique values make each (key, value) pair name
@@ -64,9 +45,11 @@ end
    is one slot, found through one packed-pair index (unpackable pairs
    through a tuple-keyed spill), with one column per fact: the packed
    pair, the writer, the reader- and overwriter-chain heads, the SI
-   extender and its write, and the death position.  Chain cells of both
-   kinds share one cons pool; a push prepends, so a chain iterates
-   newest first — the order the cycle-witness DFS observes. *)
+   extender and its write, the death position, and the timestamp chain:
+   the commit timestamp of the chained write and the key's next older
+   chained slot, newest first from a per-key head.  Reader and
+   overwriter cells share one cons pool; a push prepends, so a chain
+   iterates newest first — the order the cycle-witness DFS observes. *)
 module Versions = struct
   type t = {
     num_keys : int;
@@ -80,9 +63,16 @@ module Versions = struct
     mutable ext_txn : Int_vec.t;  (** SI extender; -1 none *)
     mutable ext_write : Int_vec.t;  (** the extender's own write of the key *)
     mutable death : Int_vec.t;  (** arrival position of the death; -1 alive *)
+    mutable commit : Int_vec.t;  (** commit timestamp of a chained write *)
+    mutable older : Int_vec.t;
+        (** next older chained slot of the key; -1 for the oldest,
+            [unchained] for a slot on no chain *)
+    mutable heads : Flat_index.t;  (** key -> newest chained slot *)
     mutable cell_txn : Int_vec.t;
     mutable cell_next : Int_vec.t;  (** -1 ends a chain *)
   }
+
+  let unchained = -2
 
   let create ~num_keys =
     let col () = Int_vec.create 256 in
@@ -97,6 +87,9 @@ module Versions = struct
       ext_txn = col ();
       ext_write = col ();
       death = col ();
+      commit = col ();
+      older = col ();
+      heads = Flat_index.create ();
       cell_txn = Int_vec.create 64;
       cell_next = Int_vec.create 64;
     }
@@ -113,6 +106,8 @@ module Versions = struct
     Int_vec.push t.ext_txn (-1);
     Int_vec.push t.ext_write 0;
     Int_vec.push t.death (-1);
+    Int_vec.push t.commit 0;
+    Int_vec.push t.older unchained;
     s
 
   let find t k v =
@@ -149,9 +144,45 @@ module Versions = struct
     if w < 0 || w land 3 >= tier then
       Int_vec.set t.writer s ((id lsl 2) lor tier)
 
+  let writer t s = Index.decode_writer (Int_vec.get t.writer s)
+
   let resolve t k v =
     let s = find t k v in
-    if s < 0 then Index.Nobody else Index.decode_writer (Int_vec.get t.writer s)
+    if s < 0 then Index.Nobody else writer t s
+
+  (* Pushes come in commit order (the ts modes enforce it), so each chain
+     stays sorted newest first. *)
+  let push_chain t k v ~commit =
+    let s = slot t k v in
+    if Int_vec.get t.older s <> unchained then
+      invalid_arg "Online.Versions.push_chain: the slot is already chained";
+    Int_vec.set t.commit s commit;
+    Int_vec.set t.older s (Flat_index.get t.heads k);
+    Flat_index.set t.heads k s
+
+  (* The newest slot at or below [s] on its chain whose commit is at most
+     [ts], or -1. *)
+  let rec boundary t s ts =
+    if s < 0 || Int_vec.get t.commit s <= ts then s
+    else boundary t (Int_vec.get t.older s) ts
+
+  let predict t k ~start_ts = boundary t (Flat_index.get t.heads k) start_ts
+
+  (* Each chain keeps its nodes newer than [ts] and its boundary, which
+     becomes the oldest; the tail below leaves the chain.  Costs the
+     nodes it walks and allocates nothing. *)
+  let cut t ts =
+    Flat_index.iter t.heads (fun _ head ->
+        let b = boundary t head ts in
+        if b >= 0 then begin
+          let s = ref (Int_vec.get t.older b) in
+          Int_vec.set t.older b (-1);
+          while !s >= 0 do
+            let next = Int_vec.get t.older !s in
+            Int_vec.set t.older !s unchained;
+            s := next
+          done
+        end)
 
   let push t heads s x =
     let c = Int_vec.length t.cell_txn in
@@ -189,15 +220,18 @@ module Versions = struct
       f (Int_vec.get t.cell_txn c)
     done
 
-  (* Keep the spill slots and the packed slots [keep] accepts, in slot
-     order, in columns sized for the survivors; each surviving chain is
-     re-pushed oldest first into a fresh pool, so it still iterates
-     newest first. *)
+  (* Keep the spill slots, the chained slots and the packed slots [keep]
+     accepts, in slot order, in columns sized for the survivors; the
+     timestamp links and heads follow the renumbering (every link's
+     target is chained, so it survives), and each surviving reader or
+     overwriter chain is re-pushed oldest first into a fresh pool. *)
   let compact t keep =
     let n = length t in
     let remap = Array.make n (-1) and m = ref 0 in
     for s = 0 to n - 1 do
-      if Int_vec.get t.pair s < 0 || keep s then begin
+      if
+        Int_vec.get t.pair s < 0 || Int_vec.get t.older s <> unchained || keep s
+      then begin
         remap.(s) <- !m;
         incr m
       end
@@ -209,6 +243,13 @@ module Versions = struct
       done;
       v'
     in
+    t.commit <- col t.commit;
+    t.older <- col t.older;
+    for s = 0 to !m - 1 do
+      let o = Int_vec.get t.older s in
+      if o >= 0 then Int_vec.set t.older s remap.(o)
+    done;
+    Flat_index.iter t.heads (fun k s -> Flat_index.set t.heads k remap.(s));
     let cell_txn = Int_vec.create 64 and cell_next = Int_vec.create 64 in
     let scratch = Int_vec.create 16 in
     let to_scratch = Int_vec.push scratch in
@@ -253,17 +294,19 @@ module Versions = struct
     Flat_index.words t.index
     + (8 * Hashtbl.length t.spill)
     + cap t.pair + cap t.writer + cap t.readers + cap t.overwriters
-    + cap t.ext_txn + cap t.ext_write + cap t.death + cap t.cell_txn
+    + cap t.ext_txn + cap t.ext_write + cap t.death + cap t.commit
+    + cap t.older + Flat_index.words t.heads + cap t.cell_txn
     + cap t.cell_next
 
   (* The columns and the pool go out verbatim (chain order is in the
-     cell indices), the spill in slot order; decode rebuilds the index
-     from the pair column. *)
+     cell indices and the links), then the heads, then the spill in slot
+     order; decode rebuilds the index from the pair column. *)
   let encode buf t =
     Binio_core.add_uvarint buf t.num_keys;
     List.iter (Int_vec.encode buf)
       [ t.pair; t.writer; t.readers; t.overwriters; t.ext_txn; t.ext_write;
-        t.death; t.cell_txn; t.cell_next ];
+        t.death; t.commit; t.older; t.cell_txn; t.cell_next ];
+    Flat_index.encode buf t.heads;
     let spill = Hashtbl.fold (fun kv s acc -> (s, kv) :: acc) t.spill [] in
     Binio_core.add_uvarint buf (List.length spill);
     List.iter
@@ -283,17 +326,21 @@ module Versions = struct
     let ext_txn = col () in
     let ext_write = col () in
     let death = col () in
+    let commit = col () in
+    let older = col () in
     let cell_txn = col () in
     let cell_next = col () in
+    let heads = Flat_index.decode r in
     let n = Int_vec.length pair and ncells = Int_vec.length cell_txn in
     if
       List.exists
         (fun v -> Int_vec.length v <> n)
-        [ writer; readers; overwriters; ext_txn; ext_write; death ]
+        [ writer; readers; overwriters; ext_txn; ext_write; death; commit;
+          older ]
       || Int_vec.length cell_next <> ncells
     then Binio_core.fail "version table: column lengths disagree";
     let index = Flat_index.create ~capacity:(2 * n) () in
-    let spill_slots = ref 0 in
+    let spill_slots = ref 0 and chained = ref 0 in
     for s = 0 to n - 1 do
       let p = Int_vec.get pair s in
       if p < -1 || (p >= 0 && (num_keys = 0 || Flat_index.mem index p)) then
@@ -309,8 +356,15 @@ module Versions = struct
             Binio_core.fail "version table: slot %d names cell %d of %d" s c
               ncells)
         [ readers; overwriters ];
-      if Int_vec.get ext_txn s < -1 || Int_vec.get death s < -1 then
-        Binio_core.fail "version table: slot %d out of range" s
+      let o = Int_vec.get older s in
+      (* only a final write chains a slot, and only a final write
+         replaces a final writer *)
+      if o <> unchained && (w < 0 || w land 3 <> Index.tier_final) then
+        Binio_core.fail "version table: chained slot %d has no final writer" s;
+      if o <> unchained then incr chained;
+      if Int_vec.get ext_txn s < -1 || Int_vec.get death s < -1
+         || o < unchained || o >= n
+      then Binio_core.fail "version table: slot %d out of range" s
     done;
     (* a chain links only to older cells, so it ends *)
     for c = 0 to ncells - 1 do
@@ -323,7 +377,7 @@ module Versions = struct
       Binio_core.fail "version table: %d spill entries for %d spill slots" m
         !spill_slots;
     let spill = Hashtbl.create (Stdlib.max 8 m) in
-    let named = Bytes.make n '\000' in
+    let named = Bytes.make n '\000' and spill_key = Array.make n 0 in
     for _ = 1 to m do
       let k = Binio_core.read_varint r in
       let v = Binio_core.read_varint r in
@@ -336,10 +390,31 @@ module Versions = struct
         || Hashtbl.mem spill (k, v)
       then Binio_core.fail "version table: bad spill entry for slot %d" s;
       Bytes.set named s '\001';
+      spill_key.(s) <- k;
       Hashtbl.replace spill (k, v) s
     done;
+    (* Each head's chain runs over chained slots of its key in commit
+       order, and the chains take every chained slot once: a walk past
+       that many slots has met a cycle. *)
+    let key s =
+      let p = Int_vec.get pair s in
+      if p >= 0 then p mod num_keys else spill_key.(s)
+    in
+    Flat_index.iter heads (fun k s ->
+        let s = ref s and c = ref max_int in
+        while !s >= 0 do
+          if !s >= n || !chained = 0 || Int_vec.get older !s = unchained
+             || key !s <> k || Int_vec.get commit !s > !c
+          then
+            Binio_core.fail "version table: key %d's chain breaks at %d" k !s;
+          decr chained;
+          c := Int_vec.get commit !s;
+          s := Int_vec.get older !s
+        done);
+    if !chained > 0 then
+      Binio_core.fail "version table: %d chained slots on no chain" !chained;
     { num_keys; index; spill; pair; writer; readers; overwriters; ext_txn;
-      ext_write; death; cell_txn; cell_next }
+      ext_write; death; commit; older; heads; cell_txn; cell_next }
 end
 
 (* Watermark GC policy.  [Gc_auto] compacts when the live-word estimate
@@ -409,22 +484,10 @@ type t = {
   sessions : Flat_index.t;  (** session -> frontier slot *)
   sl_pos : Int_vec.t;  (** slot -> arrival position of the last fed txn *)
   sl_cts : Int_vec.t;  (** slot -> commit_ts frontier of the session *)
-  (* Timestamp fast path (Vbox mode, {!Ts}): per-key version chains in
-     commit-timestamp order, as cons chains threaded through flat int
-     vectors (newest first — commit-order arrival, enforced for ts
-     modes, keeps them sorted without insertion).  [Trust] attributes
-     every external read to its predicted writer outright; [Verify]
-     certifies the prediction against the value read and falls back per
-     key to the value tables on a mismatch.  The tables themselves stay
-     maintained in every mode — they also back the duplicate-write and
-     divergence screens — so the online fast path changes read
-     attribution (and supplies certification statistics), not table
-     upkeep. *)
-  mutable chain_head : Flat_index.t;  (** key -> newest chain node, or absent *)
-  mutable ch_commit : Int_vec.t;
-  mutable ch_writer : Int_vec.t;
-  mutable ch_value : Int_vec.t;
-  mutable ch_next : Int_vec.t;
+  (* Timestamp fast path (Vbox mode, {!Ts}) over the version table's
+     chains: it changes read attribution, not table upkeep — the table
+     also backs the duplicate-write and divergence screens.  [Verify]
+     falls back per key to value resolution on a mismatch. *)
   ts_slow : Bytes.t;  (** verify: per-key certification-failed flag *)
   mutable ts_fast : int;
   mutable ts_mismatched : int;
@@ -499,11 +562,6 @@ let live_words t =
   + Flat_index.words t.session_last
   + Array.length (Int_vec.data t.commit_ts)
   + Array.length (Int_vec.data t.commit_helper)
-  + Flat_index.words t.chain_head
-  + Array.length (Int_vec.data t.ch_commit)
-  + Array.length (Int_vec.data t.ch_writer)
-  + Array.length (Int_vec.data t.ch_value)
-  + Array.length (Int_vec.data t.ch_next)
   + (2 * Array.length t.fin_cur)
   + t.ab_words
   + Flat_index.words t.sessions
@@ -647,11 +705,6 @@ let create ?(skew = 0) ?(ts = Ts.Ignore) ?(gc = Gc_off) ~level ~num_keys () =
       last_commit = min_int;
       count = 0;
       poisoned = None;
-      chain_head = Flat_index.create ~capacity:(if ts = Ts.Ignore then 16 else 256) ();
-      ch_commit = Int_vec.create 16;
-      ch_writer = Int_vec.create 16;
-      ch_value = Int_vec.create 16;
-      ch_next = Int_vec.create 16;
       ts_slow =
         (if ts = Ts.Verify then Bytes.make num_keys '\000' else Bytes.empty);
       ts_fast = 0;
@@ -672,27 +725,18 @@ let create ?(skew = 0) ?(ts = Ts.Ignore) ?(gc = Gc_off) ~level ~num_keys () =
     }
   in
   let init = History.init_txn ~num_keys in
-  let init_writes = Txn.final_writes init in
   List.iter
     (fun (k, v) ->
       Versions.write t.versions k v ~tier:Index.tier_final init.Txn.id;
+      (* The initial version of every key sits at the bottom of its
+         chain (commit_ts = min_int), so prediction is total over
+         in-range keys — exactly {!Ts.predict}'s invariant. *)
+      if ts <> Ts.Ignore then
+        Versions.push_chain t.versions k v ~commit:min_int;
       let p = Flat_index.pack_pair ~num_keys:nk k v in
       if p >= 0 then t.fin_cur.(k) <- p)
-    init_writes;
+    (Txn.final_writes init);
   ignore (alloc_vertices t init);
-  if ts <> Ts.Ignore then
-    (* The initial version of every key sits at the bottom of its chain
-       (commit_ts = min_int), so prediction is total over in-range keys
-       — exactly {!Ts.predict}'s invariant. *)
-    List.iter
-      (fun (k, v) ->
-        let n = Int_vec.length t.ch_commit in
-        Int_vec.push t.ch_commit min_int;
-        Int_vec.push t.ch_writer init.Txn.id;
-        Int_vec.push t.ch_value v;
-        Int_vec.push t.ch_next (-1);
-        Flat_index.set t.chain_head k n)
-      init_writes;
   t
 
 let resolve t k v = Versions.resolve t.versions k v
@@ -768,51 +812,33 @@ let note_session t session commit_ts =
     Int_vec.push t.sl_cts commit_ts
   end
 
-(* The newest chain node of [k] with [commit_ts <= start_ts] — the
-   writer an MVCC engine's visibility rule predicts the read observed.
-   Chains are sorted newest-first (commit-order arrival is enforced for
-   ts modes), and readers mostly observe recent versions, so the walk is
-   short in the steady state.  -1 when the key has no chain (out of
-   range). *)
-let predict_node t k ~start_ts =
-  let rec go n =
-    if n < 0 then -1
-    else if Int_vec.get t.ch_commit n <= start_ts then n
-    else go (Int_vec.get t.ch_next n)
-  in
-  go (Flat_index.get t.chain_head k)
-
-let push_chain t k ~commit_ts ~writer ~value =
-  let n = Int_vec.length t.ch_commit in
-  Int_vec.push t.ch_commit commit_ts;
-  Int_vec.push t.ch_writer writer;
-  Int_vec.push t.ch_value value;
-  Int_vec.push t.ch_next (Flat_index.get t.chain_head k);
-  Flat_index.set t.chain_head k n
-
-(* Timestamp-assisted attribution of an external read.  [count]
-   separates the certification statistics (tallied once, in the INT
-   screen) from the edge-derivation re-resolution in [feed_committed],
-   which sees the same reads a second time. *)
+(* Timestamp-assisted attribution of an external read: the newest
+   chained version of the key with [commit_ts <= start_ts] is the one an
+   MVCC engine's visibility rule predicts the read observed, and its
+   slot's writer is final.  [count] separates the certification
+   statistics (tallied once, in the INT screen) from the edge-derivation
+   re-resolution in [feed_committed], which sees the same reads a second
+   time. *)
 let resolve_ts t ~count ~start_ts k v =
+  let vs = t.versions in
   match t.ts_mode with
   | Ts.Ignore -> resolve t k v
   | Ts.Trust ->
-      let n = predict_node t k ~start_ts in
-      if n < 0 then resolve t k v
+      let s = Versions.predict vs k ~start_ts in
+      if s < 0 then resolve t k v
       else begin
         if count then t.ts_fast <- t.ts_fast + 1;
-        Index.Final (Int_vec.get t.ch_writer n)
+        Versions.writer vs s
       end
   | Ts.Verify ->
       if k < 0 || k >= Bytes.length t.ts_slow
          || Bytes.unsafe_get t.ts_slow k = '\001'
       then resolve t k v
       else
-        let n = predict_node t k ~start_ts in
-        if n >= 0 && Int_vec.get t.ch_value n = v then begin
+        let s = Versions.predict vs k ~start_ts in
+        if s >= 0 && s = Versions.find vs k v then begin
           if count then t.ts_fast <- t.ts_fast + 1;
-          Index.Final (Int_vec.get t.ch_writer n)
+          Versions.writer vs s
         end
         else begin
           (* Certification mismatch: the timestamps lie about this key.
@@ -973,14 +999,12 @@ let feed_committed t (txn : Txn.t) =
       Versions.write vs k v ~tier:Index.tier_intermediate txn.Txn.id;
       mark_dead_now t k v)
     (Txn.intermediate_writes txn);
-  (* Timestamp modes: extend the per-key version chains.  After the
+  (* Timestamp modes: extend the per-key timestamp chains.  After the
      resolutions above, so a transaction never predicts its own
      in-flight writes. *)
   if t.ts_mode <> Ts.Ignore then begin
     List.iter
-      (fun (k, v) ->
-        push_chain t k ~commit_ts:txn.Txn.commit_ts ~writer:txn.Txn.id
-          ~value:v)
+      (fun (k, v) -> Versions.push_chain vs k v ~commit:txn.Txn.commit_ts)
       (Txn.final_writes txn);
     if txn.Txn.commit_ts > t.last_commit then
       t.last_commit <- txn.Txn.commit_ts
@@ -1018,9 +1042,10 @@ let sp_gc_pin = Obs.Trace.intern "online/gc/pin"
 let sp_gc_graph = Obs.Trace.intern "online/gc/graph"
 let sp_gc_vertices = Obs.Trace.intern "online/gc/vertices"
 
-(* One GC run: establish the feed frontiers, drop every version record
-   whose death the whole fleet of sessions has passed, truncate the
-   version chains and the SSER real-time index to the reachable suffix,
+(* One GC run: establish the feed frontiers, cut the timestamp chains
+   in place below their boundaries, drop every version record whose
+   death the whole fleet of sessions has passed and that no chain
+   holds, truncate the SSER real-time index to the reachable suffix,
    pin every vertex a future edge can still name, and free every vertex
    unit below the smallest pinned position (the watermark) in place.
    Returns the estimated words reclaimed.  Safe only under the documented
@@ -1043,52 +1068,16 @@ let gc t =
     done;
     let h = !h and s = !s in
     let t1 = Obs.Trace.enter () in
-    (* 1. Version chains (ts modes): per key keep the suffix newer than
-       S plus one boundary node (the newest with commit_ts <= S) — any
-       future prediction lands in that suffix because session seriality
-       puts every future start_ts above S.  Chain survivors protect
-       their version slots, keeping prediction and value resolution
-       consistent. *)
+    (* 1. Timestamp chains: per key keep the nodes newer than S plus one
+       boundary node (the newest with commit_ts <= S) — any future
+       prediction lands there because session seriality puts every
+       future start_ts above S. *)
     let vs = t.versions in
-    let protected_ = Bytes.make (Versions.length vs) '\000' in
-    if t.ts_mode <> Ts.Ignore then begin
-      let new_head = Flat_index.create ~capacity:256 () in
-      let nc = Int_vec.create 16 and nw = Int_vec.create 16 in
-      let nv = Int_vec.create 16 and nn = Int_vec.create 16 in
-      let scratch = Int_vec.create 32 in
-      Flat_index.iter t.chain_head (fun k head ->
-          Int_vec.clear scratch;
-          let n = ref head and stop = ref false in
-          while (not !stop) && !n >= 0 do
-            Int_vec.push scratch !n;
-            if Int_vec.get t.ch_commit !n <= s then stop := true
-            else n := Int_vec.get t.ch_next !n
-          done;
-          (* re-push oldest-kept first so newest-first iteration (and
-             therefore prediction) is preserved *)
-          for i = Int_vec.length scratch - 1 downto 0 do
-            let n = Int_vec.get scratch i in
-            let slot = Int_vec.length nc in
-            Int_vec.push nc (Int_vec.get t.ch_commit n);
-            Int_vec.push nw (Int_vec.get t.ch_writer n);
-            Int_vec.push nv (Int_vec.get t.ch_value n);
-            Int_vec.push nn (Flat_index.get new_head k);
-            Flat_index.set new_head k slot;
-            let vslot = Versions.find vs k (Int_vec.get t.ch_value n) in
-            if vslot >= 0 then Bytes.set protected_ vslot '\001'
-          done);
-      t.chain_head <- new_head;
-      t.ch_commit <- nc;
-      t.ch_writer <- nw;
-      t.ch_value <- nv;
-      t.ch_next <- nn
-    end;
+    Versions.cut vs s;
     (* 2. One compaction of the version table: drop every packed slot
-       whose death every session has passed, unless a chain protects
-       it. *)
+       whose death every session has passed and that no chain holds, so
+       prediction and value resolution stay consistent. *)
     Versions.compact vs (fun slot ->
-        Bytes.get protected_ slot = '\001'
-        ||
         let d = Versions.death vs slot in
         not (d >= 0 && d < h));
     Obs.Trace.exit sp_gc_versions t1;
@@ -1116,8 +1105,9 @@ let gc t =
       t.commit_helper <- nch
     end;
     (* 4. Pin every vertex a future edge can name — session-order
-       predecessors, resolvable writers, reader/overwriter chain
-       members, version-chain writers, surviving real-time helpers.
+       predecessors, resolvable writers (among them every timestamp
+       chain's), reader/overwriter chain members, surviving real-time
+       helpers.
        The watermark W is the smallest position among them.  Every
        future edge names a pinned vertex or a new one (at the top), and
        every search it starts stays at or above the position of one of
@@ -1140,9 +1130,6 @@ let gc t =
     in
     Versions.iter_txns vs pin_txn;
     Flat_index.iter t.session_last (fun _ id -> pin_txn id);
-    for i = 0 to Int_vec.length t.ch_writer - 1 do
-      pin_txn (Int_vec.get t.ch_writer i)
-    done;
     for i = 0 to Int_vec.length t.commit_helper - 1 do
       consider (Int_vec.get t.commit_helper i)
     done;
@@ -1292,8 +1279,8 @@ let add_txn t (txn : Txn.t) =
 (* Serializes the whole checker state directly — the flat int structures
    go to varints, no history replay.  Structures whose iteration order
    the cycle-witness DFS observes (PK adjacency + order, the version
-   table's columns and chain pool, the version-chain vectors) are
-   written verbatim; hash layouts are not (unobservable).  A restored
+   table's columns, chain pool and timestamp links) are written
+   verbatim; hash layouts are not (unobservable).  A restored
    checker therefore renders byte-identical counterexamples and verdicts
    for any continuation of the stream.  Poisoned checkers are not
    snapshotted — the persistence layer stores their rendered verdict
@@ -1334,11 +1321,6 @@ let encode buf t =
   Int_vec.encode buf t.commit_helper;
   Binio_core.add_varint buf t.last_commit;
   Binio_core.add_uvarint buf t.count;
-  Flat_index.encode buf t.chain_head;
-  Int_vec.encode buf t.ch_commit;
-  Int_vec.encode buf t.ch_writer;
-  Int_vec.encode buf t.ch_value;
-  Int_vec.encode buf t.ch_next;
   Binio_core.add_string buf (Bytes.unsafe_to_string t.ts_slow);
   Binio_core.add_uvarint buf t.ts_fast;
   Binio_core.add_uvarint buf t.ts_mismatched;
@@ -1379,11 +1361,6 @@ let decode r =
   let commit_helper = Int_vec.decode r in
   let last_commit = Binio_core.read_varint r in
   let count = Binio_core.read_uvarint r in
-  let chain_head = Flat_index.decode r in
-  let ch_commit = Int_vec.decode r in
-  let ch_writer = Int_vec.decode r in
-  let ch_value = Int_vec.decode r in
-  let ch_next = Int_vec.decode r in
   let ts_slow = Bytes.of_string (Binio_core.read_string r) in
   let ts_fast = Binio_core.read_uvarint r in
   let ts_mismatched = Binio_core.read_uvarint r in
@@ -1439,11 +1416,6 @@ let decode r =
       last_commit;
       count;
       poisoned = None;
-      chain_head;
-      ch_commit;
-      ch_writer;
-      ch_value;
-      ch_next;
       ts_slow;
       ts_fast;
       ts_mismatched;

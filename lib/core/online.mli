@@ -12,8 +12,8 @@
       from the new reader to the version's existing overwriters.
 
     All three are read off one version record per [(key, value)] pair
-    ({!Versions}): its writer, its reader and overwriter chains, its SI
-    extender and the position where it died.
+    ({!Versions}): its writer, reader and overwriter chains, SI extender,
+    death position and link on its key's timestamp chain.
 
     For SI the edges go into the two-vertex product encoding (cycles =
     SI-forbidden cycles, see {!Polysi}), and the DIVERGENCE screen runs on
@@ -26,13 +26,13 @@
 
     Timestamp modes ({!Ts.mode}, the online Vbox fast path): [Trust]
     attributes every external read to the newest write with
-    [commit_ts <= start_ts] on its per-key version chain; [Verify]
-    certifies that prediction against the value actually read and falls
-    back per key to value resolution on a mismatch, so verdicts match
-    the default value-only pipeline while the mismatch counters expose
-    lying timestamp oracles ({!stats}).  Both modes require committed
-    transactions to arrive in commit-timestamp order (the natural
-    stream order), which keeps the chains sorted by construction. *)
+    [commit_ts <= start_ts] on its key's timestamp chain; [Verify]
+    certifies that the predicted version is the one read and falls back
+    per key to value resolution on a mismatch, so verdicts match the
+    default value-only pipeline while the mismatch counters expose lying
+    timestamp oracles ({!stats}).  Both modes require committed
+    transactions to arrive in commit-timestamp order (the natural stream
+    order), which keeps the chains sorted by construction. *)
 
 (** The labelled Pearce–Kelly graph backing the checker: each edge's
     label rides in its successor entry.  Exposed for white-box tests of
@@ -58,14 +58,13 @@ module Grow : sig
   (** Distinct edges accepted so far; freeing edges does not lower it. *)
 end
 
-(** The version table behind every value-derived edge: one slot per
-    [(key, value)] pair — with unique values, one per version — holding
-    its writer, the heads of its reader and overwriter chains, its SI
-    extender and the arrival position of its death.  Pairs that pack
-    ({!Flat_index.pack_pair}) are found through one int index; the rest
-    (keys outside [num_keys], negative values, values past the packing
-    bound) go through a tuple-keyed spill and are never compacted away.
-    Exposed for white-box tests. *)
+(** The version table behind every value-derived edge and timestamp
+    prediction: one slot per [(key, value)] pair — with unique values,
+    one per version — holding its writer, the heads of its reader and
+    overwriter chains, its SI extender, the arrival position of its death
+    and its timestamp-chain link.  Packed pairs ({!Flat_index.pack_pair})
+    are found through one int index; the rest go through a tuple-keyed
+    spill and are never compacted away.  Exposed for white-box tests. *)
 module Versions : sig
   type t
 
@@ -85,6 +84,20 @@ module Versions : sig
   (** Who produced the pair: its final writer, else its intermediate
       one, else its aborted one, and within a tier the last recorded —
       what three last-set-wins tables consulted in that order answer. *)
+
+  val push_chain : t -> Op.key -> Op.value -> commit:int -> unit
+  (** Chain the pair's slot (added if none) on its key, committed at
+      [commit] (not below the last push), after {!write} has recorded
+      its final writer.  @raise Invalid_argument if the slot is already
+      chained. *)
+
+  val predict : t -> Op.key -> start_ts:int -> int
+  (** The newest chained slot of the key with [commit <= start_ts], or
+      [-1]. *)
+
+  val cut : t -> int -> unit
+  (** [cut t s] ends every chain, in place, at its boundary: its newest
+      node with [commit <= s].  A chain without one stays whole. *)
 
   val push_reader : t -> int -> Txn.id -> unit
   val push_overwriter : t -> int -> Txn.id -> unit
@@ -112,17 +125,18 @@ module Versions : sig
       [p], adding its slot if it has none. *)
 
   val compact : t -> (int -> bool) -> unit
-  (** [compact t keep] drops every packed slot [keep] rejects; spill
-      slots always stay.  Survivors keep their relative order but are
-      renumbered, and every chain keeps its newest-first order. *)
+  (** [compact t keep] drops every packed slot [keep] rejects; spill and
+      chained slots always stay.  Survivors keep their relative order but
+      are renumbered, and every chain keeps its newest-first order. *)
 
   val encode : Buffer.t -> t -> unit
-  (** The columns and the chain pool verbatim, then the spill. *)
+  (** The columns, the chain pool and the heads verbatim, then the spill. *)
 
   val decode : Binio_core.reader -> t
-  (** Inverse of {!encode}.
-      @raise Binio_core.Decode_error on a column-length mismatch or a
-      slot, cell or spill reference out of range. *)
+  (** Inverse of {!encode}.  @raise Binio_core.Decode_error on unequal
+      column lengths, a slot, cell or spill reference out of range, a
+      chained slot without a final writer, or chains that are not one
+      commit-ordered list per key over its slots. *)
 end
 
 type t
@@ -141,11 +155,12 @@ type t
     ever feed this checker has fed at least once before the first
     compaction}.  Under that discipline verdicts, rendered
     counterexamples and {!stats} counters are identical to an unbounded
-    run.  A compaction drops the version records ({!Versions} slots)
-    whose death every session's feed frontier has passed, truncates the
-    timestamp chains and the SSER real-time index, and frees in place
-    every graph vertex below the oldest position a future edge can still
-    reach: by its edges, its id going on a free list that later
+    run.  A compaction cuts the timestamp chains in place below the
+    sessions' commit frontier, drops the version records ({!Versions}
+    slots) whose death every session's feed frontier has passed and that
+    no chain holds, truncates the SSER real-time index, and frees in
+    place every graph vertex below the oldest position a future edge can
+    still reach: by its edges, its id going on a free list that later
     transactions reuse.  Survivors keep their ids, so nothing is
     renumbered, and a run costs the pin scan, the version table and what
     it frees — not a rebuild of what it keeps.  Known
@@ -220,8 +235,8 @@ val live_words : t -> int
     structures.  O(1).  What GC frees in place — graph vertices and
     edges, id-table bindings — counts by what is live, so a compaction
     lowers the estimate by what it frees and the [Gc_auto] floor
-    follows; what GC rebuilds (the version table, the chains, the SSER
-    index) counts by capacity.  The auto-GC trigger compares it with the
+    follows; what GC compacts (the version table, the SSER index)
+    counts by capacity.  The auto-GC trigger compares it with the
     policy ceiling every 64 feeds. *)
 
 val check_invariant : t -> bool

@@ -6,7 +6,7 @@
 
    payload (Binio varints):
 
-     version=4, shard, nshards, gen, next_sid, entry count,
+     version=5, shard, nshards, gen, next_sid, entry count,
      then per entry: sid, meta (level byte, num_keys, skew, ts byte,
      gc byte [+ uvarint word ceiling]),
      last_seq, state byte — 0 = live (an {!Online.encode} blob follows),
@@ -19,7 +19,7 @@
    snapshot or the new one, never a torn file that passes its CRC. *)
 
 let magic = "mtcsnp1\n"
-let version = 4
+let version = 5
 
 type meta = {
   level : Checker.level;

@@ -4,8 +4,10 @@
 # actually compact (gc_runs > 0) and hold live words well below an
 # unbounded session of the same stream; and a faulty history fed
 # through an aggressive absolute ceiling must render a counterexample
-# byte-identical to the unbounded session's.  Wired into
-# `dune build @check` from the root dune file.
+# byte-identical to the unbounded session's — under value resolution
+# and under each timestamp mode (`--timestamps verify|trust`), whose
+# chains the compactions cut.  Wired into `dune build @check` from the
+# root dune file.
 set -u
 
 MTC="$1"
@@ -26,6 +28,11 @@ rendered_of() { sed -n '/violation/,$p' "$1"; }
 
 # The number after "KEY": in the single-line JSON the server returns.
 stat_of() { grep -o "\"$2\":[0-9]*" "$1" | head -1 | cut -d: -f2; }
+
+# The server's compaction count, from the `mtc stats` table.
+gc_runs_now() {
+  "$MTC" stats -a "unix:$SOCK" | grep -Eo '^gc_runs +[0-9]+' | awk '{print $2}'
+}
 
 # -- fixtures: a long clean stream and a faulty SI history
 "$MTC" gen --txns 20000 --keys 500 --sessions 8 --seed 7 \
@@ -95,6 +102,29 @@ GC1=$(grep -Eo '^gc_runs +[0-9]+' "$TMP/stats2.out" | awk '{print $2}')
 [ -n "$GC0" ] && [ -n "$GC1" ] && [ "$GC1" -gt "$GC0" ] \
   || fail "the aggressive ceiling must have compacted before poisoning \
 (gc_runs $GC0 -> $GC1)"
+
+# -- the same equivalence on the timestamp path: the ceiling's
+# compactions cut the timestamp chains, and the rendering must not move
+for TS in verify trust; do
+  "$MTC" feed "$TMP/bad.hist" -a "unix:$SOCK" --level si --timestamps "$TS" \
+    --gc-watermark off > "$TMP/bad_${TS}_off.out"
+  [ $? -eq 1 ] || fail "feed(bad, $TS, gc off) must exit 1"
+  BEFORE=$(gc_runs_now)
+  "$MTC" feed "$TMP/bad.hist" -a "unix:$SOCK" --level si --timestamps "$TS" \
+    --gc-watermark 32768 > "$TMP/bad_${TS}_gc.out"
+  [ $? -eq 1 ] || fail "feed(bad, $TS, gc 32768) must exit 1"
+  AFTER=$(gc_runs_now)
+  [ -n "$BEFORE" ] && [ -n "$AFTER" ] && [ "$AFTER" -gt "$BEFORE" ] \
+    || fail "the $TS feed through the ceiling must have compacted \
+(gc_runs $BEFORE -> $AFTER)"
+  rendered_of "$TMP/bad_${TS}_off.out" > "$TMP/bad_${TS}_off.rendered"
+  rendered_of "$TMP/bad_${TS}_gc.out" > "$TMP/bad_${TS}_gc.rendered"
+  [ -s "$TMP/bad_${TS}_off.rendered" ] \
+    || fail "unbounded $TS faulty feed must render"
+  cmp -s "$TMP/bad_${TS}_off.rendered" "$TMP/bad_${TS}_gc.rendered" \
+    || fail "bounded $TS counterexample must be byte-identical to unbounded \
+(diff $TMP/bad_${TS}_off.rendered $TMP/bad_${TS}_gc.rendered)"
+done
 
 kill -TERM "$SERVER_PID"
 wait "$SERVER_PID"

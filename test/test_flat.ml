@@ -112,12 +112,15 @@ type vop =
   | O of int * int * int  (* overwriter push *)
   | E of int * int * int * int  (* extender: key, value, txn, its write *)
   | D of int * int * int  (* death position, packed pairs only *)
+  | P of int * int * int  (* timestamp chain push: key, value, commit *)
+  | K of int  (* cut every timestamp chain at this S *)
   | C of int  (* compaction, keep predicate seeded by the int *)
   | Roundtrip  (* encode, then continue on the decoded table *)
 
 (* Per pair: the three last-set-wins writer tables, both chains newest
    first, the extender and the death.  A pair is in the model exactly
-   when the table has a slot for it. *)
+   when the table has a slot for it.  Per key, beside: the timestamp
+   chain as a newest-first list of (commit, pair). *)
 type vrec = {
   mutable fin : int option;
   mutable inter : int option;
@@ -143,9 +146,15 @@ let domain nk =
 let keeps seed (k, v) = Hashtbl.hash (seed, k, v) land 1 = 0
 
 let pair_of_op = function
-  | W (k, v, _, _) | R (k, v, _) | O (k, v, _) | E (k, v, _, _) | D (k, v, _) ->
+  | W (k, v, _, _) | R (k, v, _) | O (k, v, _) | E (k, v, _, _) | D (k, v, _)
+  | P (k, v, _) ->
       Some (k, v)
-  | C _ | Roundtrip -> None
+  | K _ | C _ | Roundtrip -> None
+
+let roundtrip t =
+  let buf = Buffer.create 256 in
+  V.encode buf t;
+  V.decode (Binio_core.reader (Buffer.contents buf))
 
 (* Run [ops] on a table and on the model, comparing after every op on
    the whole domain, every pair an op names and the [extra] pairs. *)
@@ -181,8 +190,33 @@ let run_versions ?(extra = []) nk ops =
     iter !t s (fun x -> l := x :: !l);
     List.rev !l
   in
-  let agrees () =
+  let ts_chains : (int, (int * (int * int)) list) Hashtbl.t =
+    Hashtbl.create 8
+  in
+  let ts_chain k = Option.value (Hashtbl.find_opt ts_chains k) ~default:[] in
+  let chained (k, v) = List.exists (fun (_, kv) -> kv = (k, v)) (ts_chain k) in
+  let clock = ref 0 in
+  let keys = List.sort_uniq compare (List.map fst probes) in
+  (* every key's prediction at every start_ts from below the oldest
+     commit to above the newest *)
+  let predicts () =
     List.for_all
+      (fun k ->
+        let ok = ref true in
+        for ts = -1 to !clock + 1 do
+          let expected =
+            match List.find_opt (fun (c, _) -> c <= ts) (ts_chain k) with
+            | Some (_, (k, v)) -> V.find !t k v
+            | None -> -1
+          in
+          if V.predict !t k ~start_ts:ts <> expected then ok := false
+        done;
+        !ok)
+      keys
+  in
+  let agrees () =
+    predicts ()
+    && List.for_all
       (fun ((k, v) as kv) ->
         let s = V.find !t k v in
         V.resolve !t k v = expected kv
@@ -225,6 +259,24 @@ let run_versions ?(extra = []) nk ops =
             V.kill !t (Flat_index.pack_pair ~num_keys:nk k v) pos;
             (record (k, v)).dead <- pos
           end
+      | P (k, v, c) ->
+          (* as in a feed, the push follows the version's final write;
+             the writer is named after the commit *)
+          if not (chained (k, v)) then begin
+            V.write !t k v ~tier:Index.tier_final c;
+            V.push_chain !t k v ~commit:c;
+            (record (k, v)).fin <- Some c;
+            Hashtbl.replace ts_chains k ((c, (k, v)) :: ts_chain k);
+            clock := c
+          end
+      | K s ->
+          V.cut !t s;
+          let rec upto = function
+            | [] -> []
+            | ((c, _) as node) :: rest ->
+                if c <= s then [ node ] else node :: upto rest
+          in
+          Hashtbl.filter_map_inplace (fun _ l -> Some (upto l)) ts_chains
       | C seed ->
           let pair_of = Hashtbl.create 16 in
           Hashtbl.iter
@@ -234,14 +286,17 @@ let run_versions ?(extra = []) nk ops =
               match Hashtbl.find_opt pair_of s with
               | Some kv -> keeps seed kv
               | None -> true);
+          (* the decoder's chain checks first: a broken link could send
+             the predictions below round a cycle *)
+          ignore (roundtrip !t);
           Hashtbl.filter_map_inplace
             (fun (k, v) r ->
-              if packs nk k v && not (keeps seed (k, v)) then None else Some r)
+              if packs nk k v && (not (keeps seed (k, v)))
+                 && not (chained (k, v))
+              then None
+              else Some r)
             m
-      | Roundtrip ->
-          let buf = Buffer.create 256 in
-          V.encode buf !t;
-          t := V.decode (Binio_core.reader (Buffer.contents buf)));
+      | Roundtrip -> t := roundtrip !t);
       agrees ())
     ops
 
@@ -256,6 +311,8 @@ let vop_gen nk =
         (3, return (O (k, v, id)));
         (2, map (fun w -> E (k, v, id, w)) (int_range (-5) 5));
         (2, map (fun pos -> D (k, v, pos)) (int_range 0 99));
+        (3, map (fun d -> P (k, v, d)) (int_range 0 2));
+        (1, map (fun d -> K d) (int_range 0 4));
         (1, map (fun seed -> C seed) (int_range 0 1_000_000));
         (1, return Roundtrip);
       ])
@@ -266,8 +323,24 @@ let print_vop = function
   | O (k, v, id) -> Printf.sprintf "O(%d,%d,T%d)" k v id
   | E (k, v, id, w) -> Printf.sprintf "E(%d,%d,T%d,%d)" k v id w
   | D (k, v, pos) -> Printf.sprintf "D(%d,%d,@%d)" k v pos
+  | P (k, v, c) -> Printf.sprintf "P(%d,%d,ts %d)" k v c
+  | K s -> Printf.sprintf "K(%d)" s
   | C seed -> Printf.sprintf "C(%d)" seed
   | Roundtrip -> "Roundtrip"
+
+(* The generator draws a chain push's commit as a step up from the last
+   one and a cut's S as a distance below it; make both absolute, so
+   pushes come in non-decreasing commit order. *)
+let with_clock ops =
+  let clock = ref 0 in
+  List.map
+    (function
+      | P (k, v, d) ->
+          clock := !clock + d;
+          P (k, v, !clock)
+      | K d -> K (!clock - d)
+      | op -> op)
+    ops
 
 let prop_versions_model =
   QCheck2.Test.make ~name:"versions: table == Hashtbl model" ~count:300
@@ -277,7 +350,7 @@ let prop_versions_model =
     QCheck2.Gen.(
       let* nk = int_range 1 6 in
       let* ops = list_size (int_range 1 80) (vop_gen nk) in
-      return (nk, ops))
+      return (nk, with_clock ops))
     (fun (nk, ops) -> run_versions nk ops)
 
 (* Writer tiers on one packed pair: final shadows intermediate shadows
@@ -299,9 +372,11 @@ let test_writers_spill () =
          W (5, huge, Index.tier_aborted, 9); W (1000, 1, Index.tier_final, 10);
          W (3, 42, Index.tier_final, 11); C 0; Roundtrip ])
 
-(* A table written column by column, for the decoder's range checks. *)
-let encoded_table ?(num_keys = 4) ?(pair = [ 4 ]) ?(readers = [ -1 ])
-    ?(cells = [ (7, -1) ]) ?(spill = []) () =
+(* A table written column by column, for the decoder's range checks.
+   Slot [s] is committed at [s], has no writer unless [writer] names
+   one, and is not chained unless [older] says so. *)
+let encoded_table ?(num_keys = 4) ?(pair = [ 4 ]) ?writer ?(readers = [ -1 ])
+    ?(cells = [ (7, -1) ]) ?older ?(heads = []) ?(spill = []) () =
   let buf = Buffer.create 64 in
   let vec l =
     let v = Int_vec.create 4 in
@@ -311,14 +386,22 @@ let encoded_table ?(num_keys = 4) ?(pair = [ 4 ]) ?(readers = [ -1 ])
   let n = List.length pair in
   Binio_core.add_uvarint buf num_keys;
   vec pair;
-  vec (List.init n (fun _ -> -1));
+  vec (Option.value writer ~default:(List.init n (fun _ -> -1)));
   vec readers;
   vec (List.init n (fun _ -> -1));
   vec (List.init n (fun _ -> -1));
   vec (List.init n (fun _ -> 0));
   vec (List.init n (fun _ -> -1));
+  vec (List.init n Fun.id);
+  vec (Option.value older ~default:(List.init n (fun _ -> -2)));
   vec (List.map fst cells);
   vec (List.map snd cells);
+  Binio_core.add_uvarint buf (List.length heads);
+  List.iter
+    (fun (k, s) ->
+      Binio_core.add_varint buf k;
+      Binio_core.add_uvarint buf s)
+    heads;
   Binio_core.add_uvarint buf (List.length spill);
   List.iter
     (fun (k, v, s) ->
@@ -338,6 +421,16 @@ let test_versions_decode_refuses () =
     (decodes
        (encoded_table ~pair:[ 4; -1 ] ~readers:[ 0; -1 ]
           ~spill:[ (-1, 3, 1) ] ()));
+  (* x0 carries two chained versions (slot 1 newest), x1 and the
+     spilled x(-1) one each, every one written by a final writer (T10
+     to T13); a fault is one [older], head or writer spliced in *)
+  let final id = (id lsl 2) lor Index.tier_final in
+  let chains ?(older = [ -1; 0; -1; -1 ]) ?(heads = [ (0, 1); (1, 2); (-1, 3) ])
+      ?(writer = List.map final [ 10; 11; 12; 13 ]) () =
+    encoded_table ~pair:[ 4; 8; 5; -1 ] ~writer ~readers:[ -1; -1; -1; -1 ]
+      ~older ~heads ~spill:[ (-1, 3, 3) ] ()
+  in
+  checkb "well-formed chains decode" true (decodes (chains ()));
   List.iter
     (fun (what, s) -> checkb what false (decodes s))
     [
@@ -356,6 +449,33 @@ let test_versions_decode_refuses () =
       ("spill pair that packs",
        encoded_table ~pair:[ -1 ] ~spill:[ (1, 3, 0) ] ());
       ("spill slot without an entry", encoded_table ~pair:[ -1 ] ());
+      ("chain link out of range", chains ~older:[ -1; 7; -1; -1 ] ());
+      ("chain link to another key's slot",
+       chains ~older:[ -1; -2; 0; -1 ] ~heads:[ (1, 2); (-1, 3) ] ());
+      ("spilled key's chain linking to another key's slot",
+       chains ~older:[ -1; -2; -1; 0 ] ~heads:[ (1, 2); (-1, 3) ] ());
+      ("chain link to an unchained slot", chains ~older:[ -2; 0; -1; -1 ] ());
+      ("chain linking to itself", chains ~older:[ -2; 1; -1; -1 ] ());
+      ("chain head naming an unchained slot",
+       chains ~older:[ -1; 0; -2; -1 ] ());
+      ("chain head past the table",
+       chains ~heads:[ (0, 1); (1, 9); (-1, 3) ] ());
+      ("chained slot on no chain", chains ~heads:[ (0, 1); (-1, 3) ] ());
+      ("chain out of commit order",
+       chains ~older:[ 1; -1; -1; -1 ] ~heads:[ (0, 0); (1, 2); (-1, 3) ] ());
+      ("chained slot without a writer",
+       chains ~writer:[ final 10; -1; final 12; final 13 ] ());
+      ("chained slot with an intermediate writer",
+       chains
+         ~writer:
+           [ final 10; final 11; (12 lsl 2) lor Index.tier_intermediate;
+             final 13 ]
+         ());
+      ("chained spill slot with an aborted writer",
+       chains
+         ~writer:
+           [ final 10; final 11; final 12; (13 lsl 2) lor Index.tier_aborted ]
+         ());
     ]
 
 (* --- Int_vec --- *)

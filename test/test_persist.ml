@@ -209,8 +209,8 @@ let test_snapshot_version_mismatch () =
   Snapshot_store.write ~path ~shard:0 ~nshards:1 ~gen:1 ~next_sid:2 [];
   let full = read_file path in
   let magic_len = 8 and crc_len = 4 in
-  checki "stored version byte" 4 (Char.code full.[magic_len]);
-  (* the version is the payload's leading uvarint; 2 to 5 are all
+  checki "stored version byte" 5 (Char.code full.[magic_len]);
+  (* the version is the payload's leading uvarint; 2 to 6 are all
      single bytes, so patch in place and recompute the trailing CRC *)
   let with_version v =
     let b = Bytes.of_string full in
@@ -234,13 +234,14 @@ let test_snapshot_version_mismatch () =
       | Error e ->
           checkb ("names both versions: " ^ msg) (contains ~sub:msg e) true)
     [
-      (5, "snapshot version 5 (this build reads 4)");
-      (3, "snapshot version 3 (this build reads 4)");
-      (2, "snapshot version 2 (this build reads 4)");
+      (6, "snapshot version 6 (this build reads 5)");
+      (4, "snapshot version 4 (this build reads 5)");
+      (3, "snapshot version 3 (this build reads 5)");
+      (2, "snapshot version 2 (this build reads 5)");
     ];
   (* same patch without the CRC fix: caught as corruption *)
   let b = Bytes.of_string full in
-  Bytes.set b magic_len (Char.chr 5);
+  Bytes.set b magic_len (Char.chr 6);
   write_file path (Bytes.to_string b);
   (match Snapshot_store.read path with
   | Ok _ -> Alcotest.fail "tampered snapshot must be refused"
