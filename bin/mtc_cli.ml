@@ -581,10 +581,11 @@ let gc_conv =
 
 let gc_doc =
   "Watermark GC of the committed prefix: $(b,off) retains every \
-   transaction (exact historical behavior), $(b,auto) compacts whenever \
-   the live-word estimate exceeds twice the post-GC floor (flat memory \
-   for unbounded streams), and a number compacts past that absolute \
-   word ceiling.  Verdicts and counterexamples are unaffected."
+   transaction (exact historical behavior); $(b,auto) compacts whenever \
+   the live-word estimate exceeds both twice the post-GC floor and 64Ki \
+   words (flat memory for unbounded streams), and a number N whenever it \
+   exceeds both twice the floor and N words.  Verdicts and \
+   counterexamples are unaffected."
 
 let serve_cmd =
   let listen_arg =
@@ -1130,14 +1131,6 @@ let render_sessions_table (stats : Wire.session_stat list) =
     stats;
   Buffer.contents b
 
-let close_reason_name = function
-  | 0 -> "requested"
-  | 1 -> "idle"
-  | 2 -> "shutdown"
-  | 3 -> "protocol"
-  | 4 -> "pinned"
-  | n -> string_of_int n
-
 let describe_event (e : Wire.journal_event) =
   let f = Printf.sprintf in
   match e.Wire.je_kind with
@@ -1155,7 +1148,7 @@ let describe_event (e : Wire.journal_event) =
   | Obs.Journal.Session_open ->
       f "open sid=%d shard=%d" e.Wire.je_a e.Wire.je_b
   | Obs.Journal.Session_close ->
-      f "close sid=%d reason=%s" e.Wire.je_a (close_reason_name e.Wire.je_b)
+      f "close sid=%d reason=%s" e.Wire.je_a (Wire.close_reason_name e.Wire.je_b)
   | Obs.Journal.Session_resume ->
       f "resume sid=%d last_seq=%d" e.Wire.je_a e.Wire.je_b
   | Obs.Journal.Poison -> f "poison sid=%d" e.Wire.je_a
@@ -1430,12 +1423,13 @@ let wal_dump_cmd =
           (List.length info.Snapshot_store.i_entries);
         List.iter
           (fun (e : Snapshot_store.entry) ->
+            let settings = Snapshot_store.settings e.state in
             Printf.printf "  session %d: %s, %d keys, last_seq %d, %s\n" e.sid
-              (Checker.level_name e.meta.Snapshot_store.level)
-              e.meta.Snapshot_store.num_keys e.last_seq
+              (Checker.level_name settings.level)
+              settings.num_keys e.last_seq
               (match e.state with
               | Snapshot_store.Live online ->
-                  let gc = Online.gc_policy online in
+                  let gc = settings.gc in
                   Printf.sprintf "live (%d txns, %d words live%s)"
                     (Online.txns_seen online)
                     (Online.live_words online)
@@ -1469,11 +1463,11 @@ let wal_dump_cmd =
           List.iter
             (fun r ->
               match r with
-              | Wal.R_open { sid; level; num_keys; skew; ts; gc } ->
+              | Wal.R_open { sid; settings = s } ->
                   Printf.printf
                     "  open  sid=%d %s num_keys=%d skew=%d ts=%s gc=%s\n" sid
-                    (Checker.level_name level) num_keys skew
-                    (Ts.mode_name ts) (Online.gc_to_string gc)
+                    (Checker.level_name s.level) s.num_keys s.skew
+                    (Ts.mode_name s.ts) (Online.gc_to_string s.gc)
               | Wal.R_feed { sid; seq; txn } ->
                   Printf.printf "  feed  sid=%d seq=%d txn=%d (%d ops)\n" sid
                     seq txn.Txn.id
@@ -1494,9 +1488,9 @@ let wal_dump_cmd =
                 Hashtbl.replace tbl sid (f cur)
               in
               match r with
-              | Wal.R_open { sid; gc; _ } ->
+              | Wal.R_open { sid; settings } ->
                   touch sid (fun (_, feeds, mx, closed) ->
-                      (Some gc, feeds, mx, closed))
+                      (Some settings.gc, feeds, mx, closed))
               | Wal.R_feed { sid; seq; _ } ->
                   touch sid (fun (opened, feeds, mx, closed) ->
                       (opened, feeds + 1, Stdlib.max mx seq, closed))

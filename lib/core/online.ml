@@ -417,9 +417,10 @@ module Versions = struct
       ext_write; death; commit; older; heads; cell_txn; cell_next }
 end
 
-(* Watermark GC policy.  [Gc_auto] compacts when the live-word estimate
-   exceeds twice the post-GC floor (with a fixed minimum so tiny sessions
-   never bother); [Gc_words n] compacts past an absolute ceiling. *)
+(* Watermark GC policy.  Both policies compact when the live-word
+   estimate exceeds twice the post-GC floor or a minimum, whichever is
+   larger: a fixed 64Ki words for [Gc_auto] (so tiny sessions never
+   bother), [n] for [Gc_words n]. *)
 type gc = Gc_off | Gc_auto | Gc_words of int
 
 let gc_to_string = function
@@ -435,11 +436,84 @@ let gc_of_string = function
       | Some n when n > 0 -> Some (Gc_words n)
       | _ -> None)
 
-type t = {
+type settings = {
   level : Checker.level;
-  skew : int;
-  ts_mode : Ts.mode;
   num_keys : int;
+  skew : int;
+  ts : Ts.mode;
+  gc : gc;
+}
+
+(* The largest key count whose packed dependency labels
+   ({!Deps.pack_label}) stay under {!Pearce_kelly}'s 2^31 label limit. *)
+let max_keys = (1 lsl 29) - 1
+
+(* --- settings codec ------------------------------------------------- *)
+
+(* The one byte format of a session's settings, shared by the WAL's
+   open record, snapshots (through {!encode}) and the wire's
+   [Open_session]: level byte, [num_keys] uvarint, skew zigzag varint,
+   timestamp-mode byte, GC tag (+ uvarint word ceiling). *)
+let add_level buf = function
+  | Checker.SSER -> Buffer.add_char buf '\000'
+  | Checker.SER -> Buffer.add_char buf '\001'
+  | Checker.SI -> Buffer.add_char buf '\002'
+
+let read_level r =
+  match Binio_core.read_byte r with
+  | 0 -> Checker.SSER
+  | 1 -> Checker.SER
+  | 2 -> Checker.SI
+  | b -> Binio_core.fail "unknown level byte %d" b
+
+let add_ts buf = function
+  | Ts.Ignore -> Buffer.add_char buf '\000'
+  | Ts.Trust -> Buffer.add_char buf '\001'
+  | Ts.Verify -> Buffer.add_char buf '\002'
+
+let read_ts r =
+  match Binio_core.read_byte r with
+  | 0 -> Ts.Ignore
+  | 1 -> Ts.Trust
+  | 2 -> Ts.Verify
+  | b -> Binio_core.fail "unknown ts mode byte %d" b
+
+let add_gc buf = function
+  | Gc_off -> Buffer.add_char buf '\000'
+  | Gc_auto -> Buffer.add_char buf '\001'
+  | Gc_words n ->
+      Buffer.add_char buf '\002';
+      Binio_core.add_uvarint buf n
+
+let read_gc r =
+  match Binio_core.read_byte r with
+  | 0 -> Gc_off
+  | 1 -> Gc_auto
+  | 2 ->
+      let n = Binio_core.read_uvarint r in
+      if n <= 0 then Binio_core.fail "gc word ceiling %d must be positive" n
+      else Gc_words n
+  | b -> Binio_core.fail "unknown gc policy byte %d" b
+
+let add_settings buf s =
+  add_level buf s.level;
+  Binio_core.add_uvarint buf s.num_keys;
+  Binio_core.add_varint buf s.skew;
+  add_ts buf s.ts;
+  add_gc buf s.gc
+
+let read_settings r =
+  let level = read_level r in
+  let num_keys = Binio_core.read_uvarint r in
+  if num_keys < 0 || num_keys > max_keys then
+    Binio_core.fail "num_keys %d out of [0,%d]" num_keys max_keys;
+  let skew = Binio_core.read_varint r in
+  let ts = read_ts r in
+  let gc = read_gc r in
+  { level; num_keys; skew; ts; gc }
+
+type t = {
+  settings : settings;
   graph : Grow.t;
   mutable next_vertex : int;  (** one above every vertex id handed out *)
   vertex_txn : Int_vec.t;
@@ -470,7 +544,6 @@ type t = {
      stays readable until a committed write on the same key shadows it,
      however long that takes, so aborted pairs wait in [ab_pending] and
      die only when the next final install on their key arrives. *)
-  gc_policy : gc;
   mutable gc_floor : int;  (** live words right after the last GC *)
   mutable gc_runs : int;
   mutable gc_reclaimed : int;  (** cumulative words reclaimed *)
@@ -508,10 +581,8 @@ type stats = {
 }
 
 let txns_seen t = t.count
-let level t = t.level
-let ts_mode t = t.ts_mode
+let settings t = t.settings
 let poisoned t = t.poisoned
-let gc_policy t = t.gc_policy
 let gc_runs t = t.gc_runs
 let gc_last_ns t = t.gc_last_ns
 let gc_reclaimed_words t = t.gc_reclaimed
@@ -552,7 +623,7 @@ let aborted_vertex = max_int
    running total kept where they grow. *)
 let live_words t =
   let live_vertices =
-    t.next_vertex - (vertices_per_txn t.level * Int_vec.length t.free)
+    t.next_vertex - (vertices_per_txn t.settings.level * Int_vec.length t.free)
   in
   ((Pearce_kelly.vertex_words + 1) * live_vertices)
   + Pearce_kelly.words t.graph.Grow.pk
@@ -576,7 +647,7 @@ let live_words t =
    first disagreement, if any.  O(vertices + ids): for decode and
    tests. *)
 let vertex_tables_error t =
-  let unit = vertices_per_txn t.level in
+  let unit = vertices_per_txn t.settings.level in
   let n = t.next_vertex and pk = t.graph.Grow.pk in
   let err = ref None in
   let fail fmt =
@@ -652,7 +723,7 @@ let stats t =
    writers it read), and a position above theirs keeps those edges on
    the insert path that needs no reorder. *)
 let alloc_unit t =
-  let unit = vertices_per_txn t.level and pk = t.graph.Grow.pk in
+  let unit = vertices_per_txn t.settings.level and pk = t.graph.Grow.pk in
   let base =
     if Int_vec.length t.free > 0 then Int_vec.pop t.free
     else begin
@@ -674,7 +745,7 @@ let alloc_unit t =
 let alloc_vertices t (txn : Txn.t) =
   let base = alloc_unit t in
   Flat_index.set t.txn_vertex txn.Txn.id base;
-  for v = base to base + vertices_per_txn t.level - 1 do
+  for v = base to base + vertices_per_txn t.settings.level - 1 do
     Int_vec.set t.vertex_txn v txn.Txn.id
   done;
   base
@@ -684,21 +755,20 @@ let alloc_helper t =
   Int_vec.set t.vertex_txn h (-1);
   h
 
-let create ?(skew = 0) ?(ts = Ts.Ignore) ?(gc = Gc_off) ~level ~num_keys () =
-  let nk = Stdlib.max 0 num_keys in
+let of_settings ({ num_keys; ts; _ } as settings) =
+  if num_keys < 0 || num_keys > max_keys then
+    invalid_arg
+      (Printf.sprintf "Online: num_keys %d out of [0,%d]" num_keys max_keys);
   let t =
     {
-      level;
-      skew;
-      ts_mode = ts;
-      num_keys = nk;
+      settings;
       graph = Grow.create ();
       next_vertex = 0;
       vertex_txn = Int_vec.create 256;
       txn_vertex = Flat_index.create ~capacity:256 ();
       free = Int_vec.create 16;
       aborted = Int_vec.create 16;
-      versions = Versions.create ~num_keys:nk;
+      versions = Versions.create ~num_keys;
       session_last = Flat_index.create ~capacity:16 ();
       commit_ts = Int_vec.create 256;
       commit_helper = Int_vec.create 256;
@@ -709,16 +779,15 @@ let create ?(skew = 0) ?(ts = Ts.Ignore) ?(gc = Gc_off) ~level ~num_keys () =
         (if ts = Ts.Verify then Bytes.make num_keys '\000' else Bytes.empty);
       ts_fast = 0;
       ts_mismatched = 0;
-      gc_policy = gc;
       gc_floor = 0;
       gc_runs = 0;
       gc_reclaimed = 0;
       gc_last_ns = 0;
       total_vertices = 0;
-      fin_cur = Array.make nk (-1);
-      fin_prev = Array.make nk (-1);
-      ab_pending = Array.init nk (fun _ -> Int_vec.create 0);
-      ab_words = 4 * nk (* [Int_vec.create 0] holds 4 slots *);
+      fin_cur = Array.make num_keys (-1);
+      fin_prev = Array.make num_keys (-1);
+      ab_pending = Array.init num_keys (fun _ -> Int_vec.create 0);
+      ab_words = 4 * num_keys (* [Int_vec.create 0] holds 4 slots *);
       sessions = Flat_index.create ~capacity:16 ();
       sl_pos = Int_vec.create 16;
       sl_cts = Int_vec.create 16;
@@ -733,11 +802,14 @@ let create ?(skew = 0) ?(ts = Ts.Ignore) ?(gc = Gc_off) ~level ~num_keys () =
          in-range keys — exactly {!Ts.predict}'s invariant. *)
       if ts <> Ts.Ignore then
         Versions.push_chain t.versions k v ~commit:min_int;
-      let p = Flat_index.pack_pair ~num_keys:nk k v in
+      let p = Flat_index.pack_pair ~num_keys k v in
       if p >= 0 then t.fin_cur.(k) <- p)
     (Txn.final_writes init);
   ignore (alloc_vertices t init);
   t
+
+let create ?(skew = 0) ?(ts = Ts.Ignore) ?(gc = Gc_off) ~level ~num_keys () =
+  of_settings { level; num_keys; skew; ts; gc }
 
 let resolve t k v = Versions.resolve t.versions k v
 
@@ -766,7 +838,7 @@ let maybe_dead t k p =
     Versions.kill t.versions p t.count
 
 let window_install t k v =
-  let p = Flat_index.pack_pair ~num_keys:t.num_keys k v in
+  let p = Flat_index.pack_pair ~num_keys:t.settings.num_keys k v in
   if p >= 0 then begin
     if t.fin_cur.(k) <> p then begin
       let evicted = t.fin_prev.(k) in
@@ -782,7 +854,7 @@ let window_install t k v =
   end
 
 let note_aborted t k v =
-  let p = Flat_index.pack_pair ~num_keys:t.num_keys k v in
+  let p = Flat_index.pack_pair ~num_keys:t.settings.num_keys k v in
   if p >= 0 then begin
     let pending = t.ab_pending.(k) in
     let cap = Array.length (Int_vec.data pending) in
@@ -793,7 +865,7 @@ let note_aborted t k v =
 (* Intermediate writes are unreadable by conforming engines and by every
    supported fault, so they die at their own install position. *)
 let mark_dead_now t k v =
-  let p = Flat_index.pack_pair ~num_keys:t.num_keys k v in
+  let p = Flat_index.pack_pair ~num_keys:t.settings.num_keys k v in
   if p >= 0 then Versions.kill t.versions p t.count
 
 (* Advance the session's feed frontier — on every fed transaction,
@@ -821,7 +893,7 @@ let note_session t session commit_ts =
    time. *)
 let resolve_ts t ~count ~start_ts k v =
   let vs = t.versions in
-  match t.ts_mode with
+  match t.settings.ts with
   | Ts.Ignore -> resolve t k v
   | Ts.Trust ->
       let s = Versions.predict vs k ~start_ts in
@@ -831,9 +903,7 @@ let resolve_ts t ~count ~start_ts k v =
         Versions.writer vs s
       end
   | Ts.Verify ->
-      if k < 0 || k >= Bytes.length t.ts_slow
-         || Bytes.unsafe_get t.ts_slow k = '\001'
-      then resolve t k v
+      if Bytes.unsafe_get t.ts_slow k = '\001' then resolve t k v
       else
         let s = Versions.predict vs k ~start_ts in
         if s >= 0 && s = Versions.find vs k v then begin
@@ -911,7 +981,7 @@ let add_all_edges t base_u base_v lab =
       | Ok () -> ()
       | Error path ->
           raise (Cycle_found (Checker.Cyclic (cycle_of_path t u l path))))
-    (encoded_edges t.level (base_u, base_v, lab))
+    (encoded_edges t.settings.level (base_u, base_v, lab))
 
 let add_raw_edge t u v lab =
   match Grow.add_edge t.graph u v lab with
@@ -1002,7 +1072,7 @@ let feed_committed t (txn : Txn.t) =
   (* Timestamp modes: extend the per-key timestamp chains.  After the
      resolutions above, so a transaction never predicts its own
      in-flight writes. *)
-  if t.ts_mode <> Ts.Ignore then begin
+  if t.settings.ts <> Ts.Ignore then begin
     List.iter
       (fun (k, v) -> Versions.push_chain vs k v ~commit:txn.Txn.commit_ts)
       (Txn.final_writes txn);
@@ -1012,12 +1082,13 @@ let feed_committed t (txn : Txn.t) =
   (* SSER: real-time edges through the helper chain.  Commits arrive in
      commit_ts order (enforced by add_txn), so the commit vectors are
      already sorted — binary search directly, no rebuild. *)
-  if t.level = Checker.SSER then begin
+  if t.settings.level = Checker.SSER then begin
     let len = Int_vec.length t.commit_ts in
     let lo = ref 0 and hi = ref (len - 1) and best = ref (-1) in
     while !lo <= !hi do
       let mid = (!lo + !hi) / 2 in
-      if Int_vec.get t.commit_ts mid + t.skew < txn.Txn.start_ts then begin
+      if Int_vec.get t.commit_ts mid + t.settings.skew < txn.Txn.start_ts
+      then begin
         best := mid;
         lo := mid + 1
       end
@@ -1085,12 +1156,12 @@ let gc t =
     (* 3. SSER real-time index: a future search runs with start_ts > S,
        so it lands at or after the position S itself lands at — keep
        that suffix. *)
-    if t.level = Checker.SSER then begin
+    if t.settings.level = Checker.SSER then begin
       let len = Int_vec.length t.commit_ts in
       let lo = ref 0 and hi = ref (len - 1) and best = ref (-1) in
       while !lo <= !hi do
         let mid = (!lo + !hi) / 2 in
-        if Int_vec.get t.commit_ts mid + t.skew < s then begin
+        if Int_vec.get t.commit_ts mid + t.settings.skew < s then begin
           best := mid;
           lo := mid + 1
         end
@@ -1118,7 +1189,7 @@ let gc t =
       let o = Pearce_kelly.order_index pk v in
       if o < !w then w := o
     in
-    let si = t.level = Checker.SI in
+    let si = t.settings.level = Checker.SI in
     let pin_txn id =
       if id <> History.init_id then begin
         let base = Flat_index.get t.txn_vertex id in
@@ -1142,7 +1213,7 @@ let gc t =
        Survivors keep their ids, so nothing is remapped.  Aborted ids
        fed since the last run leave the id table too: they have no
        vertex to free them. *)
-    let unit = vertices_per_txn t.level in
+    let unit = vertices_per_txn t.settings.level in
     let freed = Int_vec.create 64 in
     let b = ref unit in
     while !b < t.next_vertex do
@@ -1183,19 +1254,18 @@ let gc t =
   end
 
 (* Auto trigger: every 64 feeds, compact if the live-word estimate is
-   past the policy ceiling.  The estimate is O(1); the 64-feed cadence
-   is kept because it fixes when compactions happen (the GC schedule). *)
+   past both twice the post-GC floor and the policy minimum — the
+   doubling keeps a floor near the minimum from compacting at every
+   check.  The estimate is O(1); the 64-feed cadence is kept because it
+   fixes when compactions happen (the GC schedule). *)
 let maybe_auto_gc t =
-  if t.poisoned = None && t.gc_policy <> Gc_off && t.count land 63 = 0 then begin
-    let lw = live_words t in
-    let threshold =
-      match t.gc_policy with
-      | Gc_off -> max_int
-      | Gc_auto -> Stdlib.max (2 * t.gc_floor) 65536
-      | Gc_words n -> n
-    in
-    if lw > threshold then ignore (gc t)
-  end
+  let minimum =
+    match t.settings.gc with Gc_off -> -1 | Gc_auto -> 65536 | Gc_words n -> n
+  in
+  if
+    minimum >= 0 && t.poisoned = None && t.count land 63 = 0
+    && live_words t > Stdlib.max (2 * t.gc_floor) minimum
+  then ignore (gc t)
 
 let add_txn_inner t (txn : Txn.t) =
   match t.poisoned with
@@ -1205,13 +1275,20 @@ let add_txn_inner t (txn : Txn.t) =
         invalid_arg
           (Printf.sprintf "Online.add_txn: transaction id %d invalid or reused"
              txn.Txn.id);
+      for i = 0 to Array.length txn.Txn.ops - 1 do
+        let k = Op.key txn.Txn.ops.(i) in
+        if k < 0 || k >= t.settings.num_keys then
+          invalid_arg
+            (Printf.sprintf "Online.add_txn: T%d accesses key %d out of [0,%d)"
+               txn.Txn.id k t.settings.num_keys)
+      done;
       if
-        (t.level = Checker.SSER || t.ts_mode <> Ts.Ignore)
+        (t.settings.level = Checker.SSER || t.settings.ts <> Ts.Ignore)
         && txn.Txn.status = Txn.Committed
         && txn.Txn.commit_ts < t.last_commit
       then
         invalid_arg
-          (if t.level = Checker.SSER then
+          (if t.settings.level = Checker.SSER then
              "Online.add_txn: SSER streams must arrive in commit order"
            else
              "Online.add_txn: timestamp modes need commit-order streams");
@@ -1253,7 +1330,8 @@ let add_txn_inner t (txn : Txn.t) =
               | viol :: _ -> poison t (Checker.Intra viol)
               | [] -> (
                   match
-                    if t.level = Checker.SI then divergence_screen t txn
+                    if t.settings.level = Checker.SI then
+                      divergence_screen t txn
                     else None
                   with
                   | Some v -> poison t v
@@ -1284,30 +1362,13 @@ let add_txn t (txn : Txn.t) =
    checker therefore renders byte-identical counterexamples and verdicts
    for any continuation of the stream.  Poisoned checkers are not
    snapshotted — the persistence layer stores their rendered verdict
-   instead, which is all a poisoned session can ever produce again. *)
-
-let level_byte = function Checker.SSER -> 0 | Checker.SER -> 1 | Checker.SI -> 2
-
-let level_of_byte = function
-  | 0 -> Checker.SSER
-  | 1 -> Checker.SER
-  | 2 -> Checker.SI
-  | b -> Binio_core.fail "unknown level byte %d" b
-
-let ts_byte = function Ts.Ignore -> 0 | Ts.Trust -> 1 | Ts.Verify -> 2
-
-let ts_of_byte = function
-  | 0 -> Ts.Ignore
-  | 1 -> Ts.Trust
-  | 2 -> Ts.Verify
-  | b -> Binio_core.fail "unknown ts mode byte %d" b
+   instead, which is all a poisoned session can ever produce again.  The
+   settings lead, in {!add_settings}' format. *)
 
 let encode buf t =
   if t.poisoned <> None then
     invalid_arg "Online.encode: poisoned checkers are not snapshotted";
-  Buffer.add_char buf (Char.chr (level_byte t.level));
-  Binio_core.add_varint buf t.skew;
-  Buffer.add_char buf (Char.chr (ts_byte t.ts_mode));
+  add_settings buf t.settings;
   Binio_core.add_uvarint buf t.graph.Grow.edge_count;
   Pearce_kelly.encode buf t.graph.Grow.pk;
   Binio_core.add_uvarint buf t.next_vertex;
@@ -1324,18 +1385,13 @@ let encode buf t =
   Binio_core.add_string buf (Bytes.unsafe_to_string t.ts_slow);
   Binio_core.add_uvarint buf t.ts_fast;
   Binio_core.add_uvarint buf t.ts_mismatched;
-  (* watermark-GC state: a restored checker re-establishes the policy,
-     the install windows and the frontiers, so compaction resumes where
-     it left off *)
-  Buffer.add_char buf
-    (Char.chr (match t.gc_policy with Gc_off -> 0 | Gc_auto -> 1 | Gc_words _ -> 2));
-  Binio_core.add_uvarint buf
-    (match t.gc_policy with Gc_words n -> n | _ -> 0);
+  (* watermark-GC state: a restored checker re-establishes the install
+     windows and the frontiers, so compaction resumes where it left
+     off *)
   Binio_core.add_uvarint buf t.gc_floor;
   Binio_core.add_uvarint buf t.gc_runs;
   Binio_core.add_uvarint buf t.gc_reclaimed;
   Binio_core.add_uvarint buf t.total_vertices;
-  Binio_core.add_uvarint buf t.num_keys;
   Array.iter (Binio_core.add_varint buf) t.fin_cur;
   Array.iter (Binio_core.add_varint buf) t.fin_prev;
   Array.iter (Int_vec.encode buf) t.ab_pending;
@@ -1344,9 +1400,8 @@ let encode buf t =
   Int_vec.encode buf t.sl_cts
 
 let decode r =
-  let level = level_of_byte (Binio_core.read_byte r) in
-  let skew = Binio_core.read_varint r in
-  let ts_mode = ts_of_byte (Binio_core.read_byte r) in
+  let settings = read_settings r in
+  let num_keys = settings.num_keys in
   let edge_count = Binio_core.read_uvarint r in
   let pk = Pearce_kelly.decode r in
   let graph = { Grow.pk; edge_count } in
@@ -1364,22 +1419,16 @@ let decode r =
   let ts_slow = Bytes.of_string (Binio_core.read_string r) in
   let ts_fast = Binio_core.read_uvarint r in
   let ts_mismatched = Binio_core.read_uvarint r in
-  let gc_policy =
-    let b = Binio_core.read_byte r in
-    let n = Binio_core.read_uvarint r in
-    match b with
-    | 0 -> Gc_off
-    | 1 -> Gc_auto
-    | 2 when n > 0 -> Gc_words n
-    | b -> Binio_core.fail "unknown gc policy byte %d" b
-  in
   let gc_floor = Binio_core.read_uvarint r in
   let gc_runs = Binio_core.read_uvarint r in
   let gc_reclaimed = Binio_core.read_uvarint r in
   let total_vertices = Binio_core.read_uvarint r in
-  let num_keys = Binio_core.read_uvarint r in
-  if num_keys < 0 || num_keys > Binio_core.remaining r then
+  if num_keys > Binio_core.remaining r then
     Binio_core.fail "online snapshot: num_keys %d overruns input" num_keys;
+  if Bytes.length ts_slow <> (if settings.ts = Ts.Verify then num_keys else 0)
+  then
+    Binio_core.fail "online snapshot: %d certification flags for %d keys"
+      (Bytes.length ts_slow) num_keys;
   if Versions.num_keys versions <> num_keys then
     Binio_core.fail "online snapshot: version table keyed for %d keys, not %d"
       (Versions.num_keys versions) num_keys;
@@ -1399,10 +1448,7 @@ let decode r =
   then Binio_core.fail "online snapshot: session frontier tables disagree";
   let t =
     {
-      level;
-      skew;
-      ts_mode;
-      num_keys;
+      settings;
       graph;
       next_vertex;
       vertex_txn;
@@ -1419,7 +1465,6 @@ let decode r =
       ts_slow;
       ts_fast;
       ts_mismatched;
-      gc_policy;
       gc_floor;
       gc_runs;
       gc_reclaimed;

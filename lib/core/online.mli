@@ -142,10 +142,11 @@ end
 type t
 
 (** Watermark GC policy for long-lived sessions.  [Gc_off] (the
-    default) retains everything, exactly the historical behavior.
-    [Gc_auto] compacts whenever the live-word estimate exceeds twice
-    the post-GC floor (with a fixed 64Ki-word minimum); [Gc_words n]
-    compacts past an absolute ceiling of [n] words.
+    default) retains everything, exactly the historical behavior.  The
+    other two compact, checked every 64 feeds, whenever the live-word
+    estimate exceeds both twice the post-GC floor and a minimum: a fixed
+    64Ki words for [Gc_auto], [n] words for [Gc_words n].  The doubling
+    keeps a floor that sits near [n] from compacting at every check.
 
     Soundness rests on the stream discipline the service already
     enforces plus one operational precondition: sessions are serial,
@@ -175,11 +176,45 @@ type t
 type gc = Gc_off | Gc_auto | Gc_words of int
 
 val gc_to_string : gc -> string
-(** ["off"], ["auto"] or the decimal word ceiling — the CLI / wire
-    spelling. *)
+(** ["off"], ["auto"] or the decimal word count — the CLI spelling. *)
 
 val gc_of_string : string -> gc option
 (** Inverse of {!gc_to_string}; [None] on anything else. *)
+
+(** What defines a checking session, fixed when it opens: the one record
+    the service's [Open_session], its WAL open record and its snapshots
+    carry. *)
+type settings = {
+  level : Checker.level;
+  num_keys : int;  (** keys are [0 .. num_keys - 1] *)
+  skew : int;  (** SSER real-time slack *)
+  ts : Ts.mode;  (** timestamp fast path *)
+  gc : gc;
+}
+
+val max_keys : int
+(** [2^29 - 1]: the largest [num_keys] whose packed dependency labels
+    fit {!Pearce_kelly}'s label range. *)
+
+(** {2 Settings codec}
+
+    The one byte format of {!settings}: a level byte (0 SSER, 1 SER,
+    2 SI), [num_keys] as a uvarint, [skew] as a zigzag varint, a
+    timestamp-mode byte (0 ignore, 1 trust, 2 verify) and a GC tag (0
+    off, 1 auto, 2 words followed by the uvarint ceiling).  The field
+    codecs serve formats that carry a field on its own (the wire's
+    optional GC field, its per-session telemetry).  Readers raise
+    [Binio_core.Decode_error] on an unknown byte, a ceiling [<= 0] or a
+    [num_keys] outside [\[0, max_keys\]]. *)
+
+val add_settings : Buffer.t -> settings -> unit
+val read_settings : Binio_core.reader -> settings
+val add_level : Buffer.t -> Checker.level -> unit
+val read_level : Binio_core.reader -> Checker.level
+val add_ts : Buffer.t -> Ts.mode -> unit
+val read_ts : Binio_core.reader -> Ts.mode
+val add_gc : Buffer.t -> gc -> unit
+val read_gc : Binio_core.reader -> gc
 
 val create :
   ?skew:int -> ?ts:Ts.mode -> ?gc:gc -> level:Checker.level -> num_keys:int ->
@@ -188,7 +223,11 @@ val create :
     (default [Ts.Ignore]) selects the timestamp fast path — see the
     module header for the [Trust]/[Verify] semantics and the
     commit-order arrival requirement they impose.  [gc] (default
-    [Gc_off]) bounds memory via watermark compaction. *)
+    [Gc_off]) bounds memory via watermark compaction.
+    @raise Invalid_argument if [num_keys] is outside [\[0, max_keys\]]. *)
+
+val of_settings : settings -> t
+(** {!create} from the record whole. *)
 
 type step =
   | Ok_so_far
@@ -198,20 +237,19 @@ type step =
 
 val add_txn : t -> Txn.t -> step
 (** Feed the next transaction (committed or aborted).  Transaction ids
-    must be fresh and positive; for SSER — and for any timestamp mode —
-    commit timestamps must be non-decreasing across calls.
-    @raise Invalid_argument on id reuse or out-of-order commits. *)
+    must be fresh and positive, and every key in [\[0, num_keys)]; for
+    SSER — and for any timestamp mode — commit timestamps must be
+    non-decreasing across calls.
+    @raise Invalid_argument on id reuse, a key out of range or
+    out-of-order commits, before changing any state. *)
 
 val txns_seen : t -> int
 
-val level : t -> Checker.level
-
-val ts_mode : t -> Ts.mode
+val settings : t -> settings
+(** The settings the checker was created with (or decoded from). *)
 
 val poisoned : t -> Checker.violation option
 (** The violation this checker is stuck on, if any. *)
-
-val gc_policy : t -> gc
 
 val gc : t -> int
 (** Run one watermark compaction now (regardless of policy — tests use
@@ -234,10 +272,10 @@ val live_words : t -> int
 (** Estimated words of memory retained by the checker's live
     structures.  O(1).  What GC frees in place — graph vertices and
     edges, id-table bindings — counts by what is live, so a compaction
-    lowers the estimate by what it frees and the [Gc_auto] floor
+    lowers the estimate by what it frees and the post-GC floor
     follows; what GC compacts (the version table, the SSER index)
-    counts by capacity.  The auto-GC trigger compares it with the
-    policy ceiling every 64 feeds. *)
+    counts by capacity.  The {!gc} trigger compares it with twice the
+    floor and the policy minimum every 64 feeds. *)
 
 val check_invariant : t -> bool
 (** For tests: the running capacity total behind {!live_words} equals a
@@ -284,6 +322,7 @@ val encode : Buffer.t -> t -> unit
     Structures whose iteration order the cycle-witness DFS observes are
     written verbatim, so a {!decode}d checker renders byte-identical
     counterexamples and verdicts for any continuation of the stream.
+    The {!settings} lead, in {!add_settings}' format.
     @raise Invalid_argument on a poisoned checker — persist the rendered
     verdict instead; it is all a poisoned session can ever produce. *)
 

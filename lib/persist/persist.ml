@@ -18,15 +18,6 @@
    every session ([sid mod nshards]) and rewrites the files to match —
    the WAL a shard appends to is always its own. *)
 
-type restored = {
-  r_sid : int;
-  r_meta : Snapshot_store.meta;
-  r_last_seq : int;
-  r_state : Snapshot_store.state;
-      (* [Live] states are never poisoned: replay renders a violation to
-         [Poisoned] the moment it happens *)
-}
-
 type replay_stats = {
   rs_frames : int;  (** WAL records replayed *)
   rs_ms : float;
@@ -77,20 +68,21 @@ let scan dir =
 (* ------------------------------------------------------------------ *)
 (* Restore. *)
 
+(* A restored session; [Live] states are never poisoned: replay renders
+   a violation to [Poisoned] the moment it happens. *)
 type session = {
-  mutable meta : Snapshot_store.meta;
   mutable last_seq : int;
   mutable state : Snapshot_store.state;
 }
 
 let apply_record ~render sessions count = function
-  | Wal.R_open { sid; level; num_keys; skew; ts; gc } ->
-      if not (Hashtbl.mem sessions sid) then begin
-        let meta = { Snapshot_store.level; num_keys; skew; ts; gc } in
-        let online = Online.create ~skew ~ts ~gc ~level ~num_keys () in
+  | Wal.R_open { sid; settings } ->
+      if not (Hashtbl.mem sessions sid) then
         Hashtbl.replace sessions sid
-          { meta; last_seq = 0; state = Snapshot_store.Live online }
-      end;
+          {
+            last_seq = 0;
+            state = Snapshot_store.Live (Online.of_settings settings);
+          };
       incr count
   | Wal.R_feed { sid; seq; txn } -> (
       incr count;
@@ -105,10 +97,10 @@ let apply_record ~render sessions count = function
                 match Online.add_txn online txn with
                 | Online.Ok_so_far -> ()
                 | Online.Violation v ->
-                    let anomaly, rendered =
-                      render ~level:s.meta.Snapshot_store.level v
-                    in
-                    s.state <- Snapshot_store.Poisoned { anomaly; rendered }
+                    let settings = Online.settings online in
+                    let anomaly, rendered = render ~level:settings.level v in
+                    s.state <-
+                      Snapshot_store.Poisoned { settings; anomaly; rendered }
                 | exception Invalid_argument _ ->
                     (* the live server answered this with a protocol
                        close; the R_close record follows in the log *)
@@ -147,11 +139,7 @@ let restore_shard ~render dir shard gens_of_shard sessions count next_sid =
           List.iter
             (fun (e : Snapshot_store.entry) ->
               Hashtbl.replace sessions e.sid
-                {
-                  meta = e.meta;
-                  last_seq = e.last_seq;
-                  state = e.state;
-                })
+                { last_seq = e.last_seq; state = e.state })
             info.Snapshot_store.i_entries);
       let wal_path = Filename.concat dir (wal_name ~shard ~gen) in
       if Sys.file_exists wal_path then begin
@@ -203,31 +191,16 @@ let open_dir ?(on_fsync = fun _ -> ()) ~dir ~nshards ~sync ~render () =
     let restored =
       Hashtbl.fold
         (fun sid s acc ->
-          {
-            r_sid = sid;
-            r_meta = s.meta;
-            r_last_seq = s.last_seq;
-            r_state = s.state;
-          }
-          :: acc)
+          { Snapshot_store.sid; last_seq = s.last_seq; state = s.state } :: acc)
         sessions []
-      |> List.sort (fun a b -> compare a.r_sid b.r_sid)
+      |> List.sort (fun (a : Snapshot_store.entry) b -> compare a.sid b.sid)
     in
     (* Start a fresh generation under the current shard count; every
        session re-homes to [sid mod nshards]. *)
     let gen = 1 + List.fold_left (fun m (_, _, g) -> Stdlib.max m g) 0 files in
     let entries_of shard =
-      List.filter_map
-        (fun r ->
-          if r.r_sid mod nshards = shard then
-            Some
-              {
-                Snapshot_store.sid = r.r_sid;
-                meta = r.r_meta;
-                last_seq = r.r_last_seq;
-                state = r.r_state;
-              }
-          else None)
+      List.filter
+        (fun (e : Snapshot_store.entry) -> e.sid mod nshards = shard)
         restored
     in
     let wals =

@@ -15,15 +15,6 @@
     (the same discipline as the checking itself) — different shards
     never contend. *)
 
-type restored = {
-  r_sid : int;
-  r_meta : Snapshot_store.meta;
-  r_last_seq : int;  (** highest applied feed sequence number *)
-  r_state : Snapshot_store.state;
-      (** [Live] states are never poisoned — a violation hit during
-          replay is rendered to [Poisoned] on the spot *)
-}
-
 type replay_stats = {
   rs_frames : int;  (** WAL records replayed *)
   rs_ms : float;  (** wall-clock restore time *)
@@ -39,9 +30,12 @@ val open_dir :
   sync:Wal.sync ->
   render:(level:Checker.level -> Checker.violation -> string option * string) ->
   unit ->
-  (t * restored list * int * replay_stats, string) result
+  (t * Snapshot_store.entry list * int * replay_stats, string) result
 (** Open (creating if needed) a persistence directory, restore whatever
-    it holds, start a fresh generation.  The [int] is the sid allocator
+    it holds, start a fresh generation.  The restored sessions come in
+    sid order, each at its highest applied feed sequence number; their
+    [Live] states are never poisoned — a violation hit during replay is
+    rendered to [Poisoned] on the spot.  The [int] is the sid allocator
     floor (strictly above every restored sid).  [render] turns a
     violation found during replay into its [(anomaly, rendered)] pair —
     pass the exact renderer the live server uses, byte-identity of

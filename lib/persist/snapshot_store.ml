@@ -6,34 +6,35 @@
 
    payload (Binio varints):
 
-     version=5, shard, nshards, gen, next_sid, entry count,
-     then per entry: sid, meta (level byte, num_keys, skew, ts byte,
-     gc byte [+ uvarint word ceiling]),
-     last_seq, state byte — 0 = live (an {!Online.encode} blob follows),
-     1 = poisoned (anomaly option + rendered counterexample strings; a
-     poisoned session's graph is dead weight, its rendered verdict is
-     all it will ever produce again).
+     version=6, shard, nshards, gen, next_sid, entry count,
+     then per entry: sid, last_seq, state byte — 0 = live (an
+     {!Online.encode} blob follows, its settings leading), 1 = poisoned
+     (the settings in {!Online.add_settings}' format, then anomaly
+     option + rendered counterexample strings; a poisoned session's
+     graph is dead weight, its rendered verdict is all it will ever
+     produce again).  Each entry holds its settings once, so they cannot
+     disagree with its checker.
 
    Writes go to [path ^ ".tmp"], are fsynced, then renamed over [path]
    and the directory is fsynced — a crash leaves either the old
    snapshot or the new one, never a torn file that passes its CRC. *)
 
 let magic = "mtcsnp1\n"
-let version = 5
-
-type meta = {
-  level : Checker.level;
-  num_keys : int;
-  skew : int;
-  ts : Ts.mode;
-  gc : Online.gc;
-}
+let version = 6
 
 type state =
   | Live of Online.t
-  | Poisoned of { anomaly : string option; rendered : string }
+  | Poisoned of {
+      settings : Online.settings;
+      anomaly : string option;
+      rendered : string;
+    }
 
-type entry = { sid : int; meta : meta; last_seq : int; state : state }
+type entry = { sid : int; last_seq : int; state : state }
+
+let settings = function
+  | Live online -> Online.settings online
+  | Poisoned { settings; _ } -> settings
 
 type info = {
   i_shard : int;
@@ -43,53 +44,16 @@ type info = {
   i_entries : entry list;
 }
 
-let level_byte = function Checker.SSER -> 0 | Checker.SER -> 1 | Checker.SI -> 2
-
-let level_of_byte = function
-  | 0 -> Checker.SSER
-  | 1 -> Checker.SER
-  | 2 -> Checker.SI
-  | b -> Binio.fail "unknown level byte %d" b
-
-let ts_byte = function Ts.Ignore -> 0 | Ts.Trust -> 1 | Ts.Verify -> 2
-
-let ts_of_byte = function
-  | 0 -> Ts.Ignore
-  | 1 -> Ts.Trust
-  | 2 -> Ts.Verify
-  | b -> Binio.fail "unknown ts mode byte %d" b
-
-let add_gc buf = function
-  | Online.Gc_off -> Buffer.add_char buf '\000'
-  | Online.Gc_auto -> Buffer.add_char buf '\001'
-  | Online.Gc_words n ->
-      Buffer.add_char buf '\002';
-      Binio.add_uvarint buf n
-
-let read_gc r =
-  match Binio.read_byte r with
-  | 0 -> Online.Gc_off
-  | 1 -> Online.Gc_auto
-  | 2 ->
-      let n = Binio.read_uvarint r in
-      if n <= 0 then Binio.fail "gc word ceiling %d must be positive" n
-      else Online.Gc_words n
-  | b -> Binio.fail "unknown gc policy byte %d" b
-
 let add_entry buf e =
   Binio.add_uvarint buf e.sid;
-  Buffer.add_char buf (Char.chr (level_byte e.meta.level));
-  Binio.add_uvarint buf e.meta.num_keys;
-  Binio.add_varint buf e.meta.skew;
-  Buffer.add_char buf (Char.chr (ts_byte e.meta.ts));
-  add_gc buf e.meta.gc;
   Binio.add_uvarint buf e.last_seq;
   match e.state with
   | Live online ->
       Buffer.add_char buf '\000';
       Online.encode buf online
-  | Poisoned { anomaly; rendered } ->
+  | Poisoned { settings; anomaly; rendered } ->
       Buffer.add_char buf '\001';
+      Online.add_settings buf settings;
       (match anomaly with
       | None -> Buffer.add_char buf '\000'
       | Some a ->
@@ -99,27 +63,22 @@ let add_entry buf e =
 
 let read_entry r =
   let sid = Binio.read_uvarint r in
-  let level = level_of_byte (Binio.read_byte r) in
-  let num_keys = Binio.read_uvarint r in
-  let skew = Binio.read_varint r in
-  let ts = ts_of_byte (Binio.read_byte r) in
-  let gc = read_gc r in
-  let meta = { level; num_keys; skew; ts; gc } in
   let last_seq = Binio.read_uvarint r in
   let state =
     match Binio.read_byte r with
     | 0 -> Live (Online.decode r)
     | 1 ->
+        let settings = Online.read_settings r in
         let anomaly =
           match Binio.read_byte r with
           | 0 -> None
           | 1 -> Some (Binio.read_string r)
           | b -> Binio.fail "bad anomaly presence byte %d" b
         in
-        Poisoned { anomaly; rendered = Binio.read_string r }
+        Poisoned { settings; anomaly; rendered = Binio.read_string r }
     | b -> Binio.fail "unknown session state byte %d" b
   in
-  { sid; meta; last_seq; state }
+  { sid; last_seq; state }
 
 let add_u32le buf n =
   Buffer.add_char buf (Char.chr (n land 0xff));

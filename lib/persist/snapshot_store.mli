@@ -8,19 +8,18 @@
     again, and storing it verbatim is what makes post-restore renderings
     byte-identical by construction. *)
 
-type meta = {
-  level : Checker.level;
-  num_keys : int;
-  skew : int;
-  ts : Ts.mode;
-  gc : Online.gc;  (** watermark-GC policy the session was opened with *)
-}
-
 type state =
-  | Live of Online.t
-  | Poisoned of { anomaly : string option; rendered : string }
+  | Live of Online.t  (** its settings travel inside {!Online.encode} *)
+  | Poisoned of {
+      settings : Online.settings;
+      anomaly : string option;
+      rendered : string;
+    }
 
-type entry = { sid : int; meta : meta; last_seq : int; state : state }
+type entry = { sid : int; last_seq : int; state : state }
+
+val settings : state -> Online.settings
+(** The session's settings, wherever its state keeps them. *)
 
 type info = {
   i_shard : int;

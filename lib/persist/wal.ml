@@ -29,7 +29,8 @@
 
    v2: [R_open] carries the session's watermark-GC policy, so WAL-only
    replay recreates the checker with the same bounded-memory setting
-   (and replays within the same bound). *)
+   (and replays within the same bound).  Its settings are written by
+   {!Online.add_settings}, whose bytes are v2's. *)
 
 let magic = "mtcwal1\n"
 let version = 2
@@ -58,14 +59,7 @@ let sync_name = function Always -> "always" | Batch -> "batch" | Off -> "off"
 let batch_every = 2048
 
 type record =
-  | R_open of {
-      sid : int;
-      level : Checker.level;
-      num_keys : int;
-      skew : int;
-      ts : Ts.mode;
-      gc : Online.gc;
-    }
+  | R_open of { sid : int; settings : Online.settings }
   | R_feed of { sid : int; seq : int; txn : Txn.t }
   | R_close of { sid : int }
 
@@ -77,48 +71,11 @@ let add_u32le buf n =
   Buffer.add_char buf (Char.chr ((n lsr 16) land 0xff));
   Buffer.add_char buf (Char.chr ((n lsr 24) land 0xff))
 
-let level_byte = function Checker.SSER -> 0 | Checker.SER -> 1 | Checker.SI -> 2
-
-let level_of_byte = function
-  | 0 -> Checker.SSER
-  | 1 -> Checker.SER
-  | 2 -> Checker.SI
-  | b -> Binio.fail "unknown level byte %d" b
-
-let ts_byte = function Ts.Ignore -> 0 | Ts.Trust -> 1 | Ts.Verify -> 2
-
-let ts_of_byte = function
-  | 0 -> Ts.Ignore
-  | 1 -> Ts.Trust
-  | 2 -> Ts.Verify
-  | b -> Binio.fail "unknown ts mode byte %d" b
-
-let add_gc buf = function
-  | Online.Gc_off -> Buffer.add_char buf '\000'
-  | Online.Gc_auto -> Buffer.add_char buf '\001'
-  | Online.Gc_words n ->
-      Buffer.add_char buf '\002';
-      Binio.add_uvarint buf n
-
-let read_gc r =
-  match Binio.read_byte r with
-  | 0 -> Online.Gc_off
-  | 1 -> Online.Gc_auto
-  | 2 ->
-      let n = Binio.read_uvarint r in
-      if n <= 0 then Binio.fail "gc word ceiling %d must be positive" n
-      else Online.Gc_words n
-  | b -> Binio.fail "unknown gc policy byte %d" b
-
 let add_record buf = function
-  | R_open { sid; level; num_keys; skew; ts; gc } ->
+  | R_open { sid; settings } ->
       Buffer.add_char buf '\001';
       Binio.add_uvarint buf sid;
-      Buffer.add_char buf (Char.chr (level_byte level));
-      Binio.add_uvarint buf num_keys;
-      Binio.add_varint buf skew;
-      Buffer.add_char buf (Char.chr (ts_byte ts));
-      add_gc buf gc
+      Online.add_settings buf settings
   | R_feed { sid; seq; txn } ->
       Buffer.add_char buf '\002';
       Binio.add_uvarint buf sid;
@@ -132,12 +89,7 @@ let read_record r =
   match Binio.read_byte r with
   | 1 ->
       let sid = Binio.read_uvarint r in
-      let level = level_of_byte (Binio.read_byte r) in
-      let num_keys = Binio.read_uvarint r in
-      let skew = Binio.read_varint r in
-      let ts = ts_of_byte (Binio.read_byte r) in
-      let gc = read_gc r in
-      R_open { sid; level; num_keys; skew; ts; gc }
+      R_open { sid; settings = Online.read_settings r }
   | 2 ->
       let sid = Binio.read_uvarint r in
       let seq = Binio.read_uvarint r in

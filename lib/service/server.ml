@@ -147,7 +147,7 @@ type checker_state =
 
 type session = {
   sid : int;
-  meta : Snapshot_store.meta;
+  settings : Online.settings;
   mutable checker : checker_state;  (** owning shard only *)
   mutable last_seq : int;  (** highest WAL-logged feed seq; shard only *)
   mutable ep : conn option;
@@ -364,14 +364,6 @@ let render_parts level v =
 
 let low_water capacity = Stdlib.max 1 (capacity / 4)
 
-(* Close reasons as journal payload words (mirrors the wire bytes). *)
-let reason_code = function
-  | Wire.R_requested -> 0
-  | Wire.R_idle -> 1
-  | Wire.R_shutdown -> 2
-  | Wire.R_protocol _ -> 3
-  | Wire.R_pinned -> 4
-
 (* Make the session's shard service it; a no-op if it is already queued
    (the shard re-checks the item queue before going idle). *)
 let schedule s =
@@ -496,9 +488,7 @@ let process_session t s =
       if t.config.drain_delay > 0.0 then Unix.sleepf t.config.drain_delay;
       match item with
       | I_open ->
-          let { Snapshot_store.level; num_keys; skew; ts; gc } = s.meta in
-          wal_append t s
-            (Wal.R_open { sid = s.sid; level; num_keys; skew; ts; gc });
+          wal_append t s (Wal.R_open { sid = s.sid; settings = s.settings });
           (* the ack below hands the client a resumable sid: put the
              open record in the kernel before saying so, or a server
              kill mid-burst (no drain barrier yet) would forget the
@@ -579,9 +569,7 @@ let process_session t s =
                 | Online.Violation v ->
                     Obs.Trace.exit sp_server_feed sp0;
                     note_gc ();
-                    let anomaly, rendered =
-                      render_parts s.meta.Snapshot_store.level v
-                    in
+                    let anomaly, rendered = render_parts s.settings.level v in
                     s.checker <- S_poisoned { anomaly; rendered };
                     Obs.Journal.emit Obs.Journal.Poison ~a:s.sid ~b:0 ~c:0;
                     drop_live t s;
@@ -605,7 +593,7 @@ let process_session t s =
                     wal_close_record t s;
                     Metrics.protocol_error m;
                     Obs.Journal.emit Obs.Journal.Session_close ~a:s.sid
-                      ~b:(reason_code (Wire.R_protocol msg))
+                      ~b:(Wire.close_reason_code (Wire.R_protocol msg))
                       ~c:0;
                     send_ep
                       (Wire.Session_closed
@@ -634,7 +622,7 @@ let process_session t s =
       | I_close reason ->
           wal_close_record t s;
           Obs.Journal.emit Obs.Journal.Session_close ~a:s.sid
-            ~b:(reason_code reason) ~c:0;
+            ~b:(Wire.close_reason_code reason) ~c:0;
           send_ep (Wire.Session_closed { sid = s.sid; reason });
           Metrics.session_closed m;
           finish t s
@@ -658,13 +646,13 @@ let do_checkpoint t sh =
             if sid mod t.nshards = sh.ix && not s.finished then
               {
                 Snapshot_store.sid;
-                meta = s.meta;
                 last_seq = s.last_seq;
                 state =
                   (match s.checker with
                   | S_live online -> Snapshot_store.Live online
                   | S_poisoned { anomaly; rendered } ->
-                      Snapshot_store.Poisoned { anomaly; rendered });
+                      Snapshot_store.Poisoned
+                        { settings = s.settings; anomaly; rendered });
               }
               :: acc
             else acc)
@@ -877,17 +865,16 @@ let on_eof t conn =
 (* ------------------------------------------------------------------ *)
 (* Frame dispatch. *)
 
-let open_session t conn ~level ~num_keys ~skew ~ts ~gc =
+let open_session t conn settings =
   Mutex.lock t.rmu;
   let sid = t.next_sid in
   t.next_sid <- sid + 1;
   Mutex.unlock t.rmu;
-  let gc = match gc with Some g -> g | None -> t.config.gc in
   let s =
     {
       sid;
-      meta = { Snapshot_store.level; num_keys; skew; ts; gc };
-      checker = S_live (Online.create ~skew ~ts ~gc ~level ~num_keys ());
+      settings;
+      checker = S_live (Online.of_settings settings);
       last_seq = 0;
       ep = Some conn;
       shard_ix = sid mod t.nshards;
@@ -1003,7 +990,7 @@ let session_stat s =
   {
     Wire.ss_sid = s.sid;
     ss_shard = s.shard_ix;
-    ss_level = s.meta.Snapshot_store.level;
+    ss_level = s.settings.level;
     ss_poisoned = poisoned;
     ss_pinned = pinned;
     ss_frontier = frontier;
@@ -1074,16 +1061,24 @@ let handle_ready t conn frame =
   in
   match frame with
   | Wire.Open_session { level; num_keys; skew; ts; gc } ->
-      (if num_keys < 1 || num_keys > t.config.max_keys then
+      let max_keys = Stdlib.min t.config.max_keys Online.max_keys in
+      (if num_keys < 1 || num_keys > max_keys then
          send t conn
            (Wire.Error
               {
                 code = Wire.err_bad_frame;
                 msg =
-                  Printf.sprintf "num_keys %d out of [1,%d]" num_keys
-                    t.config.max_keys;
+                  Printf.sprintf "num_keys %d out of [1,%d]" num_keys max_keys;
               })
-       else open_session t conn ~level ~num_keys ~skew ~ts ~gc);
+       else
+         open_session t conn
+           {
+             Online.level;
+             num_keys;
+             skew;
+             ts;
+             gc = Option.value gc ~default:t.config.gc;
+           });
       `Consumed
   | Wire.Feed { sid; seq; txn } -> with_session sid (I_feed (seq, txn))
   | Wire.Sync { sid; seq } -> with_session sid (I_sync seq)
@@ -1725,20 +1720,20 @@ let start config =
   (* Restored sessions wait detached until a [Resume_session] claims
      them (or the final checkpoint carries them forward). *)
   List.iter
-    (fun (r : Persist.restored) ->
+    (fun (e : Snapshot_store.entry) ->
       let s =
         {
-          sid = r.Persist.r_sid;
-          meta = r.Persist.r_meta;
+          sid = e.sid;
+          settings = Snapshot_store.settings e.state;
           checker =
-            (match r.Persist.r_state with
+            (match e.state with
             | Snapshot_store.Live online -> S_live online
-            | Snapshot_store.Poisoned { anomaly; rendered } ->
+            | Snapshot_store.Poisoned { anomaly; rendered; _ } ->
                 S_poisoned { anomaly; rendered });
-          last_seq = r.Persist.r_last_seq;
+          last_seq = e.last_seq;
           ep = None;
-          shard_ix = r.Persist.r_sid mod nshards;
-          shard = shards.(r.Persist.r_sid mod nshards);
+          shard_ix = e.sid mod nshards;
+          shard = shards.(e.sid mod nshards);
           queue = Queue.create ();
           queued = 0;
           throttled = false;

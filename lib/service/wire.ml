@@ -25,8 +25,10 @@ let magic = "MTCS"
    ([None] = the server's default).  v5: [Session_stats_request]/
    [Session_stats_reply] expose per-session telemetry and the service
    event journal, and sessions fenced by the horizon-pin detector close
-   with [R_pinned].  Other versions are refused at the handshake. *)
-let version = 5
+   with [R_pinned].  v6: [Open_session]'s settings use {!Online}'s
+   settings codec, so its GC field is a presence byte followed by
+   {!Online.add_gc}.  Other versions are refused at the handshake. *)
+let version = 6
 
 (* Hard ceiling on a single frame — a malformed or hostile length prefix
    must not make the server allocate gigabytes. *)
@@ -109,21 +111,22 @@ let err_version = 2
 let err_bad_frame = 3
 let err_unknown_session = 4
 
-let level_to_byte = function Checker.SSER -> 0 | Checker.SER -> 1 | Checker.SI -> 2
+(* Close reasons by code: the [Session_closed] byte, and the journal's
+   payload word for a close. *)
+let close_reason_code = function
+  | R_requested -> 0
+  | R_idle -> 1
+  | R_shutdown -> 2
+  | R_protocol _ -> 3
+  | R_pinned -> 4
 
-let level_of_byte = function
-  | 0 -> Some Checker.SSER
-  | 1 -> Some Checker.SER
-  | 2 -> Some Checker.SI
-  | _ -> None
-
-let ts_to_byte = function Ts.Ignore -> 0 | Ts.Trust -> 1 | Ts.Verify -> 2
-
-let ts_of_byte = function
-  | 0 -> Some Ts.Ignore
-  | 1 -> Some Ts.Trust
-  | 2 -> Some Ts.Verify
-  | _ -> None
+let close_reason_name = function
+  | 0 -> "requested"
+  | 1 -> "idle"
+  | 2 -> "shutdown"
+  | 3 -> "protocol"
+  | 4 -> "pinned"
+  | n -> string_of_int n
 
 let frame_name = function
   | Hello _ -> "hello"
@@ -162,19 +165,14 @@ let add_verdict buf = function
           Binio.add_string buf a);
       Binio.add_string buf rendered
 
-let add_reason buf = function
-  | R_requested -> Buffer.add_char buf '\000'
-  | R_idle -> Buffer.add_char buf '\001'
-  | R_shutdown -> Buffer.add_char buf '\002'
-  | R_protocol msg ->
-      Buffer.add_char buf '\003';
-      Binio.add_string buf msg
-  | R_pinned -> Buffer.add_char buf '\004'
+let add_reason buf reason =
+  Buffer.add_char buf (Char.chr (close_reason_code reason));
+  match reason with R_protocol msg -> Binio.add_string buf msg | _ -> ()
 
 let add_session_stat buf s =
   Binio.add_uvarint buf s.ss_sid;
   Binio.add_uvarint buf s.ss_shard;
-  Buffer.add_char buf (Char.chr (level_to_byte s.ss_level));
+  Online.add_level buf s.ss_level;
   Buffer.add_char buf (if s.ss_poisoned then '\001' else '\000');
   Buffer.add_char buf (if s.ss_pinned then '\001' else '\000');
   Binio.add_uvarint buf s.ss_frontier;
@@ -206,17 +204,15 @@ let add_payload buf = function
       Binio.add_string buf server
   | Open_session { level; num_keys; skew; ts; gc } ->
       Buffer.add_char buf '\003';
-      Buffer.add_char buf (Char.chr (level_to_byte level));
+      Online.add_level buf level;
       Binio.add_uvarint buf num_keys;
       Binio.add_varint buf skew;
-      Buffer.add_char buf (Char.chr (ts_to_byte ts));
+      Online.add_ts buf ts;
       (match gc with
       | None -> Buffer.add_char buf '\000'
-      | Some Online.Gc_off -> Buffer.add_char buf '\001'
-      | Some Online.Gc_auto -> Buffer.add_char buf '\002'
-      | Some (Online.Gc_words n) ->
-          Buffer.add_char buf '\003';
-          Binio.add_uvarint buf n)
+      | Some gc ->
+          Buffer.add_char buf '\001';
+          Online.add_gc buf gc)
   | Session_opened { sid } ->
       Buffer.add_char buf '\004';
       Binio.add_uvarint buf sid
@@ -327,11 +323,7 @@ let read_bool r =
 let read_session_stat r =
   let ss_sid = Binio.read_uvarint r in
   let ss_shard = Binio.read_uvarint r in
-  let ss_level =
-    match level_of_byte (Binio.read_byte r) with
-    | Some l -> l
-    | None -> Binio.fail "unknown isolation level byte"
-  in
+  let ss_level = Online.read_level r in
   let ss_poisoned = read_bool r in
   let ss_pinned = read_bool r in
   let ss_frontier = Binio.read_uvarint r in
@@ -385,28 +377,15 @@ let decode_payload payload =
         let version = Binio.read_uvarint r in
         Welcome { version; server = Binio.read_string r }
     | 3 ->
-        let level =
-          match level_of_byte (Binio.read_byte r) with
-          | Some l -> l
-          | None -> Binio.fail "unknown isolation level byte"
-        in
+        let level = Online.read_level r in
         let num_keys = Binio.read_uvarint r in
         let skew = Binio.read_varint r in
-        let ts =
-          match ts_of_byte (Binio.read_byte r) with
-          | Some ts -> ts
-          | None -> Binio.fail "unknown timestamp mode byte"
-        in
+        let ts = Online.read_ts r in
         let gc =
           match Binio.read_byte r with
           | 0 -> None
-          | 1 -> Some Online.Gc_off
-          | 2 -> Some Online.Gc_auto
-          | 3 ->
-              let n = Binio.read_uvarint r in
-              if n <= 0 then Binio.fail "gc word ceiling must be positive"
-              else Some (Online.Gc_words n)
-          | b -> Binio.fail "unknown gc policy byte %d" b
+          | 1 -> Some (Online.read_gc r)
+          | b -> Binio.fail "bad gc presence byte %d" b
         in
         Open_session { level; num_keys; skew; ts; gc }
     | 4 -> Session_opened { sid = Binio.read_uvarint r }

@@ -20,15 +20,17 @@
 val magic : string
 
 val version : int
-(** Protocol version 5: v2 gave [Open_session] a trailing timestamp-mode
-    byte (0 = ignore, 1 = trust, 2 = verify — the Vbox fast path of
-    {!Ts}); v3 added [Resume_session]/[Session_resumed] for re-attaching
-    sessions that survived a server restart; v4 gives [Open_session] a
-    trailing watermark-GC policy (byte 0 = server default, 1 = off,
-    2 = auto, 3 = word ceiling followed by its uvarint); v5 adds
+(** Protocol version 6: v2 gave [Open_session] a trailing timestamp-mode
+    byte (the Vbox fast path of {!Ts}); v3 added
+    [Resume_session]/[Session_resumed] for re-attaching sessions that
+    survived a server restart; v4 gave [Open_session] a trailing
+    watermark-GC policy; v5 adds
     [Session_stats_request]/[Session_stats_reply] (per-session telemetry
-    plus the service event journal) and the [R_pinned] close reason.
-    The handshake refuses other versions. *)
+    plus the service event journal) and the [R_pinned] close reason; v6
+    writes [Open_session]'s level, timestamp mode and GC policy with
+    {!Online}'s settings field codecs, the GC policy behind a presence
+    byte (0 = the server's default, 1 = a policy follows).  The
+    handshake refuses other versions. *)
 
 val max_frame : int
 (** Upper bound on a payload length; longer prefixes are protocol
@@ -48,6 +50,15 @@ type close_reason =
   | R_pinned
       (** fenced by the horizon-pin detector ([--pin-fence close]): the
           session stalled while pinning the GC watermark *)
+
+val close_reason_code : close_reason -> int
+(** The reason's code, 0 to 4 in declaration order: the byte a
+    [Session_closed] frame carries, and the journal's payload word for
+    a close. *)
+
+val close_reason_name : int -> string
+(** The name of a reason code (["requested"], ["idle"], ["shutdown"],
+    ["protocol"], ["pinned"]); an unknown code prints as itself. *)
 
 type session_stat = {
   ss_sid : int;

@@ -290,7 +290,8 @@ let test_gc_restore_roundtrip () =
             let buf = Buffer.create 1024 in
             Online.encode buf o;
             let o' = Online.decode (Binio_core.reader (Buffer.contents buf)) in
-            checkb "policy restored" true (Online.gc_policy o' = Online.Gc_auto);
+            checkb "policy restored" true
+              ((Online.settings o').gc = Online.Gc_auto);
             List.iter
               (fun txn ->
                 let ra = Online.add_txn o txn in
@@ -598,6 +599,31 @@ let test_gc_subspans () =
           "online/gc/vertices" ]
   | l -> Alcotest.failf "%d online/gc spans, expected 1" (List.length l)
 
+(* One trigger for both policies: a word ceiling waits for twice the
+   post-GC floor as [Gc_auto] does, so a ceiling at half the unbounded
+   run's final live words — where the floor soon sits near it — makes
+   no more compactions than [Gc_auto] on the same 10k stream, instead of
+   one after nearly every 64-feed check. *)
+let test_gc_words_trigger () =
+  let runs gc =
+    let p = { Stream_gen.default with num_txns = 10_000 } in
+    let o =
+      Online.create ~gc ~level:Checker.SER ~num_keys:p.Stream_gen.num_keys ()
+    in
+    Stream_gen.generate p (fun txn ->
+        checkb "clean stream" true (Online.add_txn o txn = Online.Ok_so_far));
+    Online.stats o
+  in
+  let off = runs Online.Gc_off and auto = runs Online.Gc_auto in
+  let words = runs (Online.Gc_words (off.Online.s_live_words / 2)) in
+  checkb "auto compacts" true (auto.Online.s_gc_runs > 0);
+  checkb "words compacts" true (words.Online.s_gc_runs > 0);
+  checkb
+    (Printf.sprintf "words runs %d <= auto runs %d" words.Online.s_gc_runs
+       auto.Online.s_gc_runs)
+    true
+    (words.Online.s_gc_runs <= auto.Online.s_gc_runs)
+
 let suite =
   [
     ("GC == unbounded on clean engines", `Quick, test_gc_equivalence_clean);
@@ -605,6 +631,8 @@ let suite =
     ("GC == unbounded under ts modes", `Quick, test_gc_equivalence_ts_modes);
     ("bounded growth on a long chain", `Quick, test_gc_bounded_growth);
     ("auto policy triggers", `Quick, test_gc_auto_policy);
+    ("a word ceiling waits for twice the floor", `Quick,
+     test_gc_words_trigger);
     ("GC floor forgets the peak", `Quick, test_gc_floor_forgets_peak);
     ("compaction is idempotent", `Quick, test_gc_idempotent);
     ("no-op on fresh and poisoned checkers", `Quick, test_gc_noop_cases);

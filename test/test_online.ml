@@ -244,6 +244,53 @@ let test_online_counts () =
   ignore (Online.add_txn o (Txn.make ~id:1 ~session:1 [ Op.Read (0, 0) ]));
   Alcotest.check Alcotest.int "one seen" 1 (Online.txns_seen o)
 
+(* A key outside [0, num_keys) is refused before any state changes — a
+   negative key would otherwise pack into another label, and a large one
+   overflow the graph's label range after the transaction's vertex went
+   in — whether the transaction commits or aborts, at every level and
+   timestamp mode; the next in-range transaction is accepted. *)
+let test_online_key_out_of_range () =
+  let encoded o =
+    let b = Buffer.create 256 in
+    Online.encode b o;
+    Buffer.contents b
+  in
+  List.iter
+    (fun (level, ts) ->
+      let o = Online.create ~ts ~level ~num_keys:1 () in
+      let feed id ?status ops =
+        Online.add_txn o
+          (Txn.make ~id ~session:1 ?status ~start_ts:(2 * id)
+             ~commit_ts:((2 * id) + 1) ops)
+      in
+      checkb "in range" true
+        (feed 1 [ Op.Read (0, 0); Op.Write (0, 1) ] = Online.Ok_so_far);
+      List.iter
+        (fun k ->
+          List.iter
+            (fun status ->
+              let stats = Online.stats o and bytes = encoded o in
+              (match feed 2 ~status [ Op.Read (0, 1); Op.Write (k, 2) ] with
+              | _ -> Alcotest.failf "key %d must be refused" k
+              | exception Invalid_argument m ->
+                  Alcotest.check Alcotest.string "names the key"
+                    (Printf.sprintf
+                       "Online.add_txn: T2 accesses key %d out of [0,1)" k)
+                    m);
+              checkb "stats unchanged" true (Online.stats o = stats);
+              checkb "state unchanged" true (encoded o = bytes))
+            [ Txn.Committed; Txn.Aborted ])
+        [ -1; -2; 1; 1 lsl 29 ];
+      checkb "next in-range accepted" true
+        (feed 2 [ Op.Read (0, 1); Op.Write (0, 2) ] = Online.Ok_so_far))
+    [
+      (Checker.SER, Ts.Ignore); (Checker.SI, Ts.Trust);
+      (Checker.SSER, Ts.Verify);
+    ];
+  match Online.create ~level:Checker.SER ~num_keys:(Online.max_keys + 1) () with
+  | _ -> Alcotest.fail "num_keys past the label bound must be refused"
+  | exception Invalid_argument _ -> ()
+
 let suite =
   [
     ("agrees with batch on clean engines", `Quick, test_online_agrees_clean);
@@ -261,4 +308,6 @@ let suite =
     ("poisoned checker frozen (stats)", `Quick, test_online_poisoned_is_frozen);
     ("stats track progress", `Quick, test_online_stats_progress);
     ("txns_seen", `Quick, test_online_counts);
+    ("keys out of range refused before any change", `Quick,
+     test_online_key_out_of_range);
   ]

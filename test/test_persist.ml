@@ -59,8 +59,11 @@ let fixture_txns =
 
 let fixture_records n ~close =
   let feeds = List.filteri (fun i _ -> i < n) (Lazy.force fixture_txns) in
-  (Wal.R_open { sid = 1; level = Checker.SER; num_keys = 10; skew = 0;
-                ts = Ts.Ignore; gc = Online.Gc_off }
+  (Wal.R_open
+     { sid = 1;
+       settings =
+         { level = Checker.SER; num_keys = 10; skew = 0; ts = Ts.Ignore;
+           gc = Online.Gc_off } }
   :: List.mapi (fun i txn -> Wal.R_feed { sid = 1; seq = i + 1; txn }) feeds)
   @ (if close then [ Wal.R_close { sid = 1 } ] else [])
 
@@ -161,19 +164,19 @@ let test_wal_bitflip_detected () =
 
 let test_snapshot_roundtrip () =
   let path = temp_name ".snap" in
-  let meta =
-    { Snapshot_store.level = Checker.SI; num_keys = 10; skew = 0;
-      ts = Ts.Ignore; gc = Online.Gc_off }
+  let settings =
+    { Online.level = Checker.SI; num_keys = 10; skew = 0; ts = Ts.Ignore;
+      gc = Online.Gc_off }
   in
   let entries =
     [
       {
         Snapshot_store.sid = 4;
-        meta;
         last_seq = 17;
         state =
           Snapshot_store.Poisoned
-            { anomaly = Some "lost update"; rendered = "SI violation: boom" };
+            { settings; anomaly = Some "lost update";
+              rendered = "SI violation: boom" };
       };
     ]
   in
@@ -190,7 +193,8 @@ let test_snapshot_roundtrip () =
           checki "sid" 4 e.Snapshot_store.sid;
           checki "last_seq" 17 e.Snapshot_store.last_seq;
           match e.Snapshot_store.state with
-          | Snapshot_store.Poisoned { anomaly; rendered } ->
+          | Snapshot_store.Poisoned { settings = s; anomaly; rendered } ->
+              checkb "settings" (s = settings) true;
               checkb "anomaly" (anomaly = Some "lost update") true;
               checks "rendered verbatim" "SI violation: boom" rendered
           | Snapshot_store.Live _ -> Alcotest.fail "poisoned came back live")
@@ -209,8 +213,8 @@ let test_snapshot_version_mismatch () =
   Snapshot_store.write ~path ~shard:0 ~nshards:1 ~gen:1 ~next_sid:2 [];
   let full = read_file path in
   let magic_len = 8 and crc_len = 4 in
-  checki "stored version byte" 5 (Char.code full.[magic_len]);
-  (* the version is the payload's leading uvarint; 2 to 6 are all
+  checki "stored version byte" 6 (Char.code full.[magic_len]);
+  (* the version is the payload's leading uvarint; 2 to 7 are all
      single bytes, so patch in place and recompute the trailing CRC *)
   let with_version v =
     let b = Bytes.of_string full in
@@ -234,14 +238,15 @@ let test_snapshot_version_mismatch () =
       | Error e ->
           checkb ("names both versions: " ^ msg) (contains ~sub:msg e) true)
     [
-      (6, "snapshot version 6 (this build reads 5)");
-      (4, "snapshot version 4 (this build reads 5)");
-      (3, "snapshot version 3 (this build reads 5)");
-      (2, "snapshot version 2 (this build reads 5)");
+      (7, "snapshot version 7 (this build reads 6)");
+      (5, "snapshot version 5 (this build reads 6)");
+      (4, "snapshot version 4 (this build reads 6)");
+      (3, "snapshot version 3 (this build reads 6)");
+      (2, "snapshot version 2 (this build reads 6)");
     ];
   (* same patch without the CRC fix: caught as corruption *)
   let b = Bytes.of_string full in
-  Bytes.set b magic_len (Char.chr 6);
+  Bytes.set b magic_len (Char.chr 7);
   write_file path (Bytes.to_string b);
   (match Snapshot_store.read path with
   | Ok _ -> Alcotest.fail "tampered snapshot must be refused"
@@ -268,9 +273,7 @@ let test_snapshot_version_mismatch () =
   Online.encode buf o;
   let blob = Buffer.contents buf in
   let r = Binio_core.reader blob in
-  ignore (Binio_core.read_byte r);
-  ignore (Binio_core.read_varint r);
-  ignore (Binio_core.read_byte r);
+  ignore (Online.read_settings r);
   ignore (Binio_core.read_uvarint r);
   ignore (Pearce_kelly.decode r);
   let next_vertex = Binio_core.read_uvarint r in
@@ -303,6 +306,208 @@ let test_snapshot_version_mismatch () =
       ("a live", (next_vertex - 1) :: List.tl listed);
       ("the initial", 0 :: List.tl listed);
     ]
+
+(* ------------------------------------------------------------------ *)
+(* One settings codec for the WAL, snapshots and the checker. *)
+
+(* Every level x timestamp mode x GC policy at one draw of the numbers. *)
+let all_settings (num_keys, skew, ceiling) =
+  List.concat_map
+    (fun level ->
+      List.concat_map
+        (fun ts ->
+          List.map
+            (fun gc -> { Online.level; num_keys; skew; ts; gc })
+            [ Online.Gc_off; Online.Gc_auto; Online.Gc_words ceiling ])
+        [ Ts.Ignore; Ts.Trust; Ts.Verify ])
+    [ Checker.SSER; Checker.SER; Checker.SI ]
+
+let encode_settings s =
+  let b = Buffer.create 32 in
+  Online.add_settings b s;
+  Buffer.contents b
+
+(* [num_keys] log-uniform over [1, 2^22], skew and the word ceiling
+   including their extremes. *)
+let numbers_gen =
+  QCheck2.Gen.(
+    let* bits = int_range 0 22 in
+    let* num_keys = int_range (Stdlib.max 1 ((1 lsl bits) / 2)) (1 lsl bits) in
+    let* skew = oneof [ return min_int; return max_int; return 0; int ] in
+    let* ceiling =
+      oneof
+        [
+          return 1;
+          return max_int;
+          (let* bits = int_range 1 61 in
+           int_range (1 lsl (bits - 1)) ((1 lsl bits) - 1));
+        ]
+    in
+    return (num_keys, skew, ceiling))
+
+(* The settings come back equal from the codec, from a WAL open record,
+   from a poisoned snapshot entry and from a checker's snapshot.  The
+   checker path folds [num_keys] into [1, 256]: a checker costs memory
+   and time per key, seconds and gigabytes at 2^22. *)
+let prop_settings_roundtrip =
+  QCheck2.Test.make ~name:"settings: codec, WAL, snapshot, checker round trips"
+    ~count:40 numbers_gen (fun numbers ->
+      let all = all_settings numbers in
+      List.iter
+        (fun s ->
+          let r = Binio_core.reader (encode_settings s) in
+          if Online.read_settings r <> s || not (Binio_core.at_end r) then
+            QCheck2.Test.fail_report "codec round trip")
+        all;
+      let path = temp_name ".wal" in
+      let records =
+        List.mapi (fun i settings -> Wal.R_open { sid = i + 1; settings }) all
+      in
+      write_wal path records;
+      (match Wal.read_path path with
+      | Ok (_, rs, Wal.Complete) when rs = records -> ()
+      | _ -> QCheck2.Test.fail_report "WAL round trip");
+      Sys.remove path;
+      let path = temp_name ".snap" in
+      let entries =
+        List.mapi
+          (fun i settings ->
+            {
+              Snapshot_store.sid = i + 1;
+              last_seq = i;
+              state =
+                Snapshot_store.Poisoned
+                  { settings; anomaly = None; rendered = "r" };
+            })
+          all
+      in
+      Snapshot_store.write ~path ~shard:0 ~nshards:1 ~gen:1 ~next_sid:99
+        entries;
+      (match Snapshot_store.read path with
+      | Ok info when info.Snapshot_store.i_entries = entries -> ()
+      | _ -> QCheck2.Test.fail_report "snapshot round trip");
+      Sys.remove path;
+      List.iter
+        (fun (s : Online.settings) ->
+          let s = { s with num_keys = 1 + ((s.num_keys - 1) mod 256) } in
+          let o =
+            Online.create ~skew:s.skew ~ts:s.ts ~gc:s.gc ~level:s.level
+              ~num_keys:s.num_keys ()
+          in
+          let b = Buffer.create 1024 in
+          Online.encode b o;
+          let o' = Online.decode (Binio_core.reader (Buffer.contents b)) in
+          if Online.settings o' <> s then
+            QCheck2.Test.fail_report "checker round trip")
+        all;
+      true)
+
+(* Malformed settings are refused as [Decode_error] by the codec, and as
+   a corrupt WAL tail or an [Error] by the readers around it — never as
+   another exception: every strict prefix, every unknown level, ts and
+   GC byte, a zero word ceiling and a key count past {!Online.max_keys}. *)
+let test_settings_refused () =
+  let refused what bytes =
+    match Online.read_settings (Binio_core.reader bytes) with
+    | _ -> Alcotest.failf "%s must be refused" what
+    | exception Binio_core.Decode_error _ -> ()
+  in
+  List.iter
+    (fun s ->
+      let e = encode_settings s in
+      for cut = 0 to String.length e - 1 do
+        refused (Printf.sprintf "a %d-byte prefix" cut) (String.sub e 0 cut)
+      done)
+    (all_settings (1 lsl 22, min_int, max_int) @ all_settings (1, 0, 1));
+  (* level byte, num_keys 10, skew 0, ts byte, gc byte *)
+  let base =
+    encode_settings
+      { Online.level = Checker.SER; num_keys = 10; skew = 0; ts = Ts.Ignore;
+        gc = Online.Gc_off }
+  in
+  checks "layout" "\001\010\000\000\000" base;
+  for b = 3 to 255 do
+    List.iter
+      (fun (what, at) ->
+        let x = Bytes.of_string base in
+        Bytes.set x at (Char.chr b);
+        refused (Printf.sprintf "%s byte %d" what b) (Bytes.to_string x))
+      [ ("level", 0); ("ts", 3); ("gc", 4) ]
+  done;
+  refused "a zero ceiling" (String.sub base 0 4 ^ "\002\000");
+  (* the writers encode what the readers refuse: the readers answer with
+     a corrupt tail and an [Error] *)
+  List.iter
+    (fun (what, settings) ->
+      let path = temp_name ".wal" in
+      write_wal path [ Wal.R_open { sid = 1; settings } ];
+      (match Wal.read_path path with
+      | Ok (_, [], Wal.Corrupt _) -> ()
+      | _ -> Alcotest.failf "WAL with %s: corrupt tail expected" what);
+      Sys.remove path;
+      let path = temp_name ".snap" in
+      Snapshot_store.write ~path ~shard:0 ~nshards:1 ~gen:1 ~next_sid:2
+        [
+          {
+            Snapshot_store.sid = 1;
+            last_seq = 0;
+            state =
+              Snapshot_store.Poisoned
+                { settings; anomaly = None; rendered = "" };
+          };
+        ];
+      (match Snapshot_store.read path with
+      | Error _ -> ()
+      | Ok _ -> Alcotest.failf "snapshot with %s must be refused" what);
+      Sys.remove path)
+    [
+      ( "a zero ceiling",
+        { Online.level = Checker.SI; num_keys = 10; skew = 0; ts = Ts.Trust;
+          gc = Online.Gc_words 0 } );
+      ( "num_keys past max_keys",
+        { Online.level = Checker.SER; num_keys = Online.max_keys + 1;
+          skew = 0; ts = Ts.Ignore; gc = Online.Gc_off } );
+    ]
+
+(* WAL files holding one open record per GC constructor, as the
+   previous release wrote them (format v2): each must decode to the same
+   settings and re-encode to the same bytes. *)
+let pinned_opens =
+  [
+    ( "6d746377616c310a0400000002000101401651e5070000000103010a000000b06f52ef",
+      3,
+      { Online.level = Checker.SER; num_keys = 10; skew = 0; ts = Ts.Ignore;
+        gc = Online.Gc_off } );
+    ( "6d746377616c310a0400000002000101401651e508000000010402ac020d010177721569",
+      4,
+      { Online.level = Checker.SI; num_keys = 300; skew = -7; ts = Ts.Trust;
+        gc = Online.Gc_auto } );
+    ( "6d746377616c310a0400000002000101401651e514000000010500808080\
+       02ffffffffffffffff7f0202b817dba71d89",
+      5,
+      { Online.level = Checker.SSER; num_keys = 1 lsl 22; skew = min_int;
+        ts = Ts.Verify; gc = Online.Gc_words 3000 } );
+  ]
+
+let test_wal_pinned_open_bytes () =
+  let of_hex h =
+    String.init (String.length h / 2) (fun i ->
+        Char.chr (int_of_string ("0x" ^ String.sub h (2 * i) 2)))
+  in
+  List.iter
+    (fun (hex, sid, settings) ->
+      let bytes = of_hex hex in
+      let path = temp_name ".wal" in
+      write_file path bytes;
+      (match Wal.read_path path with
+      | Ok (_, [ Wal.R_open { sid = sid'; settings = s } ], Wal.Complete) ->
+          checki "sid" sid sid';
+          checkb "same settings" true (s = settings)
+      | _ -> Alcotest.fail "pinned WAL must decode to one open record");
+      write_wal path [ Wal.R_open { sid; settings } ];
+      checkb "re-encodes to the same bytes" true (read_file path = bytes);
+      Sys.remove path)
+    pinned_opens
 
 (* ------------------------------------------------------------------ *)
 (* Restore == fresh feed. *)
@@ -352,7 +557,8 @@ let resumed_verdict ?(gc = Online.Gc_off) ~level ~shards ~bounce ~cut h dir =
   write_wal
     (Filename.concat dir "wal-0-1")
     (Wal.R_open
-       { sid = 1; level; num_keys = 10; skew = 0; ts = Ts.Ignore; gc }
+       { sid = 1;
+         settings = { level; num_keys = 10; skew = 0; ts = Ts.Ignore; gc } }
     :: List.mapi
          (fun i txn -> Wal.R_feed { sid = 1; seq = i + 1; txn })
          logged);
@@ -480,6 +686,9 @@ let suite =
     ("snapshot round-trip", `Quick, test_snapshot_roundtrip);
     ("snapshot version/CRC/truncation refused", `Quick,
      test_snapshot_version_mismatch);
+    qtest prop_settings_roundtrip;
+    ("settings: malformed bytes refused", `Quick, test_settings_refused);
+    ("wal: pinned v2 open records", `Quick, test_wal_pinned_open_bytes);
     ("restore == fresh feed (levels x shards)", `Quick,
      test_restore_equals_fresh);
     ("restore after watermark GC == fresh feed", `Quick,

@@ -776,6 +776,52 @@ let test_service_id_reuse_closes_session () =
           | Ok sid2 -> checkb "fresh session" true (sid2 <> sid)
           | Error e -> Alcotest.fail ("re-open: " ^ e)))
 
+(* A key outside the session's [num_keys] is session-fatal misuse: the
+   session closes with a protocol reason that names the key. *)
+let test_service_key_out_of_range_closes_session () =
+  with_server (fun _ addr ->
+      with_client addr (fun c ->
+          let sid =
+            match Client.open_session c ~level:Checker.SER ~num_keys:1 () with
+            | Ok sid -> sid
+            | Error e -> Alcotest.fail ("open: " ^ e)
+          in
+          ignore
+            (Client.feed c ~sid
+               (Txn.make ~id:1 ~session:1 [ Op.Read (0, 0); Op.Write (5, 1) ]));
+          let closed e =
+            checkb ("protocol close naming the key: " ^ e) true
+              (contains ~sub:"protocol" e
+              && contains ~sub:"T1 accesses key 5 out of [0,1)" e)
+          in
+          match Client.sync c ~sid with
+          | Error e -> closed e
+          | Ok _ -> (
+              (* the close may race the sync; it must surface eventually *)
+              Thread.delay 0.1;
+              match Client.sync c ~sid with
+              | Error e -> closed e
+              | Ok _ -> Alcotest.fail "an out-of-range key must close it")))
+
+(* [Wire] owns the close-reason codes: the journal's payload word for a
+   close is the byte its [Session_closed] frame carries, and the name
+   `mtc stats --events` prints for it is the reason's. *)
+let test_close_reason_codes () =
+  List.iter
+    (fun (reason, name) ->
+      let frame = Wire.to_string (Wire.Session_closed { sid = 1; reason }) in
+      (* length prefix, tag, one-byte sid, then the reason byte *)
+      checki ("wire byte of " ^ name) (Char.code frame.[6])
+        (Wire.close_reason_code reason);
+      Alcotest.check Alcotest.string "name" name
+        (Wire.close_reason_name (Wire.close_reason_code reason)))
+    [
+      (Wire.R_requested, "requested"); (Wire.R_idle, "idle");
+      (Wire.R_shutdown, "shutdown"); (Wire.R_protocol "x", "protocol");
+      (Wire.R_pinned, "pinned");
+    ];
+  Alcotest.check Alcotest.string "unknown code" "9" (Wire.close_reason_name 9)
+
 let suite =
   [
     qtest prop_frame_roundtrip;
@@ -798,4 +844,8 @@ let suite =
     ("version mismatch refused", `Quick, test_service_version_mismatch);
     ("txn id reuse closes only the session", `Quick,
      test_service_id_reuse_closes_session);
+    ("out-of-range key closes the session", `Quick,
+     test_service_key_out_of_range_closes_session);
+    ("close-reason codes: journal word = wire byte", `Quick,
+     test_close_reason_codes);
   ]
