@@ -629,10 +629,12 @@ let serve_cmd =
       & opt (some string) None
       & info [ "wal-dir" ] ~docv:"DIR"
           ~doc:
-            "Durability directory (created if missing): per-shard \
-             write-ahead logs plus periodic snapshots.  A restarted \
-             server restores it and clients re-attach with \
-             $(b,mtc feed --resume).")
+            "Durability directory (created if missing): one write-ahead \
+             log file per shard generation, each opening with a \
+             checkpoint of the shard's sessions.  A restarted server \
+             restores it and clients re-attach with \
+             $(b,mtc feed --resume); a file it cannot read stops it \
+             (exit 2) with the file named.")
   in
   let wal_sync_arg =
     let sync_conv =
@@ -662,9 +664,9 @@ let serve_cmd =
       value & opt int 0
       & info [ "snapshot-every" ] ~docv:"N"
           ~doc:
-            "Checkpoint a shard (snapshot + WAL rotation) every $(docv) \
-             feeds it accepts; 0 checkpoints only on SIGHUP and \
-             shutdown.")
+            "Checkpoint a shard (start its next WAL generation, headed \
+             by a snapshot of its sessions) every $(docv) feeds it \
+             accepts; 0 checkpoints only on SIGHUP and shutdown.")
   in
   let drain_delay_arg =
     Arg.(
@@ -872,32 +874,6 @@ let feed_cmd =
              "the service checks strong levels only (si|ser|sser), not %s"
              (Weak_checker.level_name l))
   in
-  (* feed_history with periodic syncs: feed seqs are 1-based stream
-     positions (the durable-resume cursor), syncs use the client's
-     internal counter, floored clear of them. *)
-  let stream_with_acks c ~sid ~resume_from ~ack_every ~delay h =
-    Client.seq_floor c 1_000_000_000;
-    let rec go pos since = function
-      | [] -> Client.sync c ~sid
-      | txn :: rest ->
-          if pos <= resume_from then go (pos + 1) since rest
-          else (
-            match Client.feed ~seq:pos c ~sid txn with
-            | Error _ as e -> e
-            | Ok (Client.Early_verdict v) -> Ok v
-            | Ok Client.Accepted ->
-                (* pace between transactions, not before the first: a
-                   large delay models a producer that fed and stalled *)
-                if delay > 0.0 && rest <> [] then Unix.sleepf delay;
-                if ack_every > 0 && since + 1 >= ack_every then (
-                  match Client.sync c ~sid with
-                  | Error _ as e -> e
-                  | Ok (Wire.V_violation _ as v) -> Ok v
-                  | Ok (Wire.V_ok _) -> go (pos + 1) 0 rest)
-                else go (pos + 1) (since + 1) rest)
-    in
-    go 1 0 (Client.stream_order h)
-  in
   let run file addr level skew timestamps want_stats resume ack_every gc
       delay =
     match (Codec.load file, strong_level level) with
@@ -951,7 +927,9 @@ let feed_cmd =
                 Printf.eprintf "%s\n" e;
                 finish exit_error
             | Ok (sid, resume_from) -> (
-                match stream_with_acks c ~sid ~resume_from ~ack_every ~delay h with
+                match
+                  Client.feed_history ~resume_from ~ack_every ~delay c ~sid h
+                with
                 | Error e ->
                     Printf.eprintf "feed failed: %s\n" e;
                     finish exit_error
@@ -1412,53 +1390,43 @@ let wal_dump_cmd =
       & info [ "verbose"; "v" ]
           ~doc:"Print every WAL record instead of per-session summaries.")
   in
-  let dump_snapshot path =
-    match Snapshot_store.read path with
-    | Error e -> Printf.printf "%s: unreadable: %s\n" (Filename.basename path) e
-    | Ok info ->
-        Printf.printf "%s: shard %d/%d gen %d next_sid %d, %d sessions\n"
-          (Filename.basename path) info.Snapshot_store.i_shard
-          info.Snapshot_store.i_nshards info.Snapshot_store.i_gen
-          info.Snapshot_store.i_next_sid
-          (List.length info.Snapshot_store.i_entries);
-        List.iter
-          (fun (e : Snapshot_store.entry) ->
-            let settings = Snapshot_store.settings e.state in
-            Printf.printf "  session %d: %s, %d keys, last_seq %d, %s\n" e.sid
-              (Checker.level_name settings.level)
-              settings.num_keys e.last_seq
-              (match e.state with
-              | Snapshot_store.Live online ->
-                  let gc = settings.gc in
-                  Printf.sprintf "live (%d txns, %d words live%s)"
-                    (Online.txns_seen online)
-                    (Online.live_words online)
-                    (if gc = Online.Gc_off then ""
-                     else
-                       Printf.sprintf ", gc %s: %d runs, %d words reclaimed"
-                         (Online.gc_to_string gc)
-                         (Online.gc_runs online)
-                         (Online.gc_reclaimed_words online))
-              | Snapshot_store.Poisoned { anomaly; _ } ->
-                  Printf.sprintf "poisoned%s"
-                    (match anomaly with
-                    | Some a -> " [" ^ a ^ "]"
-                    | None -> "")))
-          info.Snapshot_store.i_entries
+  let dump_entry (e : Wal.entry) =
+    let settings = Wal.settings e.state in
+    Printf.printf "  session %d: %s, %d keys, last_seq %d, %s\n" e.sid
+      (Checker.level_name settings.level)
+      settings.num_keys e.last_seq
+      (match e.state with
+      | Wal.Live online ->
+          let gc = settings.gc in
+          Printf.sprintf "live (%d txns, %d words live%s)"
+            (Online.txns_seen online)
+            (Online.live_words online)
+            (if gc = Online.Gc_off then ""
+             else
+               Printf.sprintf ", gc %s: %d runs, %d words reclaimed"
+                 (Online.gc_to_string gc)
+                 (Online.gc_runs online)
+                 (Online.gc_reclaimed_words online))
+      | Wal.Poisoned { anomaly; _ } ->
+          Printf.sprintf "poisoned%s"
+            (match anomaly with Some a -> " [" ^ a ^ "]" | None -> ""))
   in
   let dump_wal verbose path =
     match Wal.read_path path with
     | Error e -> Printf.printf "%s: unreadable: %s\n" (Filename.basename path) e
-    | Ok (h, records, tail) ->
-        Printf.printf "%s: shard %d/%d gen %d, %d records%s\n"
+    | Ok (h, entries, records, tail) ->
+        Printf.printf
+          "%s: shard %d/%d gen %d next_sid %d, %d sessions checkpointed, %d \
+           records%s\n"
           (Filename.basename path) h.Wal.h_shard h.Wal.h_nshards h.Wal.h_gen
-          (List.length records)
+          h.Wal.h_next_sid (List.length entries) (List.length records)
           (match tail with
           | Wal.Complete -> ""
           | Wal.Truncated off ->
               Printf.sprintf ", torn tail at byte %d" off
           | Wal.Corrupt { offset; reason } ->
               Printf.sprintf ", CORRUPT at byte %d (%s)" offset reason);
+        List.iter dump_entry entries;
         if verbose then
           List.iter
             (fun r ->
@@ -1515,28 +1483,27 @@ let wal_dump_cmd =
   in
   let run dir verbose =
     let files = Array.to_list (Sys.readdir dir) |> List.sort compare in
-    let snaps =
-      List.filter (fun f -> String.length f > 5 && String.sub f 0 5 = "snap-")
-        files
-    in
-    let wals =
-      List.filter (fun f -> String.length f > 4 && String.sub f 0 4 = "wal-")
-        files
-    in
+    let with_prefix p = List.filter (String.starts_with ~prefix:p) files in
+    let snaps = with_prefix "snap-" and wals = with_prefix "wal-" in
     if snaps = [] && wals = [] then begin
-      Printf.eprintf "%s: no wal-* or snap-* files\n" dir;
+      Printf.eprintf "%s: no wal-* files\n" dir;
       exit exit_error
     end;
-    List.iter (fun f -> dump_snapshot (Filename.concat dir f)) snaps;
+    List.iter
+      (fun f ->
+        Printf.printf
+          "%s: snapshot file of the older two-file layout, not read\n" f)
+      snaps;
     List.iter (fun f -> dump_wal verbose (Filename.concat dir f)) wals;
     exit exit_pass
   in
   Cmd.v
     (Cmd.info "wal-dump"
        ~doc:
-         "Inspect an $(b,mtc serve --wal-dir) persistence directory: \
-          snapshot contents and write-ahead-log records per shard, \
-          including torn-tail and corruption diagnostics.")
+         "Inspect an $(b,mtc serve --wal-dir) persistence directory: for \
+          each shard generation file, its checkpointed sessions and the \
+          write-ahead-log records after them, including torn-tail and \
+          corruption diagnostics.")
     Term.(const run $ dir_arg $ verbose_arg)
 
 (* ------------------------------------------------------------------ *)

@@ -1,5 +1,5 @@
-(** CRC-32 (IEEE 802.3) — the per-record and per-snapshot checksum of
-    the persistence layer.  Returned values fit in 32 bits. *)
+(** CRC-32 (IEEE 802.3) — the per-record checksum of the persistence
+    layer.  Returned values fit in 32 bits. *)
 
 val string : string -> int
 (** CRC of a whole string. *)

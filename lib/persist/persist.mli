@@ -1,14 +1,16 @@
-(** Durability manager for the checking service: one {!Wal} per shard
-    plus the generation protocol tying WALs to {!Snapshot_store}
-    snapshots.
+(** Durability manager for the checking service: one {!Wal} generation
+    file per shard, each opening with a checkpoint of the shard's
+    sessions and logging every frame after it.
 
-    Restore contract: {!open_dir} loads, for every shard found on disk,
-    the newest valid snapshot generation and replays that generation's
-    WAL tail on top of it — poisoned sessions re-render byte-identical
+    Restore contract: {!open_dir} reads, for every shard found on disk,
+    that shard's newest generation file alone — its checkpoint, then
+    its record tail.  Poisoned sessions re-render byte-identical
     counterexamples, live sessions resume at exactly the last frame the
-    WAL holds.  It then immediately re-checkpoints everything under the
+    file holds.  It then immediately checkpoints everything under the
     {e current} shard count (sessions re-home to [sid mod nshards]), so
-    a restart may change [-j] freely.
+    a restart may change [-j] freely.  A file it cannot read, or a
+    snapshot file of the older two-file layout, is refused by name
+    before anything on disk changes.
 
     Threading: after {!open_dir}, each shard's {!append}/{!barrier}/
     {!checkpoint} must be called from the domain that owns that shard
@@ -16,7 +18,7 @@
     never contend. *)
 
 type replay_stats = {
-  rs_frames : int;  (** WAL records replayed *)
+  rs_frames : int;  (** tail records replayed *)
   rs_ms : float;  (** wall-clock restore time *)
   rs_sessions : int;  (** sessions restored *)
 }
@@ -30,7 +32,7 @@ val open_dir :
   sync:Wal.sync ->
   render:(level:Checker.level -> Checker.violation -> string option * string) ->
   unit ->
-  (t * Snapshot_store.entry list * int * replay_stats, string) result
+  (t * Wal.entry list * int * replay_stats, string) result
 (** Open (creating if needed) a persistence directory, restore whatever
     it holds, start a fresh generation.  The restored sessions come in
     sid order, each at its highest applied feed sequence number; their
@@ -40,7 +42,9 @@ val open_dir :
     violation found during replay into its [(anomaly, rendered)] pair —
     pass the exact renderer the live server uses, byte-identity of
     counterexamples depends on it.  [on_fsync] is the metrics hook,
-    called with each fsync's duration in ns. *)
+    called with each fsync's duration in ns.  [Error] names the file it
+    could not read and why (["wal-0-3: WAL version 2 (this build reads
+    3)"]); the directory is then left as it was. *)
 
 val dir : t -> string
 
@@ -56,11 +60,11 @@ val barrier : t -> shard:int -> unit
 (** {!Wal.barrier} on the shard's WAL — before acknowledging a sync
     verdict in [Batch] mode. *)
 
-val checkpoint :
-  t -> shard:int -> next_sid:int -> Snapshot_store.entry list -> unit
-(** Snapshot this shard's sessions and rotate its WAL to a fresh
-    generation; the old generation's files are unlinked once the new
-    ones are durable. *)
+val checkpoint : t -> shard:int -> next_sid:int -> Wal.entry list -> unit
+(** Start the shard's next generation with these sessions as its
+    checkpoint; the old generation's file is closed and unlinked once
+    the new one is durable.  On an exception the shard keeps appending
+    to its old generation. *)
 
 val close : t -> unit
 (** Close every WAL (final fsync per policy).  Idempotent. *)

@@ -1,39 +1,56 @@
-(* Per-shard write-ahead log of accepted service frames.
+(* Per-shard write-ahead log, one file per shard generation.
 
    File layout (all multi-byte integers little-endian u32 unless they
    are Binio varints):
 
      magic "mtcwal1\n" (8 bytes)
      u32 header length | header payload | u32 CRC-32(header payload)
+     checkpoint record * count
      record*
 
-   where the header payload is [version=1, shard, nshards, gen] as
-   uvarints and every record is
+   where the header payload is [version=3, shard, nshards, gen,
+   next_sid, count] as uvarints and every record is
 
      u32 payload length | payload | u32 CRC-32(payload)
 
    with the payload a tagged Binio encoding (1 = open, 2 = feed,
-   3 = close).  Appends are group-committed: records accumulate in a
-   user-space buffer and reach the kernel in one [write] per drain
-   barrier (the owning shard's ingress queue going empty), per ack
-   barrier (session-open and verdict acks), per size threshold, or on
-   close — a thousand-feed burst is one syscall, not a thousand.  After the flush the bytes live in the
-   page cache, so a [kill -9] of the server loses at most the buffered
-   tail since the last barrier; [fsync] (the [sync] policy) adds
-   protection against OS crashes and power loss.  [Always] mode keeps
-   the historical record-per-write+fsync discipline.
+   3 = close, 4 = checkpointed session).  A checkpoint record is [sid,
+   last_seq] and a state byte: 0 = live, an {!Online.encode} blob
+   follows (its settings leading); 1 = poisoned, the settings in
+   {!Online.add_settings}' format follow, then the anomaly option and
+   the rendered counterexample (a poisoned session's graph is dead
+   weight, its rendered verdict is all it will ever produce again).
+   Each session holds its settings once, so they cannot disagree with
+   its checker.
 
-   A torn tail (crash mid-append) parses as a clean [Truncated] stop; a
-   CRC or tag mismatch before the tail is [Corrupt].  Neither escapes as
-   an exception.
+   The head (header + checkpoint) goes to [path ^ ".tmp"], is fsynced,
+   renamed over [path] and the directory fsynced whatever the sync
+   policy — a crash leaves either no file or a whole checkpoint.  A
+   checkpoint record holds a whole checker, so it is not held to
+   [max_record]; its length is bounded by the file it sits in.
 
-   v2: [R_open] carries the session's watermark-GC policy, so WAL-only
-   replay recreates the checker with the same bounded-memory setting
-   (and replays within the same bound).  Its settings are written by
-   {!Online.add_settings}, whose bytes are v2's. *)
+   Appends are group-committed: records accumulate in a user-space
+   buffer and reach the kernel in one [write] per drain barrier (the
+   owning shard's ingress queue going empty), per ack barrier
+   (session-open and verdict acks), per size threshold, or on close — a
+   thousand-feed burst is one syscall, not a thousand.  After the flush
+   the bytes live in the page cache, so a [kill -9] of the server loses
+   at most the buffered tail since the last barrier; [fsync] (the
+   [sync] policy) adds protection against OS crashes and power loss.
+   [Always] mode keeps the historical record-per-write+fsync
+   discipline.
+
+   A short or corrupt checkpoint makes the whole file unreadable.  After
+   it, a torn tail (crash mid-append) parses as a clean [Truncated]
+   stop; a CRC or tag mismatch is [Corrupt].  Neither escapes as an
+   exception.
+
+   v2 added the GC policy to [R_open]; v3 puts the checkpoint at the
+   head of the file (it was a separate snapshot file before).  The
+   open/feed/close records keep v2's bytes. *)
 
 let magic = "mtcwal1\n"
-let version = 2
+let version = 3
 
 (* Records can embed a whole wire transaction; mirror the wire frame
    ceiling so a corrupt length prefix cannot make restore allocate
@@ -58,12 +75,26 @@ let sync_name = function Always -> "always" | Batch -> "batch" | Off -> "off"
    throughput close to the WAL-off line. *)
 let batch_every = 2048
 
+type state =
+  | Live of Online.t
+  | Poisoned of {
+      settings : Online.settings;
+      anomaly : string option;
+      rendered : string;
+    }
+
+type entry = { sid : int; last_seq : int; state : state }
+
+let settings = function
+  | Live online -> Online.settings online
+  | Poisoned { settings; _ } -> settings
+
 type record =
   | R_open of { sid : int; settings : Online.settings }
   | R_feed of { sid : int; seq : int; txn : Txn.t }
   | R_close of { sid : int }
 
-type header = { h_version : int; h_shard : int; h_nshards : int; h_gen : int }
+type header = { h_shard : int; h_nshards : int; h_gen : int; h_next_sid : int }
 
 let add_u32le buf n =
   Buffer.add_char buf (Char.chr (n land 0xff));
@@ -97,6 +128,46 @@ let read_record r =
   | 3 -> R_close { sid = Binio.read_uvarint r }
   | t -> Binio.fail "unknown WAL record tag %d" t
 
+let add_entry buf e =
+  Buffer.add_char buf '\004';
+  Binio.add_uvarint buf e.sid;
+  Binio.add_uvarint buf e.last_seq;
+  match e.state with
+  | Live online ->
+      Buffer.add_char buf '\000';
+      Online.encode buf online
+  | Poisoned { settings; anomaly; rendered } ->
+      Buffer.add_char buf '\001';
+      Online.add_settings buf settings;
+      (match anomaly with
+      | None -> Buffer.add_char buf '\000'
+      | Some a ->
+          Buffer.add_char buf '\001';
+          Binio.add_string buf a);
+      Binio.add_string buf rendered
+
+let read_entry r =
+  (match Binio.read_byte r with
+  | 4 -> ()
+  | t -> Binio.fail "record tag %d where a checkpoint record belongs" t);
+  let sid = Binio.read_uvarint r in
+  let last_seq = Binio.read_uvarint r in
+  let state =
+    match Binio.read_byte r with
+    | 0 -> Live (Online.decode r)
+    | 1 ->
+        let settings = Online.read_settings r in
+        let anomaly =
+          match Binio.read_byte r with
+          | 0 -> None
+          | 1 -> Some (Binio.read_string r)
+          | b -> Binio.fail "bad anomaly presence byte %d" b
+        in
+        Poisoned { settings; anomaly; rendered = Binio.read_string r }
+    | b -> Binio.fail "unknown session state byte %d" b
+  in
+  { sid; last_seq; state }
+
 (* ------------------------------------------------------------------ *)
 (* Writing. *)
 
@@ -114,7 +185,6 @@ type writer = {
   sync : sync;
   on_fsync : int -> unit;  (* called with the fsync's duration in ns *)
   mutable unsynced : int;
-  mutable bytes : int;
   mutable closed : bool;
 }
 
@@ -126,15 +196,11 @@ let rec really_write fd b off len =
     in
     really_write fd b (off + n) (len - n)
 
-let write_buffer w buf =
-  let b = Buffer.to_bytes buf in
-  really_write w.fd b 0 (Bytes.length b);
-  w.bytes <- w.bytes + Bytes.length b
-
 (* One write(2) for everything queued since the last flush. *)
 let flush w =
   if (not w.closed) && Buffer.length w.pending > 0 then begin
-    write_buffer w w.pending;
+    let b = Buffer.to_bytes w.pending in
+    really_write w.fd b 0 (Bytes.length b);
     Buffer.clear w.pending
   end
 
@@ -145,9 +211,28 @@ let fsync w =
   w.unsynced <- 0;
   w.on_fsync (Obs.Clock.now_ns () - t0)
 
-let create ?(on_fsync = fun _ -> ()) ~path ~shard ~nshards ~gen ~sync () =
+let fsync_dir dir =
+  match Unix.openfile dir [ Unix.O_RDONLY ] 0 with
+  | exception Unix.Unix_error _ -> ()
+  | fd ->
+      Fun.protect ~finally:(fun () -> Unix.close fd) (fun () -> Unix.fsync fd)
+
+(* Move the payload encoded in [w.scratch] into the group-commit buffer
+   as one length+payload+crc block; returns the block's size. *)
+let add_block w =
+  let payload = Buffer.contents w.scratch in
+  let len = String.length payload in
+  if len > 0xffff_ffff then invalid_arg "Wal: record longer than 4 GiB";
+  add_u32le w.pending len;
+  Buffer.add_string w.pending payload;
+  add_u32le w.pending (Crc32.string payload);
+  4 + len + 4
+
+let create ?(on_fsync = fun _ -> ()) ~path ~shard ~nshards ~gen ~next_sid
+    ~sync entries =
+  let tmp = path ^ ".tmp" in
   let fd =
-    Unix.openfile path [ Unix.O_WRONLY; Unix.O_CREAT; Unix.O_TRUNC ] 0o644
+    Unix.openfile tmp [ Unix.O_WRONLY; Unix.O_CREAT; Unix.O_TRUNC ] 0o644
   in
   let w =
     {
@@ -157,36 +242,40 @@ let create ?(on_fsync = fun _ -> ()) ~path ~shard ~nshards ~gen ~sync () =
       sync;
       on_fsync;
       unsynced = 0;
-      bytes = 0;
       closed = false;
     }
   in
-  Buffer.clear w.scratch;
-  Binio.add_uvarint w.scratch version;
-  Binio.add_uvarint w.scratch shard;
-  Binio.add_uvarint w.scratch nshards;
-  Binio.add_uvarint w.scratch gen;
-  let payload = Buffer.contents w.scratch in
-  Buffer.add_string w.pending magic;
-  add_u32le w.pending (String.length payload);
-  Buffer.add_string w.pending payload;
-  add_u32le w.pending (Crc32.string payload);
-  (* the header always lands immediately: a WAL file without one is
-     unreadable, not merely short *)
-  flush w;
-  if sync <> Off then fsync w;
-  w
+  match
+    Buffer.add_string w.pending magic;
+    List.iter
+      (Binio.add_uvarint w.scratch)
+      [ version; shard; nshards; gen; next_sid; List.length entries ];
+    ignore (add_block w);
+    List.iter
+      (fun e ->
+        Buffer.clear w.scratch;
+        add_entry w.scratch e;
+        ignore (add_block w);
+        if Buffer.length w.pending >= flush_threshold then flush w)
+      entries;
+    fsync w;
+    (* a checkpoint record can hold a whole checker: give the buffers'
+       capacity back rather than keep it for the generation's life *)
+    Buffer.reset w.scratch;
+    Buffer.reset w.pending;
+    Unix.rename tmp path;
+    fsync_dir (Filename.dirname path)
+  with
+  | () -> w
+  | exception e ->
+      Unix.close fd;
+      raise e
 
 let append w record =
   if w.closed then invalid_arg "Wal.append: writer closed";
   Buffer.clear w.scratch;
   add_record w.scratch record;
-  let payload = Buffer.contents w.scratch in
-  let before = Buffer.length w.pending in
-  add_u32le w.pending (String.length payload);
-  Buffer.add_string w.pending payload;
-  add_u32le w.pending (Crc32.string payload);
-  let added = Buffer.length w.pending - before in
+  let added = add_block w in
   (match w.sync with
   | Always -> fsync w
   | Batch ->
@@ -202,8 +291,6 @@ let append w record =
 let barrier w =
   if not w.closed then
     if w.sync = Batch && w.unsynced > 0 then fsync w else flush w
-
-let bytes_written w = w.bytes + Buffer.length w.pending
 
 let close w =
   if not w.closed then begin
@@ -226,68 +313,98 @@ let read_u32le src pos =
   lor (Char.code (Binio.Source.get src (pos + 2)) lsl 16)
   lor (Char.code (Binio.Source.get src (pos + 3)) lsl 24)
 
-(* Parse one length+payload+crc block at [pos].  [`Short] = torn tail. *)
-let read_block src pos =
+(* Parse one length+payload+crc block at [pos].  [`Short] = torn tail.
+   A length past [max] is corrupt; one past the end of the file is
+   short, so no length makes this copy more bytes than the file
+   holds. *)
+let read_block ?(max = max_record) src pos =
   let total = Binio.Source.length src in
   if total - pos < 4 then `Short
   else
     let len = read_u32le src pos in
-    if len <= 0 || len > max_record then
+    if len <= 0 || len > max then
       `Bad (Printf.sprintf "block length %d out of range" len)
     else if total - pos < 4 + len + 4 then `Short
     else
       let payload = Binio.Source.sub_string src (pos + 4) len in
-      let crc = read_u32le src (pos + 4 + len) in
-      if Crc32.string payload <> crc then `Bad "CRC mismatch"
+      if Crc32.string payload <> read_u32le src (pos + 4 + len) then
+        `Bad "CRC mismatch"
       else `Block (payload, pos + 4 + len + 4)
+
+(* Decode a whole block payload; @raise Binio.Decode_error. *)
+let decode read payload =
+  let r = Binio.reader payload in
+  let v = read r in
+  if not (Binio.at_end r) then Binio.fail "trailing record bytes";
+  v
+
+let read_header r =
+  let v = Binio.read_uvarint r in
+  if v <> version then
+    Binio.fail "WAL version %d (this build reads %d)" v version;
+  let h_shard = Binio.read_uvarint r in
+  let h_nshards = Binio.read_uvarint r in
+  let h_gen = Binio.read_uvarint r in
+  let h_next_sid = Binio.read_uvarint r in
+  ({ h_shard; h_nshards; h_gen; h_next_sid }, Binio.read_uvarint r)
+
+(* The checkpoint: exactly [count] intact records from [pos], or the
+   reason there are fewer. *)
+let read_checkpoint src pos count =
+  let rec go i pos acc =
+    if i = count then Ok (List.rev acc, pos)
+    else
+      let bad reason =
+        Error (Printf.sprintf "checkpoint record %d of %d: %s" (i + 1) count
+                 reason)
+      in
+      match read_block ~max:max_int src pos with
+      | `Short ->
+          Error
+            (Printf.sprintf "checkpoint cut short: %d of %d records" i count)
+      | `Bad reason -> bad reason
+      | `Block (payload, next) -> (
+          match decode read_entry payload with
+          | e -> go (i + 1) next (e :: acc)
+          | exception Binio.Decode_error m -> bad m)
+  in
+  go 0 pos []
+
+(* The records after the checkpoint, up to the first torn or corrupt
+   one. *)
+let read_tail src pos =
+  let rec go pos acc =
+    if pos >= Binio.Source.length src then (List.rev acc, Complete)
+    else
+      match read_block src pos with
+      | `Short -> (List.rev acc, Truncated pos)
+      | `Bad reason -> (List.rev acc, Corrupt { offset = pos; reason })
+      | `Block (payload, next) -> (
+          match decode read_record payload with
+          | record -> go next (record :: acc)
+          | exception Binio.Decode_error reason ->
+              (List.rev acc, Corrupt { offset = pos; reason }))
+  in
+  go pos []
 
 let read_path path =
   match Binio.Source.map_file path with
-  | exception Unix.Unix_error (e, _, _) ->
-      Error (Printf.sprintf "%s: %s" path (Unix.error_message e))
+  | exception Unix.Unix_error (e, _, _) -> Error (Unix.error_message e)
   | src -> (
-      let total = Binio.Source.length src in
-      if total < String.length magic
-         || Binio.Source.sub_string src 0 (String.length magic) <> magic
-      then Error (Printf.sprintf "%s: not a WAL file" path)
+      let mlen = String.length magic in
+      if
+        Binio.Source.length src < mlen
+        || Binio.Source.sub_string src 0 mlen <> magic
+      then Error "not a WAL file"
       else
-        match read_block src (String.length magic) with
-        | `Short | `Bad _ -> Error (Printf.sprintf "%s: bad WAL header" path)
-        | `Block (hpayload, pos0) -> (
-            match
-              let r = Binio.reader hpayload in
-              let h_version = Binio.read_uvarint r in
-              if h_version <> version then
-                Binio.fail "WAL version %d (want %d)" h_version version;
-              let h_shard = Binio.read_uvarint r in
-              let h_nshards = Binio.read_uvarint r in
-              let h_gen = Binio.read_uvarint r in
-              if not (Binio.at_end r) then Binio.fail "trailing header bytes";
-              { h_version; h_shard; h_nshards; h_gen }
-            with
-            | exception Binio.Decode_error m ->
-                Error (Printf.sprintf "%s: %s" path m)
-            | header ->
-                let records = ref [] in
-                let rec go pos =
-                  if pos >= total then Complete
-                  else
-                    match read_block src pos with
-                    | `Short -> Truncated pos
-                    | `Bad reason -> Corrupt { offset = pos; reason }
-                    | `Block (payload, next) -> (
-                        match
-                          let r = Binio.reader payload in
-                          let rec_ = read_record r in
-                          if not (Binio.at_end r) then
-                            Binio.fail "trailing record bytes";
-                          rec_
-                        with
-                        | exception Binio.Decode_error m ->
-                            Corrupt { offset = pos; reason = m }
-                        | rec_ ->
-                            records := rec_ :: !records;
-                            go next)
-                in
-                let tail = go pos0 in
-                Ok (header, List.rev !records, tail)))
+        match read_block src mlen with
+        | `Short | `Bad _ -> Error "bad WAL header"
+        | `Block (payload, pos) -> (
+            match decode read_header payload with
+            | exception Binio.Decode_error m -> Error m
+            | header, count -> (
+                match read_checkpoint src pos count with
+                | Error _ as e -> e
+                | Ok (entries, pos) ->
+                    let records, tail = read_tail src pos in
+                    Ok (header, entries, records, tail))))

@@ -315,17 +315,28 @@ let stream_order (h : History.t) =
    durable server they double as the resume cursor, so a client that
    re-attaches after a crash skips everything at or below the
    server-reported [last_seq] and continues from the exact next
-   transaction. *)
-let feed_history ?(resume_from = 0) t ~sid (h : History.t) =
+   transaction.  Syncs use the internal counter, floored clear of
+   them. *)
+let feed_history ?(resume_from = 0) ?(ack_every = 0) ?(delay = 0.0) t ~sid
+    (h : History.t) =
   seq_floor t sync_seq_base;
-  let rec go pos = function
+  let rec go pos since = function
     | [] -> sync t ~sid
     | txn :: rest ->
-        if pos <= resume_from then go (pos + 1) rest
+        if pos <= resume_from then go (pos + 1) since rest
         else (
           match feed ~seq:pos t ~sid txn with
           | Result.Error _ as e -> e
           | Ok (Early_verdict v) -> Ok v
-          | Ok Accepted -> go (pos + 1) rest)
+          | Ok Accepted ->
+              (* pace between transactions, not before the first: a
+                 large delay models a producer that fed and stalled *)
+              if delay > 0.0 && rest <> [] then Unix.sleepf delay;
+              if ack_every > 0 && since + 1 >= ack_every then (
+                match sync t ~sid with
+                | Result.Error _ as e -> e
+                | Ok (Wire.V_violation _ as v) -> Ok v
+                | Ok (Wire.V_ok _) -> go (pos + 1) 0 rest)
+              else go (pos + 1) (since + 1) rest)
   in
-  go 1 (stream_order h)
+  go 1 0 (stream_order h)

@@ -78,8 +78,18 @@ val stream_order : History.t -> Txn.t list
     monitoring proxy would deliver them in. *)
 
 val feed_history :
-  ?resume_from:int -> t -> sid:int -> History.t -> (Wire.verdict, string) result
+  ?resume_from:int ->
+  ?ack_every:int ->
+  ?delay:float ->
+  t ->
+  sid:int ->
+  History.t ->
+  (Wire.verdict, string) result
 (** Stream a whole history in {!stream_order} with position-based feed
     seqs, stopping early on a violation verdict, then {!sync} for the
     final verdict.  [?resume_from] (a {!resume_session} result) skips
-    the prefix the server already holds. *)
+    the prefix the server already holds.  [?ack_every] [n > 0] also
+    syncs after every [n] accepted transactions (stopping on a
+    violation), so progress is acknowledged — and, on a durable server,
+    fsynced — while streaming; [?delay] sleeps that many seconds
+    between transactions.  Both default to off. *)

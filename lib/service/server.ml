@@ -1,6 +1,6 @@
 (* The MTC checking daemon: an epoll event loop multiplexing many client
    sessions over Unix-domain and TCP sockets, with optional durability
-   (per-shard write-ahead logs + snapshots, lib/persist).
+   (per-shard write-ahead logs headed by checkpoints, lib/persist).
 
    Threading model — one event-loop systhread for ALL connection I/O,
    domains for the checking:
@@ -33,11 +33,13 @@
 
    Durability ([config.wal_dir]): every accepted open/feed/close is
    appended to the owning shard's WAL {e before} it is applied, and
-   shards checkpoint their sessions to snapshots ({!checkpoint}, SIGHUP
-   under {!run}, or every [snapshot_every] feeds).  After a crash the
-   server restores snapshot + WAL tail: live sessions resume at exactly
-   the last logged frame ([Resume_session]/[Session_resumed]), poisoned
-   sessions re-render the byte-identical counterexample.
+   shards checkpoint their sessions into the head of a new WAL
+   generation ({!checkpoint}, SIGHUP under {!run}, or every
+   [snapshot_every] feeds).  After a crash the server restores each
+   shard's newest generation, checkpoint then tail: live sessions
+   resume at exactly the last logged frame
+   ([Resume_session]/[Session_resumed]), poisoned sessions re-render
+   the byte-identical counterexample.
 
    Poisoned sessions (a violation verdict was issued) keep answering
    every further feed/sync with the identical rendered counterexample.
@@ -632,7 +634,7 @@ let process_session t s =
 
 (* Per-shard checkpoint, on the shard's own domain: its sessions are
    quiescent (this domain is the only one that mutates them), so the
-   snapshot is a consistent cut; items still queued in memory land in
+   checkpoint is a consistent cut; items still queued in memory land in
    the *new* WAL generation as they are processed. *)
 let do_checkpoint t sh =
   match t.persist with
@@ -645,13 +647,13 @@ let do_checkpoint t sh =
           (fun sid s acc ->
             if sid mod t.nshards = sh.ix && not s.finished then
               {
-                Snapshot_store.sid;
+                Wal.sid;
                 last_seq = s.last_seq;
                 state =
                   (match s.checker with
-                  | S_live online -> Snapshot_store.Live online
+                  | S_live online -> Wal.Live online
                   | S_poisoned { anomaly; rendered } ->
-                      Snapshot_store.Poisoned
+                      Wal.Poisoned
                         { settings = s.settings; anomaly; rendered });
               }
               :: acc
@@ -865,37 +867,44 @@ let on_eof t conn =
 (* ------------------------------------------------------------------ *)
 (* Frame dispatch. *)
 
+(* A session homed on shard [sid mod nshards]: a new one, or one
+   restored from its checkpoint and log. *)
+let make_session t ~sid ~settings ~checker ~last_seq ~ep =
+  {
+    sid;
+    settings;
+    checker;
+    last_seq;
+    ep;
+    shard_ix = sid mod t.nshards;
+    shard = t.shards.(sid mod t.nshards);
+    queue = Queue.create ();
+    queued = 0;
+    throttled = false;
+    reader_paused = false;
+    closing = false;
+    abandoned = false;
+    on_runq = false;
+    finished = false;
+    smu = Mutex.create ();
+    last_activity = now ();
+    lw_seen = 0;
+    opened_at = now ();
+    feeds = 0;
+    pin_frontier = 0;
+    pin_since = now ();
+    pinned = false;
+  }
+
 let open_session t conn settings =
   Mutex.lock t.rmu;
   let sid = t.next_sid in
   t.next_sid <- sid + 1;
   Mutex.unlock t.rmu;
   let s =
-    {
-      sid;
-      settings;
-      checker = S_live (Online.of_settings settings);
-      last_seq = 0;
-      ep = Some conn;
-      shard_ix = sid mod t.nshards;
-      shard = t.shards.(sid mod t.nshards);
-      queue = Queue.create ();
-      queued = 0;
-      throttled = false;
-      reader_paused = false;
-      closing = false;
-      abandoned = false;
-      on_runq = false;
-      finished = false;
-      smu = Mutex.create ();
-      last_activity = now ();
-      lw_seen = 0;
-      opened_at = now ();
-      feeds = 0;
-      pin_frontier = 0;
-      pin_since = now ();
-      pinned = false;
-    }
+    make_session t ~sid ~settings
+      ~checker:(S_live (Online.of_settings settings))
+      ~last_seq:0 ~ep:(Some conn)
   in
   Mutex.lock t.rmu;
   Hashtbl.replace t.registry sid s;
@@ -1720,37 +1729,15 @@ let start config =
   (* Restored sessions wait detached until a [Resume_session] claims
      them (or the final checkpoint carries them forward). *)
   List.iter
-    (fun (e : Snapshot_store.entry) ->
+    (fun (e : Wal.entry) ->
       let s =
-        {
-          sid = e.sid;
-          settings = Snapshot_store.settings e.state;
-          checker =
+        make_session t ~sid:e.sid ~settings:(Wal.settings e.state)
+          ~checker:
             (match e.state with
-            | Snapshot_store.Live online -> S_live online
-            | Snapshot_store.Poisoned { anomaly; rendered; _ } ->
-                S_poisoned { anomaly; rendered });
-          last_seq = e.last_seq;
-          ep = None;
-          shard_ix = e.sid mod nshards;
-          shard = shards.(e.sid mod nshards);
-          queue = Queue.create ();
-          queued = 0;
-          throttled = false;
-          reader_paused = false;
-          closing = false;
-          abandoned = false;
-          on_runq = false;
-          finished = false;
-          smu = Mutex.create ();
-          last_activity = now ();
-          lw_seen = 0;
-          opened_at = now ();
-          feeds = 0;
-          pin_frontier = 0;
-          pin_since = now ();
-          pinned = false;
-        }
+            | Wal.Live online -> S_live online
+            | Wal.Poisoned { anomaly; rendered; _ } ->
+                S_poisoned { anomaly; rendered })
+          ~last_seq:e.last_seq ~ep:None
       in
       Hashtbl.replace t.registry s.sid s;
       Hashtbl.replace t.detached s.sid s)

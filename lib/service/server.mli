@@ -15,12 +15,14 @@
 
     Durability ([wal_dir]): every accepted open/feed/close is appended
     to the owning shard's write-ahead log before it is applied, and
-    shards periodically checkpoint their sessions to snapshots (SIGHUP
-    under {!run}, {!checkpoint}, every [snapshot_every] feeds, and on
-    {!stop}).  After a crash, a restarted server restores snapshot + WAL
-    tail: clients re-attach with [Resume_session] and continue from the
-    server-reported [last_seq]; poisoned sessions re-render the
-    byte-identical counterexample.
+    shards periodically checkpoint their sessions into the head of a new
+    log generation (SIGHUP under {!run}, {!checkpoint}, every
+    [snapshot_every] feeds, and on {!stop}).  After a crash, a restarted
+    server restores each shard's newest generation — checkpoint, then
+    log tail: clients re-attach with [Resume_session] and continue from
+    the server-reported [last_seq]; poisoned sessions re-render the
+    byte-identical counterexample.  {!start} fails, naming the file, on
+    a generation it cannot read.
 
     Guarantees:
     - per-session ingress queues are bounded ([queue_capacity]); a full
@@ -100,7 +102,7 @@ val default_config : config
 (** No listeners (callers must fill [listen]), queue of 1024, no idle
     timeout, {!Metrics.global}, auto shard count, no metrics port, no
     durability ([wal_dir = None], [Batch] sync, no automatic
-    snapshots), watermark GC off, pin detector off ([Fence_off]), no
+    checkpoints), watermark GC off, pin detector off ([Fence_off]), no
     journal sink. *)
 
 type t
@@ -125,8 +127,8 @@ val event_backend : t -> string
     ["select"] elsewhere. *)
 
 val checkpoint : t -> unit
-(** Ask every shard to snapshot its sessions and rotate its WAL (a
-    no-op without [wal_dir]).  Asynchronous: shards checkpoint before
+(** Ask every shard to checkpoint its sessions into a new WAL
+    generation (a no-op without [wal_dir]).  Asynchronous: shards checkpoint before
     picking up their next session.  {!run} wires SIGHUP to this. *)
 
 val stop : t -> unit

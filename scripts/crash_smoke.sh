@@ -6,31 +6,15 @@
 # the clean one finishing with every transaction accounted for, the
 # faulty one rendering a counterexample byte-identical to an
 # uninterrupted run's (its reads span the crash, so this also proves
-# the restored checker state is faithful).  Also asserts the event-loop
+# the restored checker state is faithful).  A copy of the directory
+# with one byte flipped inside a checkpoint must be refused by name
+# (exit 2) and left as it was.  Also asserts the event-loop
 # architecture: a herd of idle connections must not cost the server a
 # thread each.  Wired into `dune build @check` from the root dune file.
 set -u
 
-MTC="$1"
-TMP=$(mktemp -d)
-SERVER_PID=""
-cleanup() {
-  [ -n "$SERVER_PID" ] && kill -9 "$SERVER_PID" 2>/dev/null
-  [ -n "$SERVER_PID" ] && wait "$SERVER_PID" 2>/dev/null
-  rm -rf "$TMP"
-}
-trap cleanup EXIT
-
-fail() { echo "crash-smoke: FAIL: $*" >&2; exit 1; }
-
-wait_sock() {
-  for _ in $(seq 1 100); do [ -S "$1" ] && return 0; sleep 0.05; done
-  return 1
-}
-
-# Everything the faulty feed prints from the first violation line on —
-# the multi-line rendered counterexample.
-rendered_of() { sed -n '/violation/,$p' "$1"; }
+SMOKE=crash-smoke
+. "$(dirname "$0")/smoke_lib.sh" "$1"
 
 # -- fixtures: a clean SER history and an SI lost-update history whose
 #    first violation sits late in commit order (seed-picked), so the
@@ -43,23 +27,17 @@ rendered_of() { sed -n '/violation/,$p' "$1"; }
 
 # -- reference rendering: an uninterrupted feed to a non-durable server
 SOCK="$TMP/ref.sock"
-"$MTC" serve --listen "unix:$SOCK" -j 2 > "$TMP/ref_serve.log" 2>&1 &
-SERVER_PID=$!
-wait_sock "$SOCK" || fail "reference server did not come up"
+serve_on "$SOCK" "$TMP/ref_serve.log" -j 2
 "$MTC" feed "$TMP/bad.hist" -a "unix:$SOCK" --level si > "$TMP/ref_feed.out"
 [ $? -eq 1 ] || fail "reference feed(bad) must exit 1"
 rendered_of "$TMP/ref_feed.out" > "$TMP/ref_rendered"
 [ -s "$TMP/ref_rendered" ] || fail "reference feed must render a violation"
-kill -TERM "$SERVER_PID"; wait "$SERVER_PID" 2>/dev/null
-SERVER_PID=""
+stop_server
 
 # -- durable server, slowed so the kill is guaranteed to be mid-feed
 SOCK="$TMP/mtc.sock"
 WAL="$TMP/wal"
-"$MTC" serve --listen "unix:$SOCK" --wal-dir "$WAL" --drain-delay 0.005 \
-  -j 2 > "$TMP/serve1.log" 2>&1 &
-SERVER_PID=$!
-wait_sock "$SOCK" || fail "durable server did not come up (see $TMP/serve1.log)"
+serve_on "$SOCK" "$TMP/serve1.log" --wal-dir "$WAL" --drain-delay 0.005 -j 2
 grep -q "durable in" "$TMP/serve1.log" || fail "server must announce the WAL dir"
 
 "$MTC" feed "$TMP/good.hist" -a "unix:$SOCK" --level ser \
@@ -94,12 +72,8 @@ grep -q "closed" "$TMP/dump1.out" \
 
 # -- restart on the same directory, different shard count (sessions
 #    re-home to sid mod nshards on restore).  kill -9 left the stale
-#    socket file behind; remove it so wait_sock sees the new bind.
-rm -f "$SOCK"
-"$MTC" serve --listen "unix:$SOCK" --wal-dir "$WAL" -j 3 \
-  > "$TMP/serve2.log" 2>&1 &
-SERVER_PID=$!
-wait_sock "$SOCK" || fail "restarted server did not come up (see $TMP/serve2.log)"
+#    socket file behind; serve_on removes it so it sees the new bind.
+serve_on "$SOCK" "$TMP/serve2.log" --wal-dir "$WAL" -j 3
 
 # -- idle connections cost fds, not threads
 "$MTC" swarm -a "unix:$SOCK" -n 100 --hold 0.5 > "$TMP/swarm.out" &
@@ -124,24 +98,52 @@ grep -q "PASS ($TOTAL transactions accepted)" "$TMP/resume_good.out" \
   || fail "resumed session must account for all $TOTAL transactions"
 
 # -- the faulty session stays detached through this incarnation: a
-#    graceful stop must carry it forward in a snapshot (the direct
-#    Online serialization, no WAL replay on the next restore)
-kill -TERM "$SERVER_PID"
-wait "$SERVER_PID"
-[ $? -eq 0 ] || fail "durable server must exit 0 on SIGTERM"
-SERVER_PID=""
-grep -q "snap-" <(ls "$WAL") || fail "final checkpoint must leave snapshots"
+#    graceful stop must carry it forward in the final checkpoint, the
+#    head of its shard's next WAL generation (the direct Online
+#    serialization, no WAL replay on the next restore)
+stop_server
+"$MTC" wal-dump "$WAL" > "$TMP/dump2.out" || fail "wal-dump must read $WAL"
+grep -Eq "^  session $BAD_SID: SI, 10 keys, last_seq [0-9]+, live" \
+  "$TMP/dump2.out" \
+  || fail "final checkpoint must carry the detached faulty session \
+(see $TMP/dump2.out)"
 
-rm -f "$SOCK"
-"$MTC" serve --listen "unix:$SOCK" --wal-dir "$WAL" -j 2 \
-  > "$TMP/serve3.log" 2>&1 &
-SERVER_PID=$!
-wait_sock "$SOCK" || fail "second restart did not come up (see $TMP/serve3.log)"
+# -- a generation file that cannot be read is refused by name: flip one
+#    byte inside the checkpoint holding the faulty session, in a copy
+#    of the directory; the server must exit 2 naming the file and leave
+#    every file as it was
+FLIPPED="$TMP/flipped"
+cp -r "$WAL" "$FLIPPED"
+GEN=$(awk -v s="  session $BAD_SID: SI" \
+  '/^wal-/ { f = $1 } index($0, s) == 1 { sub(":$", "", f); print f }' \
+  "$TMP/dump2.out")
+[ -n "$GEN" ] || fail "no generation file names session $BAD_SID"
+# the header's payload length sits after the 8-byte magic; the first
+# checkpoint record's payload starts after the header block and its
+# own 4-byte length
+HLEN=$(od --endian=little -An -tu4 -j 8 -N 4 "$FLIPPED/$GEN" | tr -d ' ')
+AT=$((8 + 4 + HLEN + 4 + 4 + 2))
+BYTE=$(od -An -tu1 -j "$AT" -N 1 "$FLIPPED/$GEN" | tr -d ' ')
+printf "$(printf '\\%03o' $((BYTE ^ 64)))" \
+  | dd of="$FLIPPED/$GEN" bs=1 seek="$AT" conv=notrunc 2>/dev/null
+(cd "$FLIPPED" && ls && cksum -- *) > "$TMP/flipped.before"
+timeout 20 "$MTC" serve --listen "unix:$TMP/flipped.sock" \
+  --wal-dir "$FLIPPED" > "$TMP/flipped.out" 2> "$TMP/flipped.err"
+rc=$?
+[ $rc -eq 2 ] || fail "serve on a flipped checkpoint must exit 2 (got $rc)"
+grep -Eq "$GEN: checkpoint record 1 of [0-9]+: CRC mismatch" \
+  "$TMP/flipped.err" \
+  || fail "the refusal must name $GEN and why (see $TMP/flipped.err)"
+(cd "$FLIPPED" && ls && cksum -- *) > "$TMP/flipped.after"
+cmp -s "$TMP/flipped.before" "$TMP/flipped.after" \
+  || fail "a refused directory must be left as it was"
 
-# -- resume the faulty session from its snapshot: the remainder of the
-#    stream must trip the violation, and the counterexample (whose
-#    reads span the crash AND the snapshot) must render byte-identically
-#    to the uninterrupted run
+serve_on "$SOCK" "$TMP/serve3.log" --wal-dir "$WAL" -j 2
+
+# -- resume the faulty session from its checkpoint: the remainder of
+#    the stream must trip the violation, and the counterexample (whose
+#    reads span the crash AND the checkpoint) must render
+#    byte-identically to the uninterrupted run
 "$MTC" feed "$TMP/bad.hist" -a "unix:$SOCK" --level si \
   --resume "$BAD_SID" > "$TMP/resume_bad.out"
 [ $? -eq 1 ] || fail "resumed feed(bad) must report the violation (exit 1)"
@@ -153,10 +155,6 @@ cmp -s "$TMP/ref_rendered" "$TMP/resumed_rendered" \
 (diff $TMP/ref_rendered $TMP/resumed_rendered)"
 
 # -- graceful shutdown still works with durability on
-kill -TERM "$SERVER_PID"
-wait "$SERVER_PID"
-rc=$?
-SERVER_PID=""
-[ $rc -eq 0 ] || fail "durable server must exit 0 on SIGTERM (got $rc)"
+stop_server
 
 echo "crash-smoke: OK"

@@ -10,21 +10,8 @@
 # root dune file.
 set -u
 
-MTC="$1"
-TMP=$(mktemp -d)
-SERVER_PID=""
-cleanup() {
-  [ -n "$SERVER_PID" ] && kill "$SERVER_PID" 2>/dev/null
-  [ -n "$SERVER_PID" ] && wait "$SERVER_PID" 2>/dev/null
-  rm -rf "$TMP"
-}
-trap cleanup EXIT
-
-fail() { echo "gc-smoke: FAIL: $*" >&2; exit 1; }
-
-# Everything the faulty feed prints from the first violation line on —
-# the rendered counterexample, stripped of the progress chatter above.
-rendered_of() { sed -n '/violation/,$p' "$1"; }
+SMOKE=gc-smoke
+. "$(dirname "$0")/smoke_lib.sh" "$1"
 
 # The number after "KEY": in the single-line JSON the server returns.
 stat_of() { grep -o "\"$2\":[0-9]*" "$1" | head -1 | cut -d: -f2; }
@@ -43,11 +30,7 @@ gc_runs_now() {
 
 # -- one server; its default policy is auto, feeds may override it
 SOCK="$TMP/mtc.sock"
-"$MTC" serve --listen "unix:$SOCK" --gc-watermark auto \
-  > "$TMP/serve.log" 2>&1 &
-SERVER_PID=$!
-for _ in $(seq 1 100); do [ -S "$SOCK" ] && break; sleep 0.05; done
-[ -S "$SOCK" ] || fail "server did not come up (see $TMP/serve.log)"
+serve_on "$SOCK" "$TMP/serve.log" --gc-watermark auto
 
 # -- unbounded baseline: the same stream with GC forced off.  --stats
 # runs while the session is still open, so live_words is this session's.
@@ -126,10 +109,6 @@ for TS in verify trust; do
 (diff $TMP/bad_${TS}_off.rendered $TMP/bad_${TS}_gc.rendered)"
 done
 
-kill -TERM "$SERVER_PID"
-wait "$SERVER_PID"
-rc=$?
-SERVER_PID=""
-[ $rc -eq 0 ] || fail "server must exit 0 on SIGTERM (got $rc)"
+stop_server
 
 echo "gc-smoke: OK"

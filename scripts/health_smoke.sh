@@ -8,46 +8,18 @@
 # root dune file.
 set -u
 
-MTC="$1"
-TMP=$(mktemp -d)
-SERVER_PID=""
-FEED_PIDS=""
-cleanup() {
-  [ -n "$FEED_PIDS" ] && kill $FEED_PIDS 2>/dev/null
-  [ -n "$SERVER_PID" ] && kill "$SERVER_PID" 2>/dev/null
-  [ -n "$SERVER_PID" ] && wait "$SERVER_PID" 2>/dev/null
-  rm -rf "$TMP"
-}
-trap cleanup EXIT
-
-fail() { echo "health-smoke: FAIL: $*" >&2; exit 1; }
+SMOKE=health-smoke
+. "$(dirname "$0")/smoke_lib.sh" "$1"
 
 "$MTC" gen --txns 300 --sessions 4 --keys 50 --seed 7 -o "$TMP/h.hist" \
   >/dev/null || fail "fixture gen must pass"
 
 start_server() { # $1 = fence policy
   SOCK="$TMP/mtc.sock"
-  rm -f "$SOCK" "$TMP/serve.log"
-  "$MTC" serve --listen "unix:$SOCK" --metrics-port 0 \
-    --pin-warn-after 0.4 --pin-fence "$1" --journal "$TMP/journal.jsonl" \
-    > "$TMP/serve.log" 2>&1 &
-  SERVER_PID=$!
-  for _ in $(seq 1 100); do [ -S "$SOCK" ] && break; sleep 0.05; done
-  [ -S "$SOCK" ] || fail "server did not come up (see $TMP/serve.log)"
-  PORT=""
-  for _ in $(seq 1 100); do
-    PORT=$(sed -n 's/.*metrics on http:\/\/127\.0\.0\.1:\([0-9]*\).*/\1/p' \
-      "$TMP/serve.log" | head -n 1)
-    [ -n "$PORT" ] && break
-    sleep 0.05
-  done
+  serve_on "$SOCK" "$TMP/serve.log" --metrics-port 0 \
+    --pin-warn-after 0.4 --pin-fence "$1" --journal "$TMP/journal.jsonl"
+  PORT=$(metrics_port "$TMP/serve.log")
   [ -n "$PORT" ] || fail "server did not announce its metrics port"
-}
-
-stop_server() {
-  kill -TERM "$SERVER_PID"
-  wait "$SERVER_PID" || fail "server must exit 0 on SIGTERM"
-  SERVER_PID=""
 }
 
 # ---- phase 1: detection (fence off) -------------------------------

@@ -7,17 +7,8 @@
 # `dune build @check` from the root dune file.
 set -u
 
-MTC="$1"
-TMP=$(mktemp -d)
-SERVER_PID=""
-cleanup() {
-  [ -n "$SERVER_PID" ] && kill "$SERVER_PID" 2>/dev/null
-  [ -n "$SERVER_PID" ] && wait "$SERVER_PID" 2>/dev/null
-  rm -rf "$TMP"
-}
-trap cleanup EXIT
-
-fail() { echo "obs-smoke: FAIL: $*" >&2; exit 1; }
+SMOKE=obs-smoke
+. "$(dirname "$0")/smoke_lib.sh" "$1"
 
 "$MTC" run --level si --txns 500 --keys 50 --seed 7 -o "$TMP/h.hist" \
   >/dev/null || fail "fixture run must pass"
@@ -50,17 +41,8 @@ fi
 
 # -- serve --metrics-port 0: scrape Prometheus text through mtc stats
 SOCK="$TMP/mtc.sock"
-"$MTC" serve --listen "unix:$SOCK" --metrics-port 0 > "$TMP/serve.log" 2>&1 &
-SERVER_PID=$!
-for _ in $(seq 1 100); do [ -S "$SOCK" ] && break; sleep 0.05; done
-[ -S "$SOCK" ] || fail "server did not come up (see $TMP/serve.log)"
-PORT=""
-for _ in $(seq 1 100); do
-  PORT=$(sed -n 's/.*metrics on http:\/\/127\.0\.0\.1:\([0-9]*\).*/\1/p' \
-    "$TMP/serve.log" | head -n 1)
-  [ -n "$PORT" ] && break
-  sleep 0.05
-done
+serve_on "$SOCK" "$TMP/serve.log" --metrics-port 0
+PORT=$(metrics_port "$TMP/serve.log")
 [ -n "$PORT" ] || fail "server did not announce its metrics port"
 
 "$MTC" feed "$TMP/h.hist" -a "unix:$SOCK" --level si >/dev/null \
@@ -81,8 +63,6 @@ grep -Eq '^txns_fed +[1-9]' "$TMP/stats.out" \
 "$MTC" stats -a "unix:$SOCK" --json | grep -Eq '"txns_fed":[1-9]' \
   || fail "stats --json must emit the raw frame"
 
-kill -TERM "$SERVER_PID"
-wait "$SERVER_PID" || fail "server must exit 0 on SIGTERM"
-SERVER_PID=""
+stop_server
 
 echo "obs-smoke: OK"

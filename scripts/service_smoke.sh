@@ -7,17 +7,8 @@
 # SIGTERM.  Wired into `dune build @check` from the root dune file.
 set -u
 
-MTC="$1"
-TMP=$(mktemp -d)
-SERVER_PID=""
-cleanup() {
-  [ -n "$SERVER_PID" ] && kill "$SERVER_PID" 2>/dev/null
-  [ -n "$SERVER_PID" ] && wait "$SERVER_PID" 2>/dev/null
-  rm -rf "$TMP"
-}
-trap cleanup EXIT
-
-fail() { echo "service-smoke: FAIL: $*" >&2; exit 1; }
+SMOKE=service-smoke
+. "$(dirname "$0")/smoke_lib.sh" "$1"
 
 # -- fixtures: a clean SER engine and an SI engine injecting lost updates
 "$MTC" run --level ser --txns 200 --keys 10 --seed 11 -o "$TMP/good.hist" \
@@ -37,10 +28,7 @@ echo "this is not a history" > "$TMP/junk.hist"
 
 # -- the service must agree, verdicts and exit codes alike
 SOCK="$TMP/mtc.sock"
-"$MTC" serve --listen "unix:$SOCK" > "$TMP/serve.log" 2>&1 &
-SERVER_PID=$!
-for _ in $(seq 1 100); do [ -S "$SOCK" ] && break; sleep 0.05; done
-[ -S "$SOCK" ] || fail "server did not come up (see $TMP/serve.log)"
+serve_on "$SOCK" "$TMP/serve.log"
 
 "$MTC" feed "$TMP/good.hist" -a "unix:$SOCK" --level ser >/dev/null
 [ $? -eq 0 ] || fail "feed(good) must exit 0"
@@ -62,11 +50,7 @@ grep -Eq '^feed_ns\.p99 +[0-9]' "$TMP/stats.out" \
   || fail "stats table must flatten the feed_ns histogram"
 
 # -- graceful shutdown: exit 0 and a metrics dump
-kill -TERM "$SERVER_PID"
-wait "$SERVER_PID"
-rc=$?
-SERVER_PID=""
-[ $rc -eq 0 ] || fail "server must exit 0 on SIGTERM (got $rc)"
+stop_server
 grep -q '"txns_fed"' "$TMP/serve.log" \
   || fail "server must dump metrics JSON on shutdown"
 

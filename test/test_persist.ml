@@ -1,9 +1,12 @@
 (* Durability tests: WAL reading is total under truncation at every
-   byte and under corruption, snapshots refuse versions they cannot
-   read, and a server restored from snapshot + WAL tail reaches
+   byte and under corruption, a generation file's checkpoint is read
+   whole or refused (other versions by name), restore refuses by name a
+   directory it cannot read and leaves it untouched, a checkpoint
+   interrupted by a crash restores as if it never started or as if it
+   finished, and a server restored from checkpoint + WAL tail reaches
    verdicts byte-identical to an uninterrupted feed — across isolation
    levels, shard counts and restore paths (pure tail replay vs a full
-   Online snapshot round-trip). *)
+   Online checkpoint round-trip). *)
 
 let qtest = QCheck_alcotest.to_alcotest
 let checkb = Alcotest.check Alcotest.bool
@@ -67,10 +70,27 @@ let fixture_records n ~close =
   :: List.mapi (fun i txn -> Wal.R_feed { sid = 1; seq = i + 1; txn }) feeds)
   @ (if close then [ Wal.R_close { sid = 1 } ] else [])
 
-let write_wal path records =
-  let w = Wal.create ~path ~shard:0 ~nshards:1 ~gen:1 ~sync:Wal.Off () in
+let write_wal ?(entries = []) path records =
+  let w =
+    Wal.create ~path ~shard:0 ~nshards:1 ~gen:1 ~next_sid:1 ~sync:Wal.Off
+      entries
+  in
   List.iter (fun r -> ignore (Wal.append w r)) records;
   Wal.close w
+
+let u32_at s at =
+  Char.code s.[at]
+  lor (Char.code s.[at + 1] lsl 8)
+  lor (Char.code s.[at + 2] lsl 16)
+  lor (Char.code s.[at + 3] lsl 24)
+
+(* The end of the length+payload+crc block starting at [at]; the header
+   block starts after the 8-byte magic, the checkpoint right after it. *)
+let block_end s at = at + 4 + u32_at s at + 4
+
+let of_hex h =
+  String.init (String.length h / 2) (fun i ->
+      Char.chr (int_of_string ("0x" ^ String.sub h (2 * i) 2)))
 
 let rec is_prefix short long =
   match (short, long) with
@@ -95,8 +115,8 @@ let prop_wal_truncation_total =
       let full = read_file path in
       let full_records =
         match Wal.read_path path with
-        | Ok (_, rs, Wal.Complete) -> rs
-        | Ok (_, _, _) -> QCheck2.Test.fail_report "full WAL not Complete"
+        | Ok (_, [], rs, Wal.Complete) -> rs
+        | Ok _ -> QCheck2.Test.fail_report "full WAL not Complete"
         | Error e -> QCheck2.Test.fail_report ("full WAL unreadable: " ^ e)
       in
       if full_records <> records then
@@ -105,7 +125,7 @@ let prop_wal_truncation_total =
       for cut = 0 to String.length full - 1 do
         write_file path (String.sub full 0 cut);
         match Wal.read_path path with
-        | Ok (_, rs, tail) ->
+        | Ok (_, _, rs, tail) ->
             seen_ok := true;
             if not (is_prefix rs records) then
               QCheck2.Test.fail_reportf "cut %d: not a record prefix" cut;
@@ -146,7 +166,7 @@ let test_wal_bitflip_detected () =
     Bytes.set b off (Char.chr (Char.code (Bytes.get b off) lxor 0x40));
     write_file path (Bytes.to_string b);
     match Wal.read_path path with
-    | Ok (_, rs, tail) ->
+    | Ok (_, _, rs, tail) ->
         checkb
           (Printf.sprintf "flip at %d: strict prefix" off)
           (is_prefix rs records && List.length rs < List.length records)
@@ -160,102 +180,114 @@ let test_wal_bitflip_detected () =
   Sys.remove path
 
 (* ------------------------------------------------------------------ *)
-(* Snapshots. *)
+(* Checkpoints: the head of a generation file. *)
 
-let test_snapshot_roundtrip () =
-  let path = temp_name ".snap" in
-  let settings =
-    { Online.level = Checker.SI; num_keys = 10; skew = 0; ts = Ts.Ignore;
-      gc = Online.Gc_off }
+let poisoned sid =
+  {
+    Wal.sid;
+    last_seq = 17;
+    state =
+      Wal.Poisoned
+        {
+          settings =
+            { Online.level = Checker.SI; num_keys = 10; skew = 0;
+              ts = Ts.Ignore; gc = Online.Gc_off };
+          anomaly = Some "lost update";
+          rendered = "SI violation: boom";
+        };
+  }
+
+let test_checkpoint_roundtrip () =
+  let path = temp_name ".wal" in
+  let live = Online.create ~level:Checker.SER ~num_keys:1 () in
+  for i = 1 to 5 do
+    ignore
+      (Online.add_txn live
+         (Txn.make ~id:i ~session:1 [ Op.Read (0, i - 1); Op.Write (0, i) ]))
+  done;
+  let w =
+    Wal.create ~path ~shard:1 ~nshards:2 ~gen:3 ~next_sid:10 ~sync:Wal.Off
+      [ poisoned 4; { Wal.sid = 9; last_seq = 5; state = Wal.Live live } ]
   in
-  let entries =
-    [
-      {
-        Snapshot_store.sid = 4;
-        last_seq = 17;
-        state =
-          Snapshot_store.Poisoned
-            { settings; anomaly = Some "lost update";
-              rendered = "SI violation: boom" };
-      };
-    ]
-  in
-  Snapshot_store.write ~path ~shard:1 ~nshards:2 ~gen:3 ~next_sid:7 entries;
-  (match Snapshot_store.read path with
+  checkb "the rename committed the head" false
+    (Sys.file_exists (path ^ ".tmp"));
+  ignore (Wal.append w (Wal.R_close { sid = 4 }));
+  Wal.close w;
+  (match Wal.read_path path with
   | Error e -> Alcotest.fail ("read back: " ^ e)
-  | Ok info ->
-      checki "shard" 1 info.Snapshot_store.i_shard;
-      checki "nshards" 2 info.Snapshot_store.i_nshards;
-      checki "gen" 3 info.Snapshot_store.i_gen;
-      checki "next_sid" 7 info.Snapshot_store.i_next_sid;
-      (match info.Snapshot_store.i_entries with
-      | [ e ] -> (
-          checki "sid" 4 e.Snapshot_store.sid;
-          checki "last_seq" 17 e.Snapshot_store.last_seq;
-          match e.Snapshot_store.state with
-          | Snapshot_store.Poisoned { settings = s; anomaly; rendered } ->
-              checkb "settings" (s = settings) true;
-              checkb "anomaly" (anomaly = Some "lost update") true;
-              checks "rendered verbatim" "SI violation: boom" rendered
-          | Snapshot_store.Live _ -> Alcotest.fail "poisoned came back live")
-      | es -> Alcotest.fail (Printf.sprintf "%d entries" (List.length es))));
+  | Ok (h, entries, records, tail) -> (
+      checki "shard" 1 h.Wal.h_shard;
+      checki "nshards" 2 h.Wal.h_nshards;
+      checki "gen" 3 h.Wal.h_gen;
+      checki "next_sid" 10 h.Wal.h_next_sid;
+      checkb "the records after the checkpoint" true
+        (records = [ Wal.R_close { sid = 4 } ] && tail = Wal.Complete);
+      match entries with
+      | [ p; { Wal.sid = 9; last_seq = 5; state = Wal.Live o } ] ->
+          checkb "poisoned entry verbatim" true (p = poisoned 4);
+          checki "live checker's transactions" 5 (Online.txns_seen o);
+          checkb "live checker's settings" true
+            (Online.settings o = Online.settings live)
+      | _ -> Alcotest.fail "want the poisoned then the live entry"));
   Sys.remove path
 
-(* A snapshot from another format version must be refused with a
-   message that names both versions — even when its CRC is valid — and
-   any tampering that does not fix the CRC must be refused too.  A
-   future version and the previous two (whose checker state has a
-   different layout) are refused by name.  Inside a live entry, a
-   checker whose free list names an out-of-range, repeated, live or
-   initial vertex is refused by {!Online.decode}. *)
-let test_snapshot_version_mismatch () =
-  let path = temp_name ".snap" in
-  Snapshot_store.write ~path ~shard:0 ~nshards:1 ~gen:1 ~next_sid:2 [];
+(* A generation file of another format version must be refused with a
+   message that names both versions — even when its header CRC is valid
+   — and any tampering that does not fix a CRC must be refused too:
+   truncation anywhere before the checkpoint ends, or a flipped byte
+   inside it, is an [Error], never half a checkpoint.  Inside a live
+   entry, a checker whose free list names an out-of-range, repeated,
+   live or initial vertex is refused by {!Online.decode}. *)
+let test_checkpoint_refused () =
+  let path = temp_name ".wal" in
+  write_wal ~entries:[ poisoned 1; poisoned 2 ] path [];
   let full = read_file path in
-  let magic_len = 8 and crc_len = 4 in
-  checki "stored version byte" 6 (Char.code full.[magic_len]);
-  (* the version is the payload's leading uvarint; 2 to 7 are all
-     single bytes, so patch in place and recompute the trailing CRC *)
+  let hend = block_end full 8 in
+  let cend = block_end full (block_end full hend) in
+  checki "the checkpoint ends the file" (String.length full) cend;
+  checki "stored version byte" 3 (Char.code full.[12]);
+  (* the version is the header payload's leading uvarint; 1 to 7 are
+     all single bytes, so patch in place and recompute the header CRC *)
   let with_version v =
     let b = Bytes.of_string full in
-    Bytes.set b magic_len (Char.chr v);
-    let payload =
-      Bytes.sub_string b magic_len (Bytes.length b - magic_len - crc_len)
-    in
-    let crc = Crc32.string payload in
+    Bytes.set b 12 (Char.chr v);
+    let crc = Crc32.string (Bytes.sub_string b 12 (hend - 16)) in
     for i = 0 to 3 do
-      Bytes.set b
-        (Bytes.length b - crc_len + i)
-        (Char.chr ((crc lsr (8 * i)) land 0xff))
+      Bytes.set b (hend - 4 + i) (Char.chr ((crc lsr (8 * i)) land 0xff))
     done;
     write_file path (Bytes.to_string b)
   in
   List.iter
-    (fun (v, msg) ->
+    (fun v ->
       with_version v;
-      match Snapshot_store.read path with
-      | Ok _ -> Alcotest.failf "snapshot version %d must be refused" v
+      match Wal.read_path path with
+      | Ok _ -> Alcotest.failf "WAL version %d must be refused" v
       | Error e ->
-          checkb ("names both versions: " ^ msg) (contains ~sub:msg e) true)
-    [
-      (7, "snapshot version 7 (this build reads 6)");
-      (5, "snapshot version 5 (this build reads 6)");
-      (4, "snapshot version 4 (this build reads 6)");
-      (3, "snapshot version 3 (this build reads 6)");
-      (2, "snapshot version 2 (this build reads 6)");
-    ];
-  (* same patch without the CRC fix: caught as corruption *)
-  let b = Bytes.of_string full in
-  Bytes.set b magic_len (Char.chr 7);
-  write_file path (Bytes.to_string b);
-  (match Snapshot_store.read path with
-  | Ok _ -> Alcotest.fail "tampered snapshot must be refused"
-  | Error e -> checkb "CRC catches tamper" (contains ~sub:"CRC" e) true);
-  (* truncation at every byte: always a clean Error, never a raise *)
-  for cut = 0 to String.length full - 1 do
+          checks "names both versions"
+            (Printf.sprintf "WAL version %d (this build reads 3)" v)
+            e)
+    [ 4; 2; 1 ];
+  (* the same patch without the CRC fix: caught as corruption *)
+  let tampered at =
+    let b = Bytes.of_string full in
+    Bytes.set b at (Char.chr (Char.code full.[at] lxor 0x40));
+    write_file path (Bytes.to_string b);
+    Wal.read_path path
+  in
+  (match tampered 12 with
+  | Ok _ -> Alcotest.fail "tampered header must be refused"
+  | Error e -> checks "header CRC catches tamper" "bad WAL header" e);
+  (match tampered (hend + 6) with
+  | Ok _ -> Alcotest.fail "tampered checkpoint must be refused"
+  | Error e ->
+      checks "checkpoint CRC catches tamper"
+        "checkpoint record 1 of 2: CRC mismatch" e);
+  (* truncation at every byte up to the checkpoint's end: always a
+     clean Error, never a raise *)
+  for cut = 0 to cend - 1 do
     write_file path (String.sub full 0 cut);
-    match Snapshot_store.read path with
-    | Ok _ -> Alcotest.fail (Printf.sprintf "truncated at %d read Ok" cut)
+    match Wal.read_path path with
+    | Ok _ -> Alcotest.failf "truncated at %d read Ok" cut
     | Error _ -> ()
   done;
   Sys.remove path;
@@ -346,7 +378,7 @@ let numbers_gen =
     return (num_keys, skew, ceiling))
 
 (* The settings come back equal from the codec, from a WAL open record,
-   from a poisoned snapshot entry and from a checker's snapshot.  The
+   from a poisoned checkpoint entry and from a checker's encoding.  The
    checker path folds [num_keys] into [1, 256]: a checker costs memory
    and time per key, seconds and gigabytes at 2^22. *)
 let prop_settings_roundtrip =
@@ -360,32 +392,23 @@ let prop_settings_roundtrip =
             QCheck2.Test.fail_report "codec round trip")
         all;
       let path = temp_name ".wal" in
-      let records =
-        List.mapi (fun i settings -> Wal.R_open { sid = i + 1; settings }) all
-      in
-      write_wal path records;
-      (match Wal.read_path path with
-      | Ok (_, rs, Wal.Complete) when rs = records -> ()
-      | _ -> QCheck2.Test.fail_report "WAL round trip");
-      Sys.remove path;
-      let path = temp_name ".snap" in
       let entries =
         List.mapi
           (fun i settings ->
             {
-              Snapshot_store.sid = i + 1;
+              Wal.sid = i + 1;
               last_seq = i;
-              state =
-                Snapshot_store.Poisoned
-                  { settings; anomaly = None; rendered = "r" };
+              state = Wal.Poisoned { settings; anomaly = None; rendered = "r" };
             })
           all
       in
-      Snapshot_store.write ~path ~shard:0 ~nshards:1 ~gen:1 ~next_sid:99
-        entries;
-      (match Snapshot_store.read path with
-      | Ok info when info.Snapshot_store.i_entries = entries -> ()
-      | _ -> QCheck2.Test.fail_report "snapshot round trip");
+      let records =
+        List.mapi (fun i settings -> Wal.R_open { sid = i + 1; settings }) all
+      in
+      write_wal ~entries path records;
+      (match Wal.read_path path with
+      | Ok (_, es, rs, Wal.Complete) when es = entries && rs = records -> ()
+      | _ -> QCheck2.Test.fail_report "checkpoint and WAL round trip");
       Sys.remove path;
       List.iter
         (fun (s : Online.settings) ->
@@ -442,23 +465,20 @@ let test_settings_refused () =
       let path = temp_name ".wal" in
       write_wal path [ Wal.R_open { sid = 1; settings } ];
       (match Wal.read_path path with
-      | Ok (_, [], Wal.Corrupt _) -> ()
+      | Ok (_, [], [], Wal.Corrupt _) -> ()
       | _ -> Alcotest.failf "WAL with %s: corrupt tail expected" what);
-      Sys.remove path;
-      let path = temp_name ".snap" in
-      Snapshot_store.write ~path ~shard:0 ~nshards:1 ~gen:1 ~next_sid:2
-        [
-          {
-            Snapshot_store.sid = 1;
-            last_seq = 0;
-            state =
-              Snapshot_store.Poisoned
-                { settings; anomaly = None; rendered = "" };
-          };
-        ];
-      (match Snapshot_store.read path with
+      write_wal path []
+        ~entries:
+          [
+            {
+              Wal.sid = 1;
+              last_seq = 0;
+              state = Wal.Poisoned { settings; anomaly = None; rendered = "" };
+            };
+          ];
+      (match Wal.read_path path with
       | Error _ -> ()
-      | Ok _ -> Alcotest.failf "snapshot with %s must be refused" what);
+      | Ok _ -> Alcotest.failf "checkpoint with %s must be refused" what);
       Sys.remove path)
     [
       ( "a zero ceiling",
@@ -469,9 +489,10 @@ let test_settings_refused () =
           skew = 0; ts = Ts.Ignore; gc = Online.Gc_off } );
     ]
 
-(* WAL files holding one open record per GC constructor, as the
-   previous release wrote them (format v2): each must decode to the same
-   settings and re-encode to the same bytes. *)
+(* WAL files holding one open record per GC constructor, as an earlier
+   release wrote them (format v2): the files are refused by name, and
+   each open record, behind a v3 header, decodes to the same settings
+   and re-encodes to the same bytes. *)
 let pinned_opens =
   [
     ( "6d746377616c310a0400000002000101401651e5070000000103010a000000b06f52ef",
@@ -490,24 +511,98 @@ let pinned_opens =
   ]
 
 let test_wal_pinned_open_bytes () =
-  let of_hex h =
-    String.init (String.length h / 2) (fun i ->
-        Char.chr (int_of_string ("0x" ^ String.sub h (2 * i) 2)))
-  in
   List.iter
     (fun (hex, sid, settings) ->
-      let bytes = of_hex hex in
+      let v2 = of_hex hex in
       let path = temp_name ".wal" in
-      write_file path bytes;
+      write_file path v2;
       (match Wal.read_path path with
-      | Ok (_, [ Wal.R_open { sid = sid'; settings = s } ], Wal.Complete) ->
+      | Ok _ -> Alcotest.fail "a v2 file must be refused"
+      | Error e ->
+          checks "refused by name" "WAL version 2 (this build reads 3)" e);
+      let at = block_end v2 8 in
+      let record = String.sub v2 at (String.length v2 - at) in
+      write_wal path [];
+      let head = read_file path in
+      write_file path (head ^ record);
+      (match Wal.read_path path with
+      | Ok (_, [], [ Wal.R_open { sid = sid'; settings = s } ], Wal.Complete)
+        ->
           checki "sid" sid sid';
           checkb "same settings" true (s = settings)
-      | _ -> Alcotest.fail "pinned WAL must decode to one open record");
+      | _ -> Alcotest.fail "pinned record must decode to one open record");
       write_wal path [ Wal.R_open { sid; settings } ];
-      checkb "re-encodes to the same bytes" true (read_file path = bytes);
+      checkb "re-encodes to the same bytes" true
+        (read_file path = head ^ record);
       Sys.remove path)
     pinned_opens
+
+(* ------------------------------------------------------------------ *)
+(* Restore refuses what it cannot read, and touches nothing. *)
+
+let listing dir =
+  Array.to_list (Sys.readdir dir)
+  |> List.sort compare
+  |> List.map (fun f -> (f, read_file (Filename.concat dir f)))
+
+let open_dir dir =
+  Persist.open_dir ~dir ~nshards:1 ~sync:Wal.Off
+    ~render:(fun ~level:_ _ -> Alcotest.fail "no violation during replay")
+    ()
+
+let check_refused what dir ~file ~reason =
+  let before = listing dir in
+  (match open_dir dir with
+  | Ok (p, _, _, _) ->
+      Persist.close p;
+      Alcotest.failf "%s must be refused" what
+  | Error e ->
+      checks (what ^ ": names the file and why") (file ^ ": " ^ reason) e);
+  checkb (what ^ ": directory untouched") true (listing dir = before)
+
+(* Three directories restore would once have dropped silently: a flipped
+   byte or a cut inside the newest generation's checkpoint (an older
+   generation present too), and the previous two-file layout. *)
+let test_restore_refuses () =
+  let dir = temp_name ".wal.d" in
+  Unix.mkdir dir 0o755;
+  let path name = Filename.concat dir name in
+  Fun.protect
+    ~finally:(fun () -> rm_rf dir)
+    (fun () ->
+      write_wal (path "wal-0-1") (fixture_records 5 ~close:false);
+      let w =
+        Wal.create ~path:(path "wal-0-2") ~shard:0 ~nshards:1 ~gen:2
+          ~next_sid:5 ~sync:Wal.Off [ poisoned 1; poisoned 3 ]
+      in
+      ignore (Wal.append w (Wal.R_close { sid = 3 }));
+      Wal.close w;
+      let gen2 = read_file (path "wal-0-2") in
+      let hend = block_end gen2 8 in
+      let b = Bytes.of_string gen2 in
+      Bytes.set b (hend + 6) (Char.chr (Char.code gen2.[hend + 6] lxor 0x40));
+      write_file (path "wal-0-2") (Bytes.to_string b);
+      check_refused "flipped checkpoint byte" dir ~file:"wal-0-2"
+        ~reason:"checkpoint record 1 of 2: CRC mismatch";
+      write_file (path "wal-0-2") (String.sub gen2 0 (block_end gen2 hend));
+      check_refused "short checkpoint" dir ~file:"wal-0-2"
+        ~reason:"checkpoint cut short: 1 of 2 records";
+      Sys.remove (path "wal-0-1");
+      Sys.remove (path "wal-0-2");
+      let hex, _, _ = List.hd pinned_opens in
+      write_file (path "wal-0-1") (of_hex hex);
+      check_refused "v2 WAL" dir ~file:"wal-0-1"
+        ~reason:"WAL version 2 (this build reads 3)";
+      (* an empty v6 snapshot: magic, payload, CRC *)
+      let payload = "\006\000\001\001\002\000" in
+      let crc = Crc32.string payload in
+      write_file (path "snap-0-1")
+        ("mtcsnp1\n" ^ payload
+        ^ String.init 4 (fun i -> Char.chr ((crc lsr (8 * i)) land 0xff)));
+      check_refused "two-file layout" dir ~file:"snap-0-1"
+        ~reason:
+          "snapshot file of the older two-file layout (this build reads \
+           checkpoints from wal-* files only)")
 
 (* ------------------------------------------------------------------ *)
 (* Restore == fresh feed. *)
@@ -657,6 +752,124 @@ let test_restore_after_gc () =
        Fault.Lost_update 0.01);
     ]
 
+(* ------------------------------------------------------------------ *)
+(* A checkpoint interrupted by a crash. *)
+
+(* A decoded checker need not lay out (or size) its tables as the
+   replayed one it was encoded from did, so a live state compares by
+   its settings, its transaction count and its invariant; the resumed
+   verdict checks the rest. *)
+let state_key = function
+  | Wal.Live o ->
+      `Live (Online.settings o, Online.txns_seen o, Online.check_invariant o)
+  | Wal.Poisoned { settings; anomaly; rendered } ->
+      `Poisoned (settings, anomaly, rendered)
+
+(* Restore [dir]: its sessions, sid floor and replayed tail records. *)
+let restore dir =
+  match open_dir dir with
+  | Error e -> Alcotest.fail ("restore: " ^ e)
+  | Ok (p, entries, next_sid, stats) ->
+      Persist.close p;
+      ( List.map
+          (fun (e : Wal.entry) -> (e.sid, e.last_seq, state_key e.state))
+          entries,
+        next_sid,
+        stats.Persist.rs_frames )
+
+(* A faulty SI history, and generation 1 as a kill -9 leaves it halfway
+   to the first violation: the session is live, the violation comes
+   after the restore. *)
+let late_fault =
+  lazy
+    (engine_history ~txns:400 ~level:Isolation.Snapshot
+       ~fault:(Fault.Lost_update 0.01) ~seed:9 ())
+
+let si =
+  { Online.level = Checker.SI; num_keys = 10; skew = 0; ts = Ts.Ignore;
+    gc = Online.Gc_off }
+
+let late_cut () =
+  let o = Online.of_settings si in
+  let rec clean n = function
+    | txn :: rest when Online.add_txn o txn = Online.Ok_so_far ->
+        clean (n + 1) rest
+    | _ -> n
+  in
+  clean 0 (Client.stream_order (Lazy.force late_fault)) / 2
+
+let write_gen1 dir =
+  let logged =
+    List.filteri
+      (fun i _ -> i < late_cut ())
+      (Client.stream_order (Lazy.force late_fault))
+  in
+  Unix.mkdir dir 0o755;
+  write_wal
+    (Filename.concat dir "wal-0-1")
+    (Wal.R_open { sid = 1; settings = si }
+    :: List.mapi (fun i txn -> Wal.R_feed { sid = 1; seq = i + 1; txn }) logged)
+
+(* A crash before the rename leaves generation 1 and a partial
+   [wal-0-2.tmp]: restore is restoring generation 1 alone, byte for
+   byte, and the leftover head is gone. *)
+let test_interrupted_before_rename () =
+  let a = temp_name ".wal.d" and b = temp_name ".wal.d" in
+  Fun.protect
+    ~finally:(fun () -> rm_rf a; rm_rf b)
+    (fun () ->
+      write_gen1 a;
+      write_gen1 b;
+      let head = temp_name ".wal" in
+      write_wal ~entries:[ poisoned 1; poisoned 7 ] head [];
+      let full = read_file head in
+      Sys.remove head;
+      write_file
+        (Filename.concat b "wal-0-2.tmp")
+        (String.sub full 0 (String.length full / 2));
+      let ra = restore a and rb = restore b in
+      checkb "the partial head changes nothing" true (ra = rb);
+      let _, _, frames = rb in
+      checki "generation 1's tail replayed" (late_cut () + 1) frames;
+      checkb "same files, same bytes" true (listing a = listing b))
+
+(* A crash after the rename but before the unlink leaves generation 1
+   with its tail beside a complete generation 2 holding the same state:
+   restore takes generation 2 (no tail to replay), every session comes
+   back with the same state and [last_seq], and the resumed feed's
+   verdict is an uninterrupted run's. *)
+let test_interrupted_after_rename () =
+  let dir = temp_name ".wal.d" in
+  Fun.protect
+    ~finally:(fun () -> rm_rf dir)
+    (fun () ->
+      write_gen1 dir;
+      let gen1 = read_file (Filename.concat dir "wal-0-1") in
+      let sessions1, next_sid1, frames1 = restore dir in
+      checkb "generation 2 committed, generation 1 retired" true
+        (List.map fst (listing dir) = [ "wal-0-2" ]);
+      write_file (Filename.concat dir "wal-0-1") gen1;
+      let sessions, next_sid, frames = restore dir in
+      checki "generation 1 replayed its tail" (late_cut () + 1) frames1;
+      checki "generation 2 has no tail" 0 frames;
+      checkb "same sessions, states and last_seq" true (sessions = sessions1);
+      checki "same sid floor" next_sid1 next_sid;
+      (match sessions with
+      | [ (1, last_seq, `Live _) ] -> checki "resume point" (late_cut ()) last_seq
+      | _ -> Alcotest.fail "want session 1, live");
+      let h = Lazy.force late_fault in
+      let durable = { Server.default_config with Server.wal_dir = Some dir } in
+      let resumed =
+        with_server ~config:durable (fun _ addr ->
+            with_client addr (fun c ->
+                let last = ok "resume" (Client.resume_session c ~sid:1) in
+                ok "resumed feed"
+                  (Client.feed_history ~resume_from:last c ~sid:1 h)))
+      in
+      check_verdict_eq "after an interrupted checkpoint"
+        (fresh_verdict ~level:Checker.SI h)
+        resumed)
+
 (* Resume must be refused cleanly when there is nothing to resume. *)
 let test_resume_refused () =
   let dir = temp_name ".wal.d" in
@@ -683,16 +896,22 @@ let suite =
   [
     qtest prop_wal_truncation_total;
     ("wal: any bit flip is caught", `Quick, test_wal_bitflip_detected);
-    ("snapshot round-trip", `Quick, test_snapshot_roundtrip);
-    ("snapshot version/CRC/truncation refused", `Quick,
-     test_snapshot_version_mismatch);
+    ("checkpoint round-trip", `Quick, test_checkpoint_roundtrip);
+    ("checkpoint version/CRC/truncation refused", `Quick,
+     test_checkpoint_refused);
     qtest prop_settings_roundtrip;
     ("settings: malformed bytes refused", `Quick, test_settings_refused);
     ("wal: pinned v2 open records", `Quick, test_wal_pinned_open_bytes);
+    ("restore refuses an unreadable directory by name", `Quick,
+     test_restore_refuses);
     ("restore == fresh feed (levels x shards)", `Quick,
      test_restore_equals_fresh);
     ("restore after watermark GC == fresh feed", `Quick,
      test_restore_after_gc);
+    ("interrupted checkpoint: a partial head is ignored", `Quick,
+     test_interrupted_before_rename);
+    ("interrupted checkpoint: a committed head wins", `Quick,
+     test_interrupted_after_rename);
     ("resume refused when unknown or non-durable", `Quick,
      test_resume_refused);
   ]

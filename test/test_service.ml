@@ -450,6 +450,45 @@ let test_service_backpressure () =
           checkb "queue high-water bounded by capacity" true
             (Metrics.queue_high_water metrics <= 4)))
 
+(* [feed_history ~ack_every:7] syncs after every seventh accepted
+   transaction and once more at the end, and reaches the plain feed's
+   verdict: every transaction accepted.  The server counts the syncs. *)
+let test_service_ack_every () =
+  let metrics = Metrics.create () in
+  let json_int key =
+    let json = Metrics.to_json metrics and pat = "\"" ^ key ^ "\":" in
+    let rec find i =
+      if String.sub json i (String.length pat) = pat then i + String.length pat
+      else find (i + 1)
+    in
+    let rec digits i =
+      if i < String.length json && json.[i] >= '0' && json.[i] <= '9' then
+        digits (i + 1)
+      else i
+    in
+    let start = find 0 in
+    int_of_string (String.sub json start (digits start - start))
+  in
+  with_server ~config:{ Server.default_config with Server.metrics }
+    (fun _ addr ->
+      with_client addr (fun c ->
+          let h =
+            engine_history ~level:Isolation.Serializable ~fault:Fault.No_fault
+              ~seed:7 ()
+          in
+          let n = History.num_txns h - 1 in
+          let sid =
+            match Client.open_session c ~level:Checker.SER ~num_keys:10 () with
+            | Ok sid -> sid
+            | Error e -> Alcotest.fail ("open: " ^ e)
+          in
+          (match Client.feed_history ~ack_every:7 c ~sid h with
+          | Ok (Wire.V_ok m) -> checki "every transaction accepted" n m
+          | Ok (Wire.V_violation _) -> Alcotest.fail "history should pass"
+          | Error e -> Alcotest.fail ("feed: " ^ e));
+          checki "a sync per seven transactions, then the final one"
+            ((n / 7) + 1) (json_int "syncs")))
+
 (* Sessions idle past the timeout are closed with reason idle. *)
 let test_service_idle_timeout () =
   let config = { Server.default_config with Server.idle_timeout = 0.05 } in
@@ -833,6 +872,8 @@ let suite =
      test_service_poisoned_session);
     ("mid-frame disconnect isolated", `Quick, test_service_midframe_disconnect);
     ("backpressure throttles and recovers", `Quick, test_service_backpressure);
+    ("feed_history ~ack_every syncs as it streams", `Quick,
+     test_service_ack_every);
     ("idle sessions closed", `Quick, test_service_idle_timeout);
     ("horizon-pin detector flags stalled sessions", `Quick,
      test_service_pin_detector);
