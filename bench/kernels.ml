@@ -407,8 +407,16 @@ let service_rows () =
     (Bench_util.mt_history ~level:Isolation.Serializable ~keys ~txns ~seed:903 ())
       .Scheduler.history
   in
+  (* The server-side columns: feed latency p50/p99 (bucket upper edges,
+     exact within a factor of two) and mean minor-heap words per feed. *)
+  let feed_cells (m : Metrics.t) =
+    [
+      Printf.sprintf "%d" (Obs.Histogram.percentile m.feed_ns 50.0);
+      Printf.sprintf "%d" (Obs.Histogram.percentile m.feed_ns 99.0);
+      Printf.sprintf "%.0f" (Obs.Histogram.mean m.feed_words);
+    ]
+  in
   let one ?durable label addr =
-    let metrics = Metrics.create () in
     let wal_dir =
       Option.map
         (fun sync ->
@@ -422,7 +430,6 @@ let service_rows () =
       {
         Server.default_config with
         Server.listen = [ addr ];
-        metrics;
         wal_dir;
         wal_sync =
           Option.value durable ~default:Server.default_config.Server.wal_sync;
@@ -434,6 +441,7 @@ let service_rows () =
         Server.stop t;
         Option.iter rm_rf wal_dir)
       (fun () ->
+        let m = Server.metrics t in
         let addr = List.hd (Server.bound_addrs t) in
         match Client.connect addr with
         | Error e -> failwith ("service bench connect: " ^ e)
@@ -453,7 +461,7 @@ let service_rows () =
                     | Ok sid -> sid
                     | Error e -> failwith ("service bench open: " ^ e)
                   in
-                  let fed0 = Metrics.txns_fed metrics in
+                  let fed0 = Obs.Counter.get m.txns_fed in
                   let t0 = Unix.gettimeofday () in
                   (match Client.feed_history c ~sid h with
                   | Ok (Wire.V_ok _) -> ()
@@ -462,16 +470,11 @@ let service_rows () =
                   | Error e -> failwith ("service bench feed: " ^ e));
                   let dt = Unix.gettimeofday () -. t0 in
                   ignore (Client.close_session c ~sid);
-                  float_of_int (Metrics.txns_fed metrics - fed0) /. dt
+                  float_of_int (Obs.Counter.get m.txns_fed - fed0) /. dt
                 in
                 let rates = List.sort compare (List.init reps (fun _ -> stream ())) in
-                [
-                  label;
-                  Printf.sprintf "%.0f" (List.nth rates (reps / 2));
-                  Printf.sprintf "%d" (Metrics.feed_p50_ns metrics);
-                  Printf.sprintf "%d" (Metrics.feed_p99_ns metrics);
-                  Printf.sprintf "%.0f" (Metrics.feed_words_mean metrics);
-                ]))
+                label :: Printf.sprintf "%.0f" (List.nth rates (reps / 2))
+                :: feed_cells m))
   in
   (* Aggregate throughput with [k] concurrent sessions, each its own
      connection, on a server with [k] checking shards.  Client threads
@@ -479,14 +482,8 @@ let service_rows () =
      mostly shows the shard batching win; on a multi-core host the
      sessions check in parallel. *)
   let multi label k addr =
-    let metrics = Metrics.create () in
     let config =
-      {
-        Server.default_config with
-        Server.listen = [ addr ];
-        metrics;
-        shards = k;
-      }
+      { Server.default_config with Server.listen = [ addr ]; shards = k }
     in
     let t = Server.start config in
     Fun.protect
@@ -518,13 +515,9 @@ let service_rows () =
         let threads = List.init k (fun _ -> Thread.create feed_one ()) in
         List.iter Thread.join threads;
         let dt = Unix.gettimeofday () -. t0 in
-        [
-          label;
-          Printf.sprintf "%.0f" (float_of_int (Metrics.txns_fed metrics) /. dt);
-          Printf.sprintf "%d" (Metrics.feed_p50_ns metrics);
-          Printf.sprintf "%d" (Metrics.feed_p99_ns metrics);
-          Printf.sprintf "%.0f" (Metrics.feed_words_mean metrics);
-        ])
+        let m = Server.metrics t in
+        let fed = Obs.Counter.get m.txns_fed in
+        label :: Printf.sprintf "%.0f" (float_of_int fed /. dt) :: feed_cells m)
   in
   let sock =
     Filename.concat (Filename.get_temp_dir_name ())

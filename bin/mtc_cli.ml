@@ -728,7 +728,6 @@ let serve_cmd =
     in
     let config =
       {
-        Server.default_config with
         Server.listen;
         queue_capacity = Stdlib.max 1 queue;
         idle_timeout = idle;
@@ -744,8 +743,10 @@ let serve_cmd =
         journal;
       }
     in
+    let server = ref None in
     match
       Server.run config ~on_ready:(fun t ->
+          server := Some t;
           List.iter
             (fun a ->
               Printf.printf "mtc serve: listening on %s\n%!"
@@ -780,7 +781,7 @@ let serve_cmd =
     | () ->
         (* SIGTERM/SIGINT arrived and the drain completed: dump metrics *)
         Printf.printf "mtc serve: shut down\n%s\n"
-          (Metrics.to_json Metrics.global);
+          (Metrics.to_json (Server.metrics (Option.get !server)));
         exit exit_pass
     | exception Unix.Unix_error (e, _, arg) ->
         Printf.eprintf "mtc serve: cannot listen: %s (%s)\n"

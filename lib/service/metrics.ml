@@ -1,9 +1,8 @@
-(* Service metrics as a thin naming layer over [Obs.Metrics]: each
-   instance owns a registry of typed instruments, which is what the
-   [--metrics-port] HTTP endpoint serializes (Prometheus text) and what
+(* The service's instruments in one [Obs.Metrics] registry: what the
+   [--metrics-port] scrape serializes (Prometheus text) and what
    [to_json] summarizes for the [Stats] frame.  The histograms snapshot
    consistently, so a mean is never computed from a count and a sum read
-   on either side of a concurrent [feed]. *)
+   on either side of a concurrent feed. *)
 
 type t = {
   reg : Obs.Metrics.registry;
@@ -39,83 +38,67 @@ type t = {
 
 let create () =
   let reg = Obs.Metrics.create () in
+  let c name help = Obs.Metrics.counter reg ~help name
+  and g name help = Obs.Metrics.gauge reg ~help name
+  and h name help = Obs.Metrics.histogram reg ~help name in
   (* sequential lets: record fields evaluate in unspecified order, and
      registration order is the exposition order *)
-  let c help name = Obs.Metrics.counter reg ~help name in
-  let connections = c "Client connections accepted" "mtc_connections_total" in
+  let connections = c "mtc_connections_total" "Client connections accepted" in
   let sessions_opened =
-    c "Checking sessions opened" "mtc_sessions_opened_total"
+    c "mtc_sessions_opened_total" "Checking sessions opened"
   in
   let sessions_closed =
-    c "Checking sessions closed" "mtc_sessions_closed_total"
+    c "mtc_sessions_closed_total" "Checking sessions closed"
   in
   let txns_fed =
-    c "Transactions fed into online checkers" "mtc_txns_fed_total"
+    c "mtc_txns_fed_total" "Transactions fed into online checkers"
   in
-  let syncs = c "Sync frames served" "mtc_syncs_total" in
-  let violations = c "Isolation violations reported" "mtc_violations_total" in
-  let frames_in = c "Frames received" "mtc_frames_in_total" in
-  let frames_out = c "Frames sent" "mtc_frames_out_total" in
-  let throttles = c "Throttle frames sent" "mtc_throttles_total" in
-  let protocol_errors = c "Protocol errors" "mtc_protocol_errors_total" in
+  let syncs = c "mtc_syncs_total" "Sync frames served" in
+  let violations = c "mtc_violations_total" "Isolation violations reported" in
+  let frames_in = c "mtc_frames_in_total" "Frames received" in
+  let frames_out = c "mtc_frames_out_total" "Frames sent" in
+  let throttles = c "mtc_throttles_total" "Throttle frames sent" in
+  let protocol_errors = c "mtc_protocol_errors_total" "Protocol errors" in
   let queue_high_water =
-    Obs.Metrics.gauge reg ~help:"High-water mark of any session ingress queue"
-      "mtc_queue_high_water"
+    g "mtc_queue_high_water" "High-water mark of any session ingress queue"
   in
-  let wal_bytes = c "Bytes appended to write-ahead logs" "mtc_wal_bytes_total" in
-  let wal_fsyncs = c "WAL fsync calls" "mtc_wal_fsyncs_total" in
-  let snapshots = c "Shard snapshots written" "mtc_snapshots_total" in
+  let wal_bytes =
+    c "mtc_wal_bytes_total" "Bytes appended to write-ahead logs"
+  in
+  let wal_fsyncs = c "mtc_wal_fsyncs_total" "WAL fsync calls" in
+  let snapshots = c "mtc_snapshots_total" "Shard snapshots written" in
   let replay_frames =
-    c "WAL records replayed at startup" "mtc_replay_frames_total"
+    c "mtc_replay_frames_total" "WAL records replayed at startup"
   in
-  let replay_ms =
-    Obs.Metrics.gauge reg ~help:"Startup restore time (milliseconds)"
-      "mtc_replay_ms"
-  in
-  let open_conns =
-    Obs.Metrics.gauge reg ~help:"Currently open client connections"
-      "mtc_open_conns"
-  in
+  let replay_ms = g "mtc_replay_ms" "Startup restore time (milliseconds)" in
+  let open_conns = g "mtc_open_conns" "Currently open client connections" in
   let epoll_wakeups =
-    c "Event-loop wakeups that delivered readiness events"
-      "mtc_epoll_wakeups_total"
+    c "mtc_epoll_wakeups_total"
+      "Event-loop wakeups that delivered readiness events"
   in
   let gc_runs =
-    c "Watermark compactions across all sessions" "mtc_gc_runs_total"
+    c "mtc_gc_runs_total" "Watermark compactions across all sessions"
   in
   let gc_reclaimed_words =
-    c "Words reclaimed by watermark compactions" "mtc_gc_reclaimed_words_total"
+    c "mtc_gc_reclaimed_words_total" "Words reclaimed by watermark compactions"
   in
   let live_words =
-    Obs.Metrics.gauge reg
-      ~help:"Live words retained by all online checkers (estimate)"
-      "mtc_live_words"
+    g "mtc_live_words" "Live words retained by all online checkers (estimate)"
   in
   let gc_last_reclaimed =
-    Obs.Metrics.gauge reg
-      ~help:"Words reclaimed by the most recent compaction"
-      "mtc_gc_last_reclaimed_words"
+    g "mtc_gc_last_reclaimed_words"
+      "Words reclaimed by the most recent compaction"
   in
   let horizon_pinned =
-    Obs.Metrics.gauge reg
-      ~help:"Sessions currently flagged by the horizon-pin detector"
-      "mtc_horizon_pinned_sessions"
+    g "mtc_horizon_pinned_sessions"
+      "Sessions currently flagged by the horizon-pin detector"
   in
   let pin_fences =
-    c "Sessions force-closed by the horizon-pin fence" "mtc_pin_fences_total"
+    c "mtc_pin_fences_total" "Sessions force-closed by the horizon-pin fence"
   in
-  let feed_ns =
-    Obs.Metrics.histogram reg ~help:"Per-feed processing time (nanoseconds)"
-      "mtc_feed_ns"
-  in
-  let feed_words =
-    Obs.Metrics.histogram reg ~help:"Per-feed allocated minor-heap words"
-      "mtc_feed_words"
-  in
-  let gc_ns =
-    Obs.Metrics.histogram reg
-      ~help:"Watermark-compaction pause (nanoseconds)" "mtc_gc_ns"
-  in
+  let feed_ns = h "mtc_feed_ns" "Per-feed processing time (nanoseconds)" in
+  let feed_words = h "mtc_feed_words" "Per-feed allocated minor-heap words" in
+  let gc_ns = h "mtc_gc_ns" "Watermark-compaction pause (nanoseconds)" in
   {
     reg;
     created_at = Unix.gettimeofday ();
@@ -148,54 +131,7 @@ let create () =
     gc_ns;
   }
 
-let registry t = t.reg
 let uptime_s t = Unix.gettimeofday () -. t.created_at
-
-let connection t = Obs.Counter.incr t.connections
-let session_opened t = Obs.Counter.incr t.sessions_opened
-let session_closed t = Obs.Counter.incr t.sessions_closed
-let frame_in t = Obs.Counter.incr t.frames_in
-let frame_out t = Obs.Counter.incr t.frames_out
-let sync t = Obs.Counter.incr t.syncs
-let violation t = Obs.Counter.incr t.violations
-let throttle t = Obs.Counter.incr t.throttles
-let protocol_error t = Obs.Counter.incr t.protocol_errors
-
-let feed t ~ns ~words =
-  Obs.Counter.incr t.txns_fed;
-  Obs.Histogram.observe t.feed_ns ns;
-  Obs.Histogram.observe t.feed_words words
-
-let queue_depth t depth = Obs.Gauge.max_update t.queue_high_water depth
-let wal_write t ~bytes = Obs.Counter.add t.wal_bytes bytes
-let wal_fsync t = Obs.Counter.incr t.wal_fsyncs
-let snapshot t = Obs.Counter.incr t.snapshots
-
-let replay t ~frames ~ms =
-  Obs.Counter.add t.replay_frames frames;
-  Obs.Gauge.set t.replay_ms (int_of_float (Float.round ms))
-
-let open_conns t n = Obs.Gauge.set t.open_conns n
-let epoll_wakeup t = Obs.Counter.incr t.epoll_wakeups
-
-let gc_run t ~ns ~reclaimed =
-  Obs.Counter.incr t.gc_runs;
-  Obs.Counter.add t.gc_reclaimed_words reclaimed;
-  Obs.Gauge.set t.gc_last_reclaimed reclaimed;
-  Obs.Histogram.observe t.gc_ns ns
-
-let live_words t n = Obs.Gauge.set t.live_words n
-let pinned_sessions t n = Obs.Gauge.set t.horizon_pinned n
-let pin_fence t = Obs.Counter.incr t.pin_fences
-
-let txns_fed t = Obs.Counter.get t.txns_fed
-let throttles t = Obs.Counter.get t.throttles
-let queue_high_water t = Obs.Gauge.get t.queue_high_water
-let feed_p50_ns t = Obs.Histogram.percentile t.feed_ns 50.0
-let feed_p99_ns t = Obs.Histogram.percentile t.feed_ns 99.0
-let feed_words_mean t = Obs.Histogram.mean t.feed_words
-let pinned_sessions_now t = Obs.Gauge.get t.horizon_pinned
-let pin_fences t = Obs.Counter.get t.pin_fences
 
 (* The Stats JSON walks the registry the Prometheus exporter walks: after
    [uptime_s], each instrument in registration order under its name less
@@ -225,7 +161,3 @@ let to_json t =
             s.Obs.Histogram.s_max);
   Buffer.add_char b '}';
   Buffer.contents b
-
-(* The process-wide instance `mtc serve` reports from; embedders can
-   create their own. *)
-let global = create ()

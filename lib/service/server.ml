@@ -2,14 +2,18 @@
    sessions over Unix-domain and TCP sockets, with optional durability
    (per-shard write-ahead logs headed by checkpoints, lib/persist).
 
-   Threading model — one event-loop systhread for ALL connection I/O,
-   domains for the checking:
+   Threading model — one event-loop systhread for ALL socket I/O and
+   timers, domains for the checking:
 
    - a single {!Evloop} thread owns every socket: it accepts, reads
      frames from non-blocking fds into per-connection buffers, parses
      them ({!Wire.of_string}) and enqueues work onto per-session bounded
      queues.  A connection costs an fd and a buffer, not a systhread —
-     10k idle connections are 10k epoll registrations;
+     10k idle connections are 10k epoll registrations.  The same loop
+     answers [--metrics-port] scrapes (one HTTP request per non-blocking
+     connection) and runs the janitor's sweeps on a timer (idle
+     timeouts, the horizon-pin detector, the journal sink's drain) when
+     any of those is on;
    - a fixed array of {e shards}, each a run queue of sessions serviced
      by one loop; the loops execute on a {!Pool} of worker domains (a
      coordinator systhread participates via [Pool.run]), so N sessions
@@ -18,8 +22,7 @@
      shard ever touches a session's {!Online.t}, items drain in FIFO
      order, and the shard is the only writer of the session's [Verdict]
      frames — verdicts and counterexamples are bit-identical to the
-     single-threaded server;
-   - one janitor systhread closing idle sessions.
+     single-threaded server.
 
    Backpressure: when a session's queue is full the event loop leaves
    the frame unparsed in the connection buffer and drops the fd's read
@@ -34,10 +37,10 @@
    Durability ([config.wal_dir]): every accepted open/feed/close is
    appended to the owning shard's WAL {e before} it is applied, and
    shards checkpoint their sessions into the head of a new WAL
-   generation ({!checkpoint}, SIGHUP under {!run}, or every
-   [snapshot_every] feeds).  After a crash the server restores each
-   shard's newest generation, checkpoint then tail: live sessions
-   resume at exactly the last logged frame
+   generation ({!checkpoint}, SIGHUP under {!run}, every
+   [snapshot_every] feeds, and on {!stop}).  After a crash the server
+   restores each shard's newest generation, checkpoint then tail: live
+   sessions resume at exactly the last logged frame
    ([Resume_session]/[Session_resumed]), poisoned sessions re-render
    the byte-identical counterexample.
 
@@ -82,9 +85,6 @@ type config = {
   drain_delay : float;
       (** artificial per-item worker delay (seconds) — a test/bench knob
           to provoke backpressure deterministically; 0 in production *)
-  server_name : string;
-  metrics : Metrics.t;
-  max_keys : int;  (** largest accepted [num_keys] in [Open_session] *)
   shards : int;  (** checking shards (domains); [<= 0] = auto *)
   metrics_port : int option;
       (** Prometheus exposition on 127.0.0.1:port; 0 = ephemeral *)
@@ -93,9 +93,6 @@ type config = {
   snapshot_every : int;
       (** per-shard feeds between automatic checkpoints; 0 = only on
           SIGHUP / {!checkpoint} / shutdown *)
-  final_checkpoint : bool;
-      (** checkpoint on {!stop} (default); [false] leaves the WAL tail
-          in place, which is how the tests exercise tail replay *)
   gc : Online.gc;
       (** default watermark-GC policy for new sessions; an
           [Open_session] frame may override it per session *)
@@ -119,20 +116,23 @@ let default_config =
     queue_capacity = 1024;
     idle_timeout = 0.0;
     drain_delay = 0.0;
-    server_name = "mtc-serve/1";
-    metrics = Metrics.global;
-    max_keys = 1 lsl 22;
     shards = 0;
     metrics_port = None;
     wal_dir = None;
     wal_sync = Wal.Batch;
     snapshot_every = 0;
-    final_checkpoint = true;
     gc = Online.Gc_off;
     pin_warn_after = 0.0;
     pin_fence = Fence_off;
     journal = None;
   }
+
+(* Advertised in the [Welcome] frame. *)
+let server_name = "mtc-serve/1"
+
+(* Largest [num_keys] an [Open_session] may ask for: a checker costs
+   memory per key. *)
+let max_keys = Stdlib.min (1 lsl 22) Online.max_keys
 
 (* ------------------------------------------------------------------ *)
 
@@ -160,9 +160,9 @@ type session = {
   queue : item Queue.t;
   mutable queued : int;
   mutable throttled : bool;
-  mutable reader_paused : bool;
-      (** the event loop stopped reading [ep] because this queue was
-          full; the shard posts [A_unpause] at low water *)
+      (** the queue filled: a [Throttle] went out and the event loop
+          stopped reading [ep]; at low water the shard sends [Resume]
+          and posts [A_unpause] *)
   mutable closing : bool;  (** an [I_close] is queued; drop later frames *)
   mutable abandoned : bool;  (** connection died; shard must bail out *)
   mutable on_runq : bool;  (** guarded by [shard.shmu] *)
@@ -175,19 +175,22 @@ type session = {
   opened_at : float;
   mutable feeds : int;
       (** feeds accepted over the session's lifetime.  Written by the
-          owning shard only; the janitor and the telemetry path read it
-          without [smu] — a plain int, so a stale read is the worst
-          case *)
+          owning shard only; the pin detector and the telemetry path
+          read it without [smu] — a plain int, so a stale read is the
+          worst case *)
   mutable pin_frontier : int;  (** [feeds] at the last progress check *)
   mutable pin_since : float;  (** when [pin_frontier] last advanced *)
   mutable pinned : bool;
-      (** flagged by the horizon-pin detector.  Janitor-only writes;
+      (** flagged by the horizon-pin detector.  Event-loop-only writes;
           racy reads from the telemetry path are fine *)
 }
 
 and conn = {
   fd : Unix.file_descr;
   token : int;  (** evloop registration key *)
+  http : bool;
+      (** a [--metrics-port] scrape: one request head in, one response
+          out, then close; not counted in [connections]/[open_conns] *)
   mutable inbuf : Bytes.t;
   mutable inlen : int;
   outq : string Queue.t;  (** encoded frames awaiting write; [out_mu] *)
@@ -213,6 +216,7 @@ and conn = {
 }
 
 and cstate =
+  | C_http  (** a scrape awaiting the end of its request head *)
   | C_hello  (** awaiting the [Hello] handshake *)
   | C_ready
   | C_draining  (** ingress shut; sessions winding down via [I_close] *)
@@ -232,17 +236,21 @@ type action =
   | A_unpause of conn * session
   | A_conn_done of conn  (** last session of a draining conn finished *)
 
-type ep_target = T_listener of Unix.file_descr * addr | T_conn of conn
+type ep_target =
+  | T_listener of Unix.file_descr * addr * bool  (** [true]: scrapes *)
+  | T_conn of conn
 
 type t = {
   config : config;
   persist : Persist.t option;
   nshards : int;
+  metrics : Metrics.t;
   ev : Evloop.t;
   by_token : (int, ep_target) Hashtbl.t;  (** evloop thread only *)
   mutable next_token : int;  (** evloop thread only *)
-  mutable nconns : int;  (** evloop thread only *)
+  mutable nconns : int;  (** wire connections; evloop thread only *)
   bound : addr list;
+  metrics_port : int option;
   registry : (int, session) Hashtbl.t;  (** all live sessions; [rmu] *)
   detached : (int, session) Hashtbl.t;  (** restored, unattached; [rmu] *)
   mutable next_sid : int;
@@ -258,19 +266,21 @@ type t = {
   mutable shards_stop : bool;  (** written under every shard's [shmu] *)
   mutable shard_runner : Thread.t option;
   mutable ev_thread : Thread.t option;
-  mutable janitor : Thread.t option;
-  mutable journal_out : out_channel option;
-      (** JSONL sink; written by the janitor's periodic drain and the
-          final drain in {!stop} (which joins the janitor first) *)
+  sweep_every : float;
+      (** seconds between janitor sweeps on the event loop; 0 when no
+          duty (idle timeout, pin detector, journal sink) is on *)
+  mutable next_sweep : float;  (** evloop thread only *)
+  journal_out : out_channel option;
+      (** JSONL sink; written by the event loop's sweeps and the final
+          drain in {!stop} (which joins the event loop first) *)
   journal_wall_off : float;
       (** wall-clock seconds minus monotonic seconds at startup, to
           stamp journal events with wall time at drain *)
-  mutable metrics_listener : (Unix.file_descr * int) option;
-  mutable metrics_thread : Thread.t option;
 }
 
 let bound_addrs t = t.bound
-let metrics_port t = Option.map snd t.metrics_listener
+let metrics t = t.metrics
+let metrics_port t = t.metrics_port
 let event_backend t = Evloop.backend_name t.ev
 
 let stopping t =
@@ -308,7 +318,7 @@ let send ?(direct = false) t conn frame =
     else begin
       Buffer.clear conn.enc_out;
       Wire.encode ~scratch:conn.enc_scratch conn.enc_out frame;
-      Metrics.frame_out t.config.metrics;
+      Obs.Counter.incr t.metrics.frames_out;
       let enc = Buffer.contents conn.enc_out in
       let enqueue off =
         Queue.push enc conn.outq;
@@ -385,7 +395,7 @@ let wal_append t s record =
   | None -> ()
   | Some p -> (
       match Persist.append p ~shard:s.shard_ix record with
-      | bytes -> Metrics.wal_write t.config.metrics ~bytes
+      | bytes -> Obs.Counter.add t.metrics.wal_bytes bytes
       | exception (Unix.Unix_error _ | Sys_error _) ->
           if not (Atomic.exchange wal_warned true) then
             prerr_endline
@@ -402,7 +412,7 @@ let wal_close_record t s = wal_append t s (Wal.R_close { sid = s.sid })
 let publish_live t delta =
   if delta <> 0 then begin
     let total = Atomic.fetch_and_add t.live_total delta + delta in
-    Metrics.live_words t.config.metrics total
+    Obs.Gauge.set t.metrics.live_words total
   end
 
 let refresh_live t s online =
@@ -425,8 +435,8 @@ let finish t s =
   s.finished <- true;
   let ep = s.ep in
   s.ep <- None;
-  let was_paused = s.reader_paused in
-  s.reader_paused <- false;
+  let was_paused = s.throttled in
+  s.throttled <- false;
   Mutex.unlock s.smu;
   Mutex.lock t.rmu;
   Hashtbl.remove t.registry s.sid;
@@ -443,11 +453,20 @@ let finish t s =
       if was_paused then post t (A_unpause (conn, s));
       if empty then post t (A_conn_done conn)
 
+(* One transaction processed: its latency since [t0] and the minor-heap
+   words it allocated since [w0]. *)
+let note_feed (m : Metrics.t) t0 w0 =
+  let words = int_of_float (Gc.minor_words () -. w0) in
+  let ns = Obs.Clock.now_ns () - t0 in
+  Obs.Counter.incr m.txns_fed;
+  Obs.Histogram.observe m.feed_ns ns;
+  Obs.Histogram.observe m.feed_words words
+
 (* Drain everything currently queued for [s]; runs on [s.shard] only, so
    per-session processing is single-threaded and FIFO even though many
    sessions progress in parallel on different shards. *)
 let process_session t s =
-  let m = t.config.metrics in
+  let m = t.metrics in
   let rec loop () =
     Mutex.lock s.smu;
     if s.finished then Mutex.unlock s.smu (* stale run-queue entry *)
@@ -462,31 +481,19 @@ let process_session t s =
       let item = Queue.pop s.queue in
       s.queued <- s.queued - 1;
       let ep = s.ep in
-      let lw = low_water t.config.queue_capacity in
       let resume =
-        if s.throttled && s.queued <= lw then begin
-          s.throttled <- false;
-          true
-        end
-        else false
+        s.throttled && s.queued <= low_water t.config.queue_capacity
       in
-      let unpause =
-        if s.reader_paused && s.queued <= lw then begin
-          s.reader_paused <- false;
-          true
-        end
-        else false
-      in
+      if resume then s.throttled <- false;
       Mutex.unlock s.smu;
       let send_ep frame =
         match ep with Some c -> send ~direct:true t c frame | None -> ()
       in
       if resume then begin
         Obs.Journal.emit Obs.Journal.Throttle_off ~a:s.sid ~b:0 ~c:0;
-        send_ep (Wire.Resume { sid = s.sid })
+        send_ep (Wire.Resume { sid = s.sid });
+        match ep with Some c -> post t (A_unpause (c, s)) | None -> ()
       end;
-      (if unpause then
-         match ep with Some c -> post t (A_unpause (c, s)) | None -> ());
       if t.config.drain_delay > 0.0 then Unix.sleepf t.config.drain_delay;
       match item with
       | I_open ->
@@ -552,7 +559,10 @@ let process_session t s =
                   if Online.gc_runs online > g0 then begin
                     let pause = Online.gc_last_ns online in
                     let reclaimed = Online.gc_reclaimed_words online - r0 in
-                    Metrics.gc_run m ~ns:pause ~reclaimed;
+                    Obs.Counter.incr m.gc_runs;
+                    Obs.Counter.add m.gc_reclaimed_words reclaimed;
+                    Obs.Gauge.set m.gc_last_reclaimed reclaimed;
+                    Obs.Histogram.observe m.gc_ns pause;
                     Obs.Journal.emit Obs.Journal.Gc_compact ~a:s.sid ~b:pause
                       ~c:reclaimed;
                     refresh_live t s online
@@ -564,9 +574,7 @@ let process_session t s =
                 | Online.Ok_so_far ->
                     Obs.Trace.exit sp_server_feed sp0;
                     note_gc ();
-                    Metrics.feed m
-                      ~ns:(Obs.Clock.now_ns () - t0)
-                      ~words:(int_of_float (Gc.minor_words () -. w0));
+                    note_feed m t0 w0;
                     loop ()
                 | Online.Violation v ->
                     Obs.Trace.exit sp_server_feed sp0;
@@ -575,10 +583,8 @@ let process_session t s =
                     s.checker <- S_poisoned { anomaly; rendered };
                     Obs.Journal.emit Obs.Journal.Poison ~a:s.sid ~b:0 ~c:0;
                     drop_live t s;
-                    Metrics.feed m
-                      ~ns:(Obs.Clock.now_ns () - t0)
-                      ~words:(int_of_float (Gc.minor_words () -. w0));
-                    Metrics.violation m;
+                    note_feed m t0 w0;
+                    Obs.Counter.incr m.violations;
                     send_ep
                       (Wire.Verdict
                          {
@@ -593,18 +599,18 @@ let process_session t s =
                     s.closing <- true;
                     Mutex.unlock s.smu;
                     wal_close_record t s;
-                    Metrics.protocol_error m;
+                    Obs.Counter.incr m.protocol_errors;
                     Obs.Journal.emit Obs.Journal.Session_close ~a:s.sid
                       ~b:(Wire.close_reason_code (Wire.R_protocol msg))
                       ~c:0;
                     send_ep
                       (Wire.Session_closed
                          { sid = s.sid; reason = Wire.R_protocol msg });
-                    Metrics.session_closed m;
+                    Obs.Counter.incr m.sessions_closed;
                     finish t s)
           end
       | I_sync seq ->
-          Metrics.sync m;
+          Obs.Counter.incr m.syncs;
           (* a [V_ok] ack promises the accepted prefix: group-commit it
              to the kernel before saying so ([Batch] mode also fsyncs,
              so the ack survives an OS crash, not just a server kill) *)
@@ -626,7 +632,7 @@ let process_session t s =
           Obs.Journal.emit Obs.Journal.Session_close ~a:s.sid
             ~b:(Wire.close_reason_code reason) ~c:0;
           send_ep (Wire.Session_closed { sid = s.sid; reason });
-          Metrics.session_closed m;
+          Obs.Counter.incr m.sessions_closed;
           finish t s
     end
   in
@@ -663,7 +669,7 @@ let do_checkpoint t sh =
       Mutex.unlock t.rmu;
       (match Persist.checkpoint p ~shard:sh.ix ~next_sid entries with
       | () ->
-          Metrics.snapshot t.config.metrics;
+          Obs.Counter.incr t.metrics.snapshots;
           Obs.Journal.emit Obs.Journal.Snapshot ~a:sh.ix
             ~b:(List.length entries) ~c:0
       | exception (Unix.Unix_error _ | Sys_error _) ->
@@ -706,12 +712,19 @@ let checkpoint t =
     t.shards
 
 (* ------------------------------------------------------------------ *)
-(* Session bookkeeping shared by the event loop and the janitor. *)
+(* Session bookkeeping for the event loop's frame handlers and sweeps. *)
 
 let session_alive s = not (s.closing || s.abandoned || s.finished)
 
+(* Every registered session, snapshotted under [rmu]. *)
+let registered t =
+  Mutex.lock t.rmu;
+  let ss = Hashtbl.fold (fun _ s acc -> s :: acc) t.registry [] in
+  Mutex.unlock t.rmu;
+  ss
+
 (* Capacity-exempt enqueue for [I_close]/[I_open]/[I_resume]: at most
-   one extra item, and the callers (drain, janitor, open, resume) must
+   one extra item, and the callers (drain, sweeps, open, resume) must
    never block or pause on it. *)
 let force_enqueue s item =
   Mutex.lock s.smu;
@@ -771,8 +784,10 @@ let close_conn t conn =
     conn.gone <- true;
     Evloop.remove t.ev conn.fd ~token:conn.token;
     Hashtbl.remove t.by_token conn.token;
-    t.nconns <- t.nconns - 1;
-    Metrics.open_conns t.config.metrics t.nconns;
+    if not conn.http then begin
+      t.nconns <- t.nconns - 1;
+      Obs.Gauge.set t.metrics.open_conns t.nconns
+    end;
     Mutex.lock conn.out_mu;
     conn.out_dead <- true;
     Mutex.unlock conn.out_mu;
@@ -832,7 +847,7 @@ let flush_conn t conn =
 
 (* Handshake refusal: answer, then flush-and-close. *)
 let fail_conn t conn code msg =
-  Metrics.protocol_error t.config.metrics;
+  Obs.Counter.incr t.metrics.protocol_errors;
   send t conn (Wire.Error { code; msg });
   conn.cstate <- C_flush_close;
   set_read_interest t conn false
@@ -857,7 +872,7 @@ let on_eof t conn =
   else if conn.paused_on <> None then conn.eof_seen <- true
   else if conn.inlen > 0 && not conn.draining then begin
     (* EOF mid-frame: a truncated stream, not a clean goodbye *)
-    Metrics.protocol_error t.config.metrics;
+    Obs.Counter.incr t.metrics.protocol_errors;
     abandon_conn t conn
   end
   else
@@ -881,7 +896,6 @@ let make_session t ~sid ~settings ~checker ~last_seq ~ep =
     queue = Queue.create ();
     queued = 0;
     throttled = false;
-    reader_paused = false;
     closing = false;
     abandoned = false;
     on_runq = false;
@@ -912,7 +926,7 @@ let open_session t conn settings =
   Mutex.lock conn.cmu;
   Hashtbl.replace conn.sessions sid s;
   Mutex.unlock conn.cmu;
-  Metrics.session_opened t.config.metrics;
+  Obs.Counter.incr t.metrics.sessions_opened;
   Obs.Journal.emit Obs.Journal.Session_open ~a:sid ~b:s.shard_ix ~c:0;
   (* the shard WALs the open and then sends [Session_opened], so the sid
      the client learns is already durable *)
@@ -935,11 +949,10 @@ let enqueue_bounded t conn s item =
       end
       else None
     in
-    s.reader_paused <- true;
     Mutex.unlock s.smu;
     (match announce with
     | Some queued ->
-        Metrics.throttle t.config.metrics;
+        Obs.Counter.incr t.metrics.throttles;
         Obs.Journal.emit Obs.Journal.Throttle_on ~a:s.sid ~b:queued ~c:0;
         send t conn (Wire.Throttle { sid = s.sid; queued })
     | None -> ());
@@ -948,7 +961,7 @@ let enqueue_bounded t conn s item =
   else begin
     Queue.push item s.queue;
     s.queued <- s.queued + 1;
-    Metrics.queue_depth t.config.metrics s.queued;
+    Obs.Gauge.max_update t.metrics.queue_high_water s.queued;
     Mutex.unlock s.smu;
     schedule s;
     `Ok
@@ -1014,14 +1027,8 @@ let session_stat s =
   }
 
 let session_stats t =
-  Mutex.lock t.rmu;
-  let ss =
-    Hashtbl.fold
-      (fun _ s acc -> if s.finished then acc else s :: acc)
-      t.registry []
-  in
-  Mutex.unlock t.rmu;
-  List.map session_stat ss
+  List.filter (fun s -> not s.finished) (registered t)
+  |> List.map session_stat
   |> List.sort (fun a b -> compare a.Wire.ss_sid b.Wire.ss_sid)
 
 (* The newest journal events, capped so a [Session_stats_reply] stays a
@@ -1051,7 +1058,7 @@ let journal_events_for_reply () =
 
 (* One frame in [C_ready].  [`Paused s] = queue full, frame unconsumed. *)
 let handle_ready t conn frame =
-  let m = t.config.metrics in
+  let m = t.metrics in
   let with_session sid item =
     match find_session conn sid with
     | Some s -> (
@@ -1070,7 +1077,6 @@ let handle_ready t conn frame =
   in
   match frame with
   | Wire.Open_session { level; num_keys; skew; ts; gc } ->
-      let max_keys = Stdlib.min t.config.max_keys Online.max_keys in
       (if num_keys < 1 || num_keys > max_keys then
          send t conn
            (Wire.Error
@@ -1114,7 +1120,7 @@ let handle_ready t conn frame =
   | Wire.Throttle _ | Wire.Resume _ | Wire.Stats_reply _
   | Wire.Session_closed _ | Wire.Error _ | Wire.Session_resumed _
   | Wire.Session_stats_reply _ ->
-      Metrics.protocol_error m;
+      Obs.Counter.incr m.protocol_errors;
       send t conn
         (Wire.Error
            {
@@ -1130,7 +1136,7 @@ let handle_frame t conn frame =
       | Wire.Hello { version } when version = Wire.version ->
           send t conn
             (Wire.Welcome
-               { version = Wire.version; server = t.config.server_name });
+               { version = Wire.version; server = server_name });
           conn.cstate <- C_ready;
           `Consumed
       | Wire.Hello { version } ->
@@ -1143,7 +1149,8 @@ let handle_frame t conn frame =
             (Printf.sprintf "expected hello, got %s" (Wire.frame_name frame));
           `Consumed)
   | C_ready -> handle_ready t conn frame
-  | C_draining | C_flush_close -> `Consumed (* ingress is over; drop *)
+  | C_draining | C_flush_close | C_http ->
+      `Consumed (* ingress is over; drop *)
 
 (* Parse as many complete frames as the buffer holds, stopping on
    backpressure.  The unconsumed tail (partial frame, or everything from
@@ -1159,7 +1166,7 @@ let parse_frames t conn =
       else
         match Wire.of_string ~pos:!pos s with
         | Ok (frame, next) -> (
-            Metrics.frame_in t.config.metrics;
+            Obs.Counter.incr t.metrics.frames_in;
             match handle_frame t conn frame with
             | `Consumed -> pos := next
             | `Paused sess ->
@@ -1173,7 +1180,7 @@ let parse_frames t conn =
             if conn.cstate = C_hello then fail_conn t conn Wire.err_bad_frame msg
             else begin
               (* garbage mid-stream: abandon, like a broken reader *)
-              Metrics.protocol_error t.config.metrics;
+              Obs.Counter.incr t.metrics.protocol_errors;
               abandon_conn t conn
             end
     done;
@@ -1185,6 +1192,101 @@ let parse_frames t conn =
       end
     end
   end
+
+(* ------------------------------------------------------------------ *)
+(* Prometheus exposition: a deliberately minimal HTTP/1.1 responder on a
+   loopback socket — enough for a scraper or curl, one request per
+   connection, [Connection: close].  A scrape is a connection of the
+   event loop like any other: its bytes collect in the input buffer
+   until the request head ends, the response goes onto its output
+   queue, and the flush closes it.  The body only reads atomics,
+   histogram snapshots and session counters, so it never waits on a
+   shard. *)
+
+(* Labeled per-session series are emitted directly (the {!Obs.Metrics}
+   instruments are label-free), plus the observability substrate's own
+   overflow counters so ring drops are visible to a scraper. *)
+let session_series stats =
+  let b = Buffer.create 512 in
+  let family name help value =
+    Buffer.add_string b
+      (Printf.sprintf "# HELP %s %s\n# TYPE %s gauge\n" name help name);
+    List.iter
+      (fun (s : Wire.session_stat) ->
+        Buffer.add_string b
+          (Printf.sprintf "%s{sid=\"%d\"} %d\n" name s.Wire.ss_sid (value s)))
+      stats
+  in
+  family "mtc_session_lag" "Arrivals this session pins against GC"
+    (fun s -> s.Wire.ss_lag);
+  family "mtc_session_live_words" "Retained-memory estimate (words)"
+    (fun s -> s.Wire.ss_live_words);
+  family "mtc_session_queue" "Ingress queue depth" (fun s -> s.Wire.ss_queued);
+  family "mtc_session_feeds" "Feeds accepted over the session's lifetime"
+    (fun s -> s.Wire.ss_feeds);
+  family "mtc_session_pinned" "1 when flagged by the horizon-pin detector"
+    (fun s -> if s.Wire.ss_pinned then 1 else 0);
+  Buffer.contents b
+
+let metrics_body t =
+  Printf.sprintf "# TYPE mtc_uptime_seconds gauge\nmtc_uptime_seconds %.3f\n"
+    (Metrics.uptime_s t.metrics)
+  ^ Obs.Export.prometheus t.metrics.reg
+  ^ Obs.Export.prometheus Obs.Metrics.default
+  ^ Printf.sprintf
+      "# HELP mtc_trace_dropped_spans Spans lost to ring overwrite\n\
+       # TYPE mtc_trace_dropped_spans counter\n\
+       mtc_trace_dropped_spans %d\n\
+       # HELP mtc_journal_dropped_events Journal events lost to ring \
+       overwrite\n\
+       # TYPE mtc_journal_dropped_events counter\n\
+       mtc_journal_dropped_events %d\n"
+      (Obs.Trace.dropped ()) (Obs.Journal.dropped ())
+  ^ session_series (session_stats t)
+
+let http_response ~status ~content_type body =
+  Printf.sprintf
+    "HTTP/1.1 %s\r\nContent-Type: %s\r\nContent-Length: %d\r\nConnection: \
+     close\r\n\r\n%s"
+    status content_type (String.length body) body
+
+(* Longest request head a scrape may send before it is closed
+   unanswered. *)
+let head_cap = 8192
+
+(* A scrape's bytes so far ([eof]: no more will come).  A complete head
+   (up to the blank line) is answered from its request line; a head cut
+   short by EOF or longer than [head_cap] closes the connection. *)
+let serve_scrape t conn ~eof =
+  let head = Bytes.sub_string conn.inbuf 0 conn.inlen in
+  let rec ended i =
+    i + 4 <= conn.inlen
+    && ((head.[i] = '\r' && String.sub head i 4 = "\r\n\r\n")
+       || ended (i + 1))
+  in
+  if ended 0 then begin
+    let request_line = List.hd (String.split_on_char '\r' head) in
+    let response =
+      match String.split_on_char ' ' request_line with
+      | "GET" :: path :: _ when path = "/metrics" || path = "/" ->
+          http_response ~status:"200 OK"
+            ~content_type:"text/plain; version=0.0.4; charset=utf-8"
+            (metrics_body t)
+      | "GET" :: _ ->
+          http_response ~status:"404 Not Found" ~content_type:"text/plain"
+            "not found (try /metrics)\n"
+      | _ ->
+          http_response ~status:"405 Method Not Allowed"
+            ~content_type:"text/plain" "only GET is supported\n"
+    in
+    Mutex.lock conn.out_mu;
+    Queue.push response conn.outq;
+    Mutex.unlock conn.out_mu;
+    conn.cstate <- C_flush_close;
+    set_read_interest t conn false;
+    flush_conn t conn
+  end
+  else if eof || conn.inlen > head_cap then close_conn t conn
 
 let ensure_in conn extra =
   let need = conn.inlen + extra in
@@ -1200,7 +1302,8 @@ let handle_readable t conn =
   if
     (not conn.gone)
     && conn.paused_on = None
-    && (conn.cstate = C_hello || conn.cstate = C_ready)
+    && (conn.cstate = C_http || conn.cstate = C_hello
+       || conn.cstate = C_ready)
   then begin
     (* bounded per readiness event; level-triggered epoll re-fires *)
     let rec rd budget =
@@ -1219,6 +1322,9 @@ let handle_readable t conn =
       end
     in
     match rd 4 with
+    | (`Data | `Eof) as r when conn.http ->
+        serve_scrape t conn ~eof:(r = `Eof)
+    | `Err when conn.http -> close_conn t conn
     | `Data -> parse_frames t conn
     | `Eof ->
         parse_frames t conn;
@@ -1226,7 +1332,7 @@ let handle_readable t conn =
     | `Err ->
         if conn.draining then start_drain t conn ~reason:Wire.R_shutdown
         else begin
-          Metrics.protocol_error t.config.metrics;
+          Obs.Counter.incr t.metrics.protocol_errors;
           abandon_conn t conn
         end
   end
@@ -1239,12 +1345,13 @@ let fresh_token t =
   t.next_token <- tok + 1;
   tok
 
-let make_conn t fd =
+let make_conn t fd ~http =
   let token = fresh_token t in
   let conn =
     {
       fd;
       token;
+      http;
       inbuf = Bytes.create read_chunk;
       inlen = 0;
       outq = Queue.create ();
@@ -1259,7 +1366,7 @@ let make_conn t fd =
       sessions = Hashtbl.create 8;
       closed_sids = Hashtbl.create 8;
       cmu = Mutex.create ();
-      cstate = C_hello;
+      cstate = (if http then C_http else C_hello);
       paused_on = None;
       eof_seen = false;
       gone = false;
@@ -1267,12 +1374,14 @@ let make_conn t fd =
     }
   in
   Hashtbl.replace t.by_token token (T_conn conn);
-  t.nconns <- t.nconns + 1;
-  Metrics.connection t.config.metrics;
-  Metrics.open_conns t.config.metrics t.nconns;
+  if not http then begin
+    t.nconns <- t.nconns + 1;
+    Obs.Counter.incr t.metrics.connections;
+    Obs.Gauge.set t.metrics.open_conns t.nconns
+  end;
   Evloop.add t.ev fd ~token ~read:true ~write:false
 
-let rec do_accept t lfd addr =
+let rec do_accept t lfd addr ~http =
   if not (stopping t) then
     match Unix.accept ~cloexec:true lfd with
     | fd, _peer ->
@@ -1282,13 +1391,137 @@ let rec do_accept t lfd addr =
             try Unix.setsockopt fd Unix.TCP_NODELAY true
             with Unix.Unix_error _ -> ())
         | A_unix _ -> ());
-        make_conn t fd;
-        do_accept t lfd addr
+        make_conn t fd ~http;
+        do_accept t lfd addr ~http
     | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) -> ()
     | exception Unix.Unix_error ((Unix.EINTR | Unix.ECONNABORTED), _, _) ->
-        do_accept t lfd addr
+        do_accept t lfd addr ~http
     | exception Unix.Unix_error ((Unix.EMFILE | Unix.ENFILE), _, _) ->
         () (* fd exhaustion: back off until something closes *)
+
+(* ------------------------------------------------------------------ *)
+(* Janitor duties, run on the event loop every [sweep_every] seconds
+   when one of them is on. *)
+
+(* JSONL journal drain: monotonic event times are mapped to wall clock
+   with the offset captured at startup.  Called from each sweep and once
+   more from {!stop} after the event loop has been joined. *)
+let drain_journal t =
+  match t.journal_out with
+  | None -> ()
+  | Some oc ->
+      (match Obs.Journal.drain () with
+      | [] -> ()
+      | evs ->
+          List.iter
+            (fun (e : Obs.Journal.event) ->
+              Printf.fprintf oc
+                "{\"ts\":%.6f,\"kind\":%S,\"dom\":%d,\"a\":%d,\"b\":%d,\
+                 \"c\":%d}\n"
+                (t.journal_wall_off +. (float_of_int e.Obs.Journal.j_t /. 1e9))
+                (Obs.Journal.kind_name e.Obs.Journal.j_kind)
+                e.Obs.Journal.j_dom e.Obs.Journal.j_a e.Obs.Journal.j_b
+                e.Obs.Journal.j_c)
+            evs;
+          Stdlib.flush oc)
+
+(* The horizon-pin detector: a session whose feed frontier has not
+   advanced for [pin_warn_after] seconds while it still retains live
+   words is pinning memory the watermark GC can never reclaim (its own
+   retained prefix, and — for a stream with a stalled internal session —
+   an ever-growing window).  Flag it (journal event + gauge), and under
+   [Fence_close] force-close it so the memory is released and the
+   aggregate live-words bound holds again.  Poisoned sessions are exempt
+   (their state was already dropped to the rendered text). *)
+let pin_sweep t nowf =
+  let warn = t.config.pin_warn_after in
+  let pinned_count = ref 0 in
+  List.iter
+    (fun s ->
+      let fence =
+        Mutex.lock s.smu;
+        let f =
+          if not (session_alive s) then false
+          else begin
+            let progress = s.feeds in
+            if progress <> s.pin_frontier then begin
+              s.pin_frontier <- progress;
+              s.pin_since <- nowf;
+              s.pinned <- false;
+              false
+            end
+            else if
+              s.pinned
+              || (nowf -. s.pin_since > warn && s.lw_seen > 0)
+            then begin
+              let first = not s.pinned in
+              s.pinned <- true;
+              incr pinned_count;
+              if first then begin
+                let stalled_ns =
+                  int_of_float ((nowf -. s.pin_since) *. 1e9)
+                in
+                Obs.Journal.emit Obs.Journal.Pin_warn ~a:s.sid ~b:stalled_ns
+                  ~c:s.lw_seen;
+                if t.config.pin_fence = Fence_close then begin
+                  Obs.Journal.emit Obs.Journal.Pin_fence ~a:s.sid
+                    ~b:stalled_ns ~c:0;
+                  Obs.Counter.incr t.metrics.pin_fences
+                end
+              end;
+              first && t.config.pin_fence = Fence_close
+            end
+            else false
+          end
+        in
+        Mutex.unlock s.smu;
+        f
+      in
+      if fence then force_enqueue s (I_close Wire.R_pinned))
+    (registered t);
+  Obs.Gauge.set t.metrics.horizon_pinned !pinned_count
+
+(* Close the sessions idle past [idle_timeout]. *)
+let idle_sweep t nowf =
+  let deadline = nowf -. t.config.idle_timeout in
+  List.iter
+    (fun s ->
+      let expire =
+        Mutex.lock s.smu;
+        (* detached (restored, unresumed) sessions are exempt: their
+           whole point is surviving quiet periods *)
+        let e =
+          session_alive s && s.ep <> None && s.last_activity < deadline
+        in
+        Mutex.unlock s.smu;
+        e
+      in
+      if expire then force_enqueue s (I_close Wire.R_idle))
+    (registered t)
+
+(* Seconds between sweeps: a quarter of the shortest enabled period (or
+   a lazy 0.2 s when only the journal sink needs service), within
+   [0.01, 0.5]; 0 when no janitor duty is on. *)
+let sweep_period config =
+  if
+    config.idle_timeout > 0.0 || config.pin_warn_after > 0.0
+    || config.journal <> None
+  then
+    let period =
+      List.fold_left
+        (fun acc p -> if p > 0.0 then Stdlib.min acc p else acc)
+        0.8
+        [ config.idle_timeout; config.pin_warn_after ]
+    in
+    Stdlib.min 0.5 (Stdlib.max 0.01 (period /. 4.0))
+  else 0.0
+
+let sweep t =
+  let nowf = now () in
+  if t.config.idle_timeout > 0.0 then idle_sweep t nowf;
+  if t.config.pin_warn_after > 0.0 then pin_sweep t nowf;
+  drain_journal t;
+  t.next_sweep <- nowf +. t.sweep_every
 
 (* ------------------------------------------------------------------ *)
 (* The event loop proper. *)
@@ -1332,15 +1565,15 @@ let drain_actions t =
   in
   next ()
 
-(* Server shutdown, evloop side: close the listeners, then shut ingress
-   on every connection — the receive shutdown surfaces as EOF, which
-   funnels into the ordinary drain path. *)
+(* Server shutdown, evloop side: close the listeners and the scrapes,
+   then shut ingress on every wire connection — the receive shutdown
+   surfaces as EOF, which funnels into the ordinary drain path. *)
 let begin_shutdown t =
   let listeners, conns =
     Hashtbl.fold
       (fun token target (ls, cs) ->
         match target with
-        | T_listener (lfd, addr) -> ((token, lfd, addr) :: ls, cs)
+        | T_listener (lfd, addr, _) -> ((token, lfd, addr) :: ls, cs)
         | T_conn c -> (ls, c :: cs))
       t.by_token ([], [])
   in
@@ -1355,25 +1588,37 @@ let begin_shutdown t =
     listeners;
   List.iter
     (fun conn ->
-      conn.draining <- true;
-      try Unix.shutdown conn.fd Unix.SHUTDOWN_RECEIVE
-      with Unix.Unix_error _ -> ())
+      if conn.http then close_conn t conn
+      else begin
+        conn.draining <- true;
+        try Unix.shutdown conn.fd Unix.SHUTDOWN_RECEIVE
+        with Unix.Unix_error _ -> ()
+      end)
     conns
 
+(* One thread for every socket and timer: without a janitor duty (or
+   once draining) the wait is a plain 200 ms, otherwise it ends at the
+   next sweep. *)
 let ev_loop t =
   let rec go () =
+    let timeout_ms =
+      if t.sweep_every = 0.0 || t.drain_started then 200
+      else
+        Stdlib.max 0
+          (int_of_float (Float.ceil ((t.next_sweep -. now ()) *. 1e3)))
+    in
     let delivered =
-      Evloop.wait t.ev ~timeout_ms:200
+      Evloop.wait t.ev ~timeout_ms
         ~handle:(fun ~token ~readable ~writable ->
           match Hashtbl.find_opt t.by_token token with
           | None -> () (* closed earlier in this batch *)
-          | Some (T_listener (lfd, addr)) ->
-              if readable then do_accept t lfd addr
+          | Some (T_listener (lfd, addr, http)) ->
+              if readable then do_accept t lfd addr ~http
           | Some (T_conn conn) ->
               if readable then handle_readable t conn;
               if writable && not conn.gone then flush_conn t conn)
     in
-    if delivered > 0 then Metrics.epoll_wakeup t.config.metrics;
+    if delivered > 0 then Obs.Counter.incr t.metrics.epoll_wakeups;
     drain_actions t;
     if stopping t then begin
       if not t.drain_started then begin
@@ -1383,116 +1628,15 @@ let ev_loop t =
       end;
       if t.nconns > 0 then go () (* drains in flight *)
     end
-    else go ()
+    else begin
+      if t.sweep_every > 0.0 && now () >= t.next_sweep then sweep t;
+      go ()
+    end
   in
   go ()
 
 (* ------------------------------------------------------------------ *)
-(* Prometheus exposition: a deliberately minimal HTTP/1.1 responder on a
-   loopback socket — enough for a scraper or curl, one request per
-   connection, [Connection: close].  Runs on its own systhread; scraping
-   only reads atomics and histogram snapshots, so it never blocks the
-   checking shards. *)
-
-(* Labeled per-session series are emitted directly (the {!Obs.Metrics}
-   instruments are label-free), plus the observability substrate's own
-   overflow counters so ring drops are visible to a scraper. *)
-let session_series stats =
-  let b = Buffer.create 512 in
-  let family name help value =
-    Buffer.add_string b
-      (Printf.sprintf "# HELP %s %s\n# TYPE %s gauge\n" name help name);
-    List.iter
-      (fun (s : Wire.session_stat) ->
-        Buffer.add_string b
-          (Printf.sprintf "%s{sid=\"%d\"} %d\n" name s.Wire.ss_sid (value s)))
-      stats
-  in
-  family "mtc_session_lag" "Arrivals this session pins against GC"
-    (fun s -> s.Wire.ss_lag);
-  family "mtc_session_live_words" "Retained-memory estimate (words)"
-    (fun s -> s.Wire.ss_live_words);
-  family "mtc_session_queue" "Ingress queue depth" (fun s -> s.Wire.ss_queued);
-  family "mtc_session_feeds" "Feeds accepted over the session's lifetime"
-    (fun s -> s.Wire.ss_feeds);
-  family "mtc_session_pinned" "1 when flagged by the horizon-pin detector"
-    (fun s -> if s.Wire.ss_pinned then 1 else 0);
-  Buffer.contents b
-
-let metrics_body t =
-  let config = t.config in
-  Printf.sprintf "# TYPE mtc_uptime_seconds gauge\nmtc_uptime_seconds %.3f\n"
-    (Metrics.uptime_s config.metrics)
-  ^ Obs.Export.prometheus (Metrics.registry config.metrics)
-  ^ Obs.Export.prometheus Obs.Metrics.default
-  ^ Printf.sprintf
-      "# HELP mtc_trace_dropped_spans Spans lost to ring overwrite\n\
-       # TYPE mtc_trace_dropped_spans counter\n\
-       mtc_trace_dropped_spans %d\n\
-       # HELP mtc_journal_dropped_events Journal events lost to ring \
-       overwrite\n\
-       # TYPE mtc_journal_dropped_events counter\n\
-       mtc_journal_dropped_events %d\n"
-      (Obs.Trace.dropped ()) (Obs.Journal.dropped ())
-  ^ session_series (session_stats t)
-
-let http_response ~status ~content_type body =
-  Printf.sprintf
-    "HTTP/1.1 %s\r\nContent-Type: %s\r\nContent-Length: %d\r\nConnection: \
-     close\r\n\r\n%s"
-    status content_type (String.length body) body
-
-let serve_metrics_request t fd =
-  let buf = Bytes.create 1024 in
-  let n = try Unix.read fd buf 0 1024 with Unix.Unix_error _ -> 0 in
-  let req = Bytes.sub_string buf 0 (Stdlib.max n 0) in
-  let response =
-    match String.split_on_char ' ' req with
-    | "GET" :: path :: _ when path = "/metrics" || path = "/" ->
-        http_response ~status:"200 OK"
-          ~content_type:"text/plain; version=0.0.4; charset=utf-8"
-          (metrics_body t)
-    | "GET" :: _ ->
-        http_response ~status:"404 Not Found" ~content_type:"text/plain"
-          "not found (try /metrics)\n"
-    | _ ->
-        http_response ~status:"405 Method Not Allowed"
-          ~content_type:"text/plain" "only GET is supported\n"
-  in
-  let b = Bytes.of_string response in
-  let rec write off len =
-    if len > 0 then begin
-      let n =
-        try Unix.write fd b off len
-        with Unix.Unix_error (Unix.EINTR, _, _) -> 0
-      in
-      write (off + n) (len - n)
-    end
-  in
-  try write 0 (Bytes.length b) with Unix.Unix_error _ | Sys_error _ -> ()
-
-let metrics_loop t lsock =
-  let rec loop () =
-    if not (stopping t) then begin
-      (match Unix.select [ lsock ] [] [] 0.2 with
-      | [], _, _ -> ()
-      | _ :: _, _, _ -> (
-          match Unix.accept lsock with
-          | fd, _ ->
-              Fun.protect
-                ~finally:(fun () ->
-                  try Unix.close fd with Unix.Unix_error _ -> ())
-                (fun () -> serve_metrics_request t fd)
-          | exception Unix.Unix_error ((Unix.EINTR | Unix.ECONNABORTED), _, _)
-            -> ())
-      | exception Unix.Unix_error (Unix.EINTR, _, _) -> ());
-      loop ()
-    end
-  in
-  loop ()
-
-(* ------------------------------------------------------------------ *)
-(* Listeners, janitor, lifecycle. *)
+(* Listeners and lifecycle. *)
 
 let bind_addr = function
   | A_unix path ->
@@ -1517,129 +1661,6 @@ let bind_addr = function
       in
       (sock, A_tcp (host, bound_port))
 
-(* JSONL journal drain: monotonic event times are mapped to wall clock
-   with the offset captured at startup.  Called from the janitor tick
-   and once more from {!stop} after the janitor has been joined. *)
-let drain_journal t =
-  match t.journal_out with
-  | None -> ()
-  | Some oc ->
-      (match Obs.Journal.drain () with
-      | [] -> ()
-      | evs ->
-          List.iter
-            (fun (e : Obs.Journal.event) ->
-              Printf.fprintf oc
-                "{\"ts\":%.6f,\"kind\":%S,\"dom\":%d,\"a\":%d,\"b\":%d,\
-                 \"c\":%d}\n"
-                (t.journal_wall_off +. (float_of_int e.Obs.Journal.j_t /. 1e9))
-                (Obs.Journal.kind_name e.Obs.Journal.j_kind)
-                e.Obs.Journal.j_dom e.Obs.Journal.j_a e.Obs.Journal.j_b
-                e.Obs.Journal.j_c)
-            evs;
-          Stdlib.flush oc)
-
-(* The horizon-pin detector: a session whose feed frontier has not
-   advanced for [pin_warn_after] seconds while it still retains live
-   words is pinning memory the watermark GC can never reclaim (its own
-   retained prefix, and — for a stream with a stalled internal session —
-   an ever-growing window).  Flag it (journal event + gauge), and under
-   [Fence_close] force-close it so the memory is released and the
-   aggregate live-words bound holds again.  Poisoned sessions are exempt
-   (their state was already dropped to the rendered text). *)
-let pin_sweep t nowf =
-  let warn = t.config.pin_warn_after in
-  Mutex.lock t.rmu;
-  let ss = Hashtbl.fold (fun _ s acc -> s :: acc) t.registry [] in
-  Mutex.unlock t.rmu;
-  let pinned_count = ref 0 in
-  List.iter
-    (fun s ->
-      let fence =
-        Mutex.lock s.smu;
-        let f =
-          if not (session_alive s) then false
-          else begin
-            let progress = s.feeds in
-            if progress <> s.pin_frontier then begin
-              s.pin_frontier <- progress;
-              s.pin_since <- nowf;
-              s.pinned <- false;
-              false
-            end
-            else if
-              s.pinned
-              || (nowf -. s.pin_since > warn && s.lw_seen > 0)
-            then begin
-              let first = not s.pinned in
-              s.pinned <- true;
-              incr pinned_count;
-              if first then begin
-                let stalled_ns =
-                  int_of_float ((nowf -. s.pin_since) *. 1e9)
-                in
-                Obs.Journal.emit Obs.Journal.Pin_warn ~a:s.sid ~b:stalled_ns
-                  ~c:s.lw_seen;
-                if t.config.pin_fence = Fence_close then begin
-                  Obs.Journal.emit Obs.Journal.Pin_fence ~a:s.sid
-                    ~b:stalled_ns ~c:0;
-                  Metrics.pin_fence t.config.metrics
-                end
-              end;
-              first && t.config.pin_fence = Fence_close
-            end
-            else false
-          end
-        in
-        Mutex.unlock s.smu;
-        f
-      in
-      if fence then force_enqueue s (I_close Wire.R_pinned))
-    ss;
-  Metrics.pinned_sessions t.config.metrics !pinned_count
-
-let janitor_loop t =
-  let idle = t.config.idle_timeout in
-  let warn = t.config.pin_warn_after in
-  (* tick at a quarter of the shortest enabled period (or a lazy 0.2 s
-     when only the journal sink needs service) *)
-  let period =
-    List.fold_left
-      (fun acc p -> if p > 0.0 then Stdlib.min acc p else acc)
-      0.8 [ idle; warn ]
-  in
-  let tick = Stdlib.min 0.5 (Stdlib.max 0.01 (period /. 4.0)) in
-  let rec loop () =
-    if not (stopping t) then begin
-      Thread.delay tick;
-      let nowf = now () in
-      (if idle > 0.0 then begin
-         let deadline = nowf -. idle in
-         Mutex.lock t.rmu;
-         let ss = Hashtbl.fold (fun _ s acc -> s :: acc) t.registry [] in
-         Mutex.unlock t.rmu;
-         List.iter
-           (fun s ->
-             let expire =
-               Mutex.lock s.smu;
-               (* detached (restored, unresumed) sessions are exempt:
-                  their whole point is surviving quiet periods *)
-               let e =
-                 session_alive s && s.ep <> None && s.last_activity < deadline
-               in
-               Mutex.unlock s.smu;
-               e
-             in
-             if expire then force_enqueue s (I_close Wire.R_idle))
-           ss
-       end);
-      if warn > 0.0 then pin_sweep t nowf;
-      drain_journal t;
-      loop ()
-    end
-  in
-  loop ()
-
 (* An fsync slower than this is journalled as a stall (a=0: the hook is
    shared across shards, so the event is unattributed). *)
 let wal_stall_ns = 5_000_000
@@ -1657,6 +1678,8 @@ let start config =
   let nshards =
     if config.shards > 0 then config.shards else Pool.default_size ()
   in
+  let metrics = Metrics.create () in
+  let sweep_every = sweep_period config in
   (* Restore before binding: a client connecting right after bind must
      be able to resume anything the old incarnation logged. *)
   let persist, restored, next_sid0 =
@@ -1666,7 +1689,7 @@ let start config =
         match
           Persist.open_dir
             ~on_fsync:(fun ns ->
-              Metrics.wal_fsync config.metrics;
+              Obs.Counter.incr metrics.wal_fsyncs;
               if ns > wal_stall_ns then
                 Obs.Journal.emit Obs.Journal.Wal_fsync_stall ~a:0 ~b:ns ~c:0)
             ~dir ~nshards ~sync:config.wal_sync
@@ -1674,12 +1697,18 @@ let start config =
             ()
         with
         | Ok (p, restored, next_sid, stats) ->
-            Metrics.replay config.metrics ~frames:stats.Persist.rs_frames
-              ~ms:stats.Persist.rs_ms;
+            Obs.Counter.add metrics.replay_frames stats.Persist.rs_frames;
+            Obs.Gauge.set metrics.replay_ms
+              (int_of_float (Float.round stats.Persist.rs_ms));
             (Some p, restored, next_sid)
         | Error msg -> failwith (Printf.sprintf "%s: %s" dir msg))
   in
   let listeners = List.map bind_addr config.listen in
+  let scrape_listener =
+    Option.map
+      (fun port -> bind_addr (A_tcp ("127.0.0.1", port)))
+      config.metrics_port
+  in
   let shards =
     Array.init nshards (fun ix ->
         {
@@ -1696,11 +1725,16 @@ let start config =
       config;
       persist;
       nshards;
+      metrics;
       ev = Evloop.create ();
       by_token = Hashtbl.create 4096;
       next_token = 0;
       nconns = 0;
       bound = List.map snd listeners;
+      metrics_port =
+        (match scrape_listener with
+        | Some (_, A_tcp (_, port)) -> Some port
+        | _ -> None);
       registry = Hashtbl.create 256;
       detached = Hashtbl.create 256;
       next_sid = next_sid0;
@@ -1715,15 +1749,14 @@ let start config =
       shards_stop = false;
       shard_runner = None;
       ev_thread = None;
-      janitor = None;
+      sweep_every;
+      next_sweep = now () +. sweep_every;
       journal_out =
         Option.map
           (fun path -> open_out_gen [ Open_append; Open_creat ] 0o644 path)
           config.journal;
       journal_wall_off =
         Unix.gettimeofday () -. (float_of_int (Obs.Clock.now_ns ()) /. 1e9);
-      metrics_listener = None;
-      metrics_thread = None;
     }
   in
   (* Restored sessions wait detached until a [Resume_session] claims
@@ -1742,20 +1775,6 @@ let start config =
       Hashtbl.replace t.registry s.sid s;
       Hashtbl.replace t.detached s.sid s)
     restored;
-  (match config.metrics_port with
-  | None -> ()
-  | Some port ->
-      let sock = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
-      Unix.setsockopt sock Unix.SO_REUSEADDR true;
-      Unix.bind sock (Unix.ADDR_INET (Unix.inet_addr_loopback, port));
-      Unix.listen sock 16;
-      let bound =
-        match Unix.getsockname sock with
-        | Unix.ADDR_INET (_, p) -> p
-        | _ -> port
-      in
-      t.metrics_listener <- Some (sock, bound);
-      t.metrics_thread <- Some (Thread.create (metrics_loop t) sock));
   (* The shard loops occupy the whole pool for the server's lifetime; a
      coordinator systhread participates as the pool's submitting thread
      (so [nshards] loops really run on [nshards] domains). *)
@@ -1767,18 +1786,15 @@ let start config =
              (List.init nshards (fun i () -> shard_loop t shards.(i))))
          ());
   (* Register the listeners and hand everything to the event loop. *)
-  List.iter
-    (fun (lfd, addr) ->
-      Unix.set_nonblock lfd;
-      let token = fresh_token t in
-      Hashtbl.replace t.by_token token (T_listener (lfd, addr));
-      Evloop.add t.ev lfd ~token ~read:true ~write:false)
-    listeners;
+  let register ~http (lfd, addr) =
+    Unix.set_nonblock lfd;
+    let token = fresh_token t in
+    Hashtbl.replace t.by_token token (T_listener (lfd, addr, http));
+    Evloop.add t.ev lfd ~token ~read:true ~write:false
+  in
+  List.iter (register ~http:false) listeners;
+  Option.iter (register ~http:true) scrape_listener;
   t.ev_thread <- Some (Thread.create ev_loop t);
-  if
-    config.idle_timeout > 0.0 || config.pin_warn_after > 0.0
-    || t.journal_out <> None
-  then t.janitor <- Some (Thread.create janitor_loop t);
   t
 
 (* Final checkpoint, after every domain has stopped: single-threaded, so
@@ -1787,12 +1803,11 @@ let final_persist t =
   match t.persist with
   | None -> ()
   | Some p ->
-      (if t.config.final_checkpoint then
-         try
-           for shard = 0 to t.nshards - 1 do
-             do_checkpoint t t.shards.(shard)
-           done
-         with Unix.Unix_error _ | Sys_error _ -> ());
+      (try
+         for shard = 0 to t.nshards - 1 do
+           do_checkpoint t t.shards.(shard)
+         done
+       with Unix.Unix_error _ | Sys_error _ -> ());
       Persist.close p
 
 let stop t =
@@ -1802,13 +1817,9 @@ let stop t =
   Mutex.unlock t.rmu;
   if not already then begin
     Evloop.wakeup t.ev;
-    Option.iter Thread.join t.janitor;
-    Option.iter Thread.join t.metrics_thread;
-    Option.iter
-      (fun (fd, _) -> try Unix.close fd with Unix.Unix_error _ -> ())
-      t.metrics_listener;
-    (* The event loop drains every connection (sessions get
-       [Session_closed], then [Bye]) and exits once none remain. *)
+    (* The event loop closes the listeners and scrapes, drains every
+       connection (sessions get [Session_closed], then [Bye]) and exits
+       once none remain. *)
     Option.iter Thread.join t.ev_thread;
     (* Every session is finished, so the run queues are empty: stop the
        shard loops and the pool. *)
@@ -1823,7 +1834,8 @@ let stop t =
     Pool.shutdown t.pool;
     final_persist t;
     (* One last drain so close events from the shutdown itself land in
-       the sink; safe — the janitor (the only other drainer) is joined. *)
+       the sink; safe — the event loop (the only other drainer) is
+       joined. *)
     drain_journal t;
     Option.iter close_out t.journal_out;
     Evloop.close t.ev

@@ -4,14 +4,16 @@
     skew negotiated at open).
 
     One event-loop systhread owns every socket (accept, frame parsing,
-    egress) through {!Evloop} — a connection costs a file descriptor and
-    a buffer, not a systhread, so tens of thousands of idle connections
-    are cheap.  Checking runs on a fixed array of shards backed by a
-    {!Pool} of worker domains, so concurrent sessions verify on separate
-    cores instead of serializing on the runtime lock.  A session is
-    pinned to one shard for life: its items drain in FIFO order on a
-    single domain at a time, so verdicts and counterexamples are
-    bit-identical to a single-threaded server's.
+    egress, the [metrics_port] scrapes) and every timer (idle timeouts,
+    the horizon-pin detector, the journal sink's drain) through
+    {!Evloop} — a connection costs a file descriptor and a buffer, not a
+    systhread, so tens of thousands of idle connections are cheap.
+    Checking runs on a fixed array of shards backed by a {!Pool} of
+    worker domains, so concurrent sessions verify on separate cores
+    instead of serializing on the runtime lock.  A session is pinned to
+    one shard for life: its items drain in FIFO order on a single domain
+    at a time, so verdicts and counterexamples are bit-identical to a
+    single-threaded server's.
 
     Durability ([wal_dir]): every accepted open/feed/close is appended
     to the owning shard's write-ahead log before it is applied, and
@@ -57,20 +59,18 @@ val addr_to_string : addr -> string
 type config = {
   listen : addr list;
   queue_capacity : int;  (** per-session ingress bound *)
-  idle_timeout : float;  (** seconds; [<= 0] disables the janitor *)
+  idle_timeout : float;  (** seconds; [<= 0] disables idle closing *)
   drain_delay : float;
       (** artificial per-item worker delay (seconds) — a test/bench knob
           to provoke backpressure deterministically; keep 0 in production *)
-  server_name : string;  (** advertised in the [Welcome] frame *)
-  metrics : Metrics.t;
-  max_keys : int;  (** largest accepted [num_keys] in [Open_session] *)
   shards : int;
       (** checking shards = worker domains; [<= 0] picks
           [Pool.default_size ()] ([MTC_JOBS] or the recommended domain
           count) *)
   metrics_port : int option;
       (** serve Prometheus text exposition over HTTP on
-          127.0.0.1:[port] ([GET /metrics]); [0] asks the kernel for an
+          127.0.0.1:[port] ([GET /metrics], one request per connection,
+          answered by the event loop); [0] asks the kernel for an
           ephemeral port — read it back with {!metrics_port} *)
   wal_dir : string option;
       (** durability directory (created if missing); [None] = off *)
@@ -79,17 +79,13 @@ type config = {
   snapshot_every : int;
       (** per-shard feeds between automatic checkpoints; [0] = only on
           SIGHUP / {!checkpoint} / shutdown *)
-  final_checkpoint : bool;
-      (** checkpoint on {!stop} (default); [false] leaves the WAL tail
-          in place — the crash-recovery tests use this to exercise tail
-          replay without an actual [kill -9] *)
   gc : Online.gc;
       (** default watermark-GC policy for new sessions
           ([mtc serve --gc-watermark]); an [Open_session] frame may
           override it per session *)
   pin_warn_after : float;
       (** seconds a session may stall (no feed progress while retaining
-          live words) before the janitor flags it as pinning the GC
+          live words) before the detector flags it as pinning the GC
           horizon; [<= 0] disables the detector *)
   pin_fence : pin_fence;
       (** what to do with a flagged session; see {!pin_fence} *)
@@ -100,16 +96,19 @@ type config = {
 
 val default_config : config
 (** No listeners (callers must fill [listen]), queue of 1024, no idle
-    timeout, {!Metrics.global}, auto shard count, no metrics port, no
-    durability ([wal_dir = None], [Batch] sync, no automatic
-    checkpoints), watermark GC off, pin detector off ([Fence_off]), no
-    journal sink. *)
+    timeout, auto shard count, no metrics port, no durability
+    ([wal_dir = None], [Batch] sync, no automatic checkpoints),
+    watermark GC off, pin detector off ([Fence_off]), no journal sink.
+
+    Fixed for every server: the [Welcome] frame advertises
+    ["mtc-serve/1"], an [Open_session] may ask for at most 2{^22} keys,
+    and {!stop} always checkpoints a durable server. *)
 
 type t
 
 val start : config -> t
-(** Restore [wal_dir] (if set), bind every [listen] address and spawn
-    the event-loop/shard/janitor threads.
+(** Restore [wal_dir] (if set), bind every [listen] address (and the
+    metrics port), and spawn the event-loop thread and the shards.
     @raise Invalid_argument if [listen] is empty.
     @raise Unix.Unix_error if an address cannot be bound.
     @raise Failure if the persistence directory cannot be opened or
@@ -117,6 +116,10 @@ val start : config -> t
 
 val bound_addrs : t -> addr list
 (** The actually-bound addresses (TCP port 0 resolved). *)
+
+val metrics : t -> Metrics.t
+(** This server's instruments, created by {!start}; they keep their
+    values after {!stop}. *)
 
 val metrics_port : t -> int option
 (** The actually-bound metrics port (config port 0 resolved); [None]
@@ -134,9 +137,8 @@ val checkpoint : t -> unit
 val stop : t -> unit
 (** Graceful shutdown: stop accepting, shut down ingress on every
     connection, let the shards drain their queues, send
-    [Session_closed]+[Bye], checkpoint (unless [final_checkpoint] is
-    off), close everything.  Idempotent; blocks until the drain
-    completes. *)
+    [Session_closed]+[Bye], checkpoint, close everything.  Idempotent;
+    blocks until the drain completes. *)
 
 val run :
   ?on_signal:int list -> ?on_ready:(t -> unit) -> config -> unit

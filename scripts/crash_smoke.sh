@@ -1,16 +1,18 @@
 #!/usr/bin/env bash
 # Crash-recovery smoke of the durable checking service: serve with a
 # write-ahead log, stream a clean and a (late-)faulty history
-# concurrently, kill -9 the server mid-feed, restart it on the same
-# directory and require both sessions to resume where the log ends —
-# the clean one finishing with every transaction accounted for, the
-# faulty one rendering a counterexample byte-identical to an
-# uninterrupted run's (its reads span the crash, so this also proves
-# the restored checker state is faithful).  A copy of the directory
-# with one byte flipped inside a checkpoint must be refused by name
-# (exit 2) and left as it was.  Also asserts the event-loop
-# architecture: a herd of idle connections must not cost the server a
-# thread each.  Wired into `dune build @check` from the root dune file.
+# concurrently with periodic acks, kill -9 the server once both
+# sessions have feeds in the log, restart it on the same directory and
+# require both sessions to resume past seq 0 where the log ends — the
+# clean one finishing with every transaction accounted for, the faulty
+# one (restored live, its violation still ahead) rendering a
+# counterexample byte-identical to an uninterrupted run's (its reads
+# span the crash, so this also proves the restored checker state is
+# faithful).  A copy of the directory with one byte flipped inside a
+# checkpoint must be refused by name (exit 2) and left as it was.  Also
+# asserts the event-loop architecture: a herd of idle connections must
+# not cost the server a thread each.  Wired into `dune build @check`
+# from the root dune file.
 set -u
 
 SMOKE=crash-smoke
@@ -40,14 +42,32 @@ WAL="$TMP/wal"
 serve_on "$SOCK" "$TMP/serve1.log" --wal-dir "$WAL" --drain-delay 0.005 -j 2
 grep -q "durable in" "$TMP/serve1.log" || fail "server must announce the WAL dir"
 
-"$MTC" feed "$TMP/good.hist" -a "unix:$SOCK" --level ser \
+# every fifth transaction a sync, which the server answers only after a
+# WAL barrier: feed records reach the log mid-stream
+"$MTC" feed "$TMP/good.hist" -a "unix:$SOCK" --level ser --ack-every 5 \
   > "$TMP/feed_good.out" 2>&1 &
 GOOD_FEED=$!
-"$MTC" feed "$TMP/bad.hist" -a "unix:$SOCK" --level si \
+"$MTC" feed "$TMP/bad.hist" -a "unix:$SOCK" --level si --ack-every 5 \
   > "$TMP/feed_bad.out" 2>&1 &
 BAD_FEED=$!
 
-sleep 0.5
+# -- kill -9 as soon as the log holds a feed of each session (polled
+#    for up to 10 s)
+logged() {
+  grep -Eqs "^  session $1: opened, [1-9][0-9]* feeds" "$TMP/dump0.out"
+}
+GOOD_SID=""
+BAD_SID=""
+for _ in $(seq 1 500); do
+  GOOD_SID=$(sed -n 's/^session \([0-9]*\) opened$/\1/p' "$TMP/feed_good.out")
+  BAD_SID=$(sed -n 's/^session \([0-9]*\) opened$/\1/p' "$TMP/feed_bad.out")
+  if [ -n "$GOOD_SID" ] && [ -n "$BAD_SID" ] \
+    && "$MTC" wal-dump "$WAL" > "$TMP/dump0.out" 2>&1 \
+    && logged "$GOOD_SID" && logged "$BAD_SID"; then
+    break
+  fi
+  sleep 0.02
+done
 kill -9 "$SERVER_PID"
 wait "$SERVER_PID" 2>/dev/null
 SERVER_PID=""
@@ -56,10 +76,11 @@ wait "$GOOD_FEED" 2>/dev/null
 wait "$BAD_FEED" 2>/dev/null
 [ $? -ne 0 ] || fail "feed(bad) must fail when the server is killed under it"
 
-GOOD_SID=$(sed -n 's/^session \([0-9]*\) opened$/\1/p' "$TMP/feed_good.out")
-BAD_SID=$(sed -n 's/^session \([0-9]*\) opened$/\1/p' "$TMP/feed_bad.out")
 [ -n "$GOOD_SID" ] && [ -n "$BAD_SID" ] \
   || fail "both feeds must have printed their session ids before the crash"
+logged "$GOOD_SID" && logged "$BAD_SID" \
+  || fail "both sessions must have logged feeds before the crash \
+(see $TMP/dump0.out)"
 
 # -- the log must hold both sessions, mid-stream, with no close record
 "$MTC" wal-dump "$WAL" > "$TMP/dump1.out" || fail "wal-dump must read $WAL"
@@ -74,6 +95,16 @@ grep -q "closed" "$TMP/dump1.out" \
 #    re-home to sid mod nshards on restore).  kill -9 left the stale
 #    socket file behind; serve_on removes it so it sees the new bind.
 serve_on "$SOCK" "$TMP/serve2.log" --wal-dir "$WAL" -j 3
+
+# -- before any resume, the faulty session is restored live (its
+#    violation lies after the crash) with logged feeds
+"$MTC" stats -a "unix:$SOCK" --sessions > "$TMP/sessions.out" \
+  || fail "mtc stats --sessions must answer"
+STATE=$(awk -v s="$BAD_SID" '$1 == s { print $4 }' "$TMP/sessions.out")
+FRONTIER=$(awk -v s="$BAD_SID" '$1 == s { print $5 }' "$TMP/sessions.out")
+[ "$STATE" = live ] && [ "${FRONTIER:-0}" -gt 0 ] \
+  || fail "the restored faulty session must be live with a frontier \
+above 0 (see $TMP/sessions.out)"
 
 # -- idle connections cost fds, not threads
 "$MTC" swarm -a "unix:$SOCK" -n 100 --hold 0.5 > "$TMP/swarm.out" &
@@ -93,6 +124,10 @@ grep -q "open_conns=10[01]" "$TMP/swarm.out" \
 [ $? -eq 0 ] || fail "resumed feed(good) must pass (see $TMP/resume_good.out)"
 grep -q "^session $GOOD_SID resumed at seq" "$TMP/resume_good.out" \
   || fail "feed --resume must report the server's resume point"
+SEQ=$(sed -n "s/^session $GOOD_SID resumed at seq \([0-9]*\) .*/\1/p" \
+  "$TMP/resume_good.out")
+[ "${SEQ:-0}" -gt 0 ] \
+  || fail "the clean session must resume past seq 0 (got ${SEQ:-none})"
 TOTAL=$(sed -n 's/^\([0-9]*\) txns.*/\1/p' "$TMP/resume_good.out")
 grep -q "PASS ($TOTAL transactions accepted)" "$TMP/resume_good.out" \
   || fail "resumed session must account for all $TOTAL transactions"
@@ -149,6 +184,10 @@ serve_on "$SOCK" "$TMP/serve3.log" --wal-dir "$WAL" -j 2
 [ $? -eq 1 ] || fail "resumed feed(bad) must report the violation (exit 1)"
 grep -q "^session $BAD_SID resumed at seq" "$TMP/resume_bad.out" \
   || fail "feed --resume must report the faulty session's resume point"
+SEQ=$(sed -n "s/^session $BAD_SID resumed at seq \([0-9]*\) .*/\1/p" \
+  "$TMP/resume_bad.out")
+[ "${SEQ:-0}" -gt 0 ] \
+  || fail "the faulty session must resume past seq 0 (got ${SEQ:-none})"
 rendered_of "$TMP/resume_bad.out" > "$TMP/resumed_rendered"
 cmp -s "$TMP/ref_rendered" "$TMP/resumed_rendered" \
   || fail "counterexample must be byte-identical across the crash \

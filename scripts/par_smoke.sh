@@ -8,12 +8,8 @@
 # end to end.  Wired into `dune build @check` from the root dune file.
 set -u
 
-MTC="$1"
-TMP=$(mktemp -d)
-cleanup() { rm -rf "$TMP"; }
-trap cleanup EXIT
-
-fail() { echo "par-smoke: FAIL: $*" >&2; exit 1; }
+SMOKE=par-smoke
+. "$(dirname "$0")/smoke_lib.sh" "$1"
 
 # -- fixtures: a clean generated corpus (text + bin) and a faulty run
 "$MTC" gen --txns 3000 --keys 300 --sessions 8 --seed 11 \
@@ -73,10 +69,10 @@ fi
 
 # -- the service under multi-shard settings: reuse the service smoke
 # with MTC_JOBS exported, so every `mtc serve` in it runs sharded
-SMOKE="$(dirname "$0")/service_smoke.sh"
-if [ -f "$SMOKE" ]; then
+SERVICE_SMOKE="$(dirname "$0")/service_smoke.sh"
+if [ -f "$SERVICE_SMOKE" ]; then
   for j in 2 4; do
-    MTC_JOBS=$j bash "$SMOKE" "$MTC" \
+    MTC_JOBS=$j bash "$SERVICE_SMOKE" "$MTC" \
       || fail "service smoke must pass with MTC_JOBS=$j"
   done
 fi

@@ -1,5 +1,7 @@
-# Shared pieces of the smokes that start `mtc serve`.  Source it with
-# the mtc binary as the argument, after naming the smoke in SMOKE:
+# Shared pieces of the smoke scripts: the temporary directory and its
+# cleanup, `fail`, and the helpers of the smokes that start `mtc serve`.
+# Source it with the mtc binary as the argument, after naming the smoke
+# in SMOKE:
 #
 #   SMOKE=gc-smoke
 #   . "$(dirname "$0")/smoke_lib.sh" "$1"

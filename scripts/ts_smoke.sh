@@ -12,12 +12,8 @@
 # dune file.
 set -u
 
-MTC="$1"
-TMP=$(mktemp -d)
-cleanup() { rm -rf "$TMP"; }
-trap cleanup EXIT
-
-fail() { echo "ts-smoke: FAIL: $*" >&2; exit 1; }
+SMOKE=ts-smoke
+. "$(dirname "$0")/smoke_lib.sh" "$1"
 
 # -- corpora.  The lying corpus reports the timestamp window of a random
 # earlier transaction for ~2% of txns; the skewed corpus drifts every

@@ -440,10 +440,12 @@ let test_prometheus_grammar_and_buckets () =
 
 let test_prometheus_service_registry () =
   let m = Metrics.create () in
-  Metrics.connection m;
-  Metrics.feed m ~ns:1234 ~words:88;
-  Metrics.queue_depth m 17;
-  let text = Obs.Export.prometheus (Metrics.registry m) in
+  Obs.Counter.incr m.connections;
+  Obs.Counter.incr m.txns_fed;
+  Obs.Histogram.observe m.feed_ns 1234;
+  Obs.Histogram.observe m.feed_words 88;
+  Obs.Gauge.max_update m.queue_high_water 17;
+  let text = Obs.Export.prometheus m.reg in
   check_prometheus_grammar text;
   checkb "has connections counter" true
     (List.exists
@@ -451,37 +453,44 @@ let test_prometheus_service_registry () =
        (String.split_on_char '\n' text))
 
 (* [Metrics.to_json] after [uptime_s], with every instrument set to a
-   distinct value.  The literal is the output of the hand-written
-   printf this JSON replaced, so the registry walk keeps every key, its
-   order and its number format. *)
+   distinct value the way the server sets it.  The literal is the
+   output of the hand-written printf this JSON replaced, so the registry
+   walk keeps every key, its order and its number format. *)
 let stats_json_state () =
   let m = Metrics.create () in
-  let times n f = for _ = 1 to n do f m done in
-  times 1 Metrics.connection;
-  times 2 Metrics.session_opened;
-  times 3 Metrics.session_closed;
+  let times n c = for _ = 1 to n do Obs.Counter.incr c done in
+  times 1 m.connections;
+  times 2 m.sessions_opened;
+  times 3 m.sessions_closed;
   List.iter
-    (fun (ns, words) -> Metrics.feed m ~ns ~words)
+    (fun (ns, words) ->
+      Obs.Counter.incr m.txns_fed;
+      Obs.Histogram.observe m.feed_ns ns;
+      Obs.Histogram.observe m.feed_words words)
     [ (1_500, 40); (90_000, 7); (3, 1_000); (250, 12) ];
-  times 5 Metrics.sync;
-  times 6 Metrics.violation;
-  times 7 Metrics.frame_in;
-  times 8 Metrics.frame_out;
-  times 9 Metrics.throttle;
-  times 10 Metrics.protocol_error;
-  Metrics.queue_depth m 11;
-  Metrics.wal_write m ~bytes:12;
-  times 13 Metrics.wal_fsync;
-  times 14 Metrics.snapshot;
-  Metrics.replay m ~frames:15 ~ms:16.4;
-  Metrics.open_conns m 17;
-  times 18 Metrics.epoll_wakeup;
+  times 5 m.syncs;
+  times 6 m.violations;
+  times 7 m.frames_in;
+  times 8 m.frames_out;
+  times 9 m.throttles;
+  times 10 m.protocol_errors;
+  Obs.Gauge.max_update m.queue_high_water 11;
+  Obs.Counter.add m.wal_bytes 12;
+  times 13 m.wal_fsyncs;
+  times 14 m.snapshots;
+  Obs.Counter.add m.replay_frames 15;
+  Obs.Gauge.set m.replay_ms (int_of_float (Float.round 16.4));
+  Obs.Gauge.set m.open_conns 17;
+  times 18 m.epoll_wakeups;
   for i = 1 to 19 do
-    Metrics.gc_run m ~ns:(1_000 * i * i) ~reclaimed:(100 + i)
+    Obs.Counter.incr m.gc_runs;
+    Obs.Counter.add m.gc_reclaimed_words (100 + i);
+    Obs.Gauge.set m.gc_last_reclaimed (100 + i);
+    Obs.Histogram.observe m.gc_ns (1_000 * i * i)
   done;
-  Metrics.live_words m 22;
-  Metrics.pinned_sessions m 23;
-  times 24 Metrics.pin_fence;
+  Obs.Gauge.set m.live_words 22;
+  Obs.Gauge.set m.horizon_pinned 23;
+  times 24 m.pin_fences;
   m
 
 let after_uptime json =

@@ -419,16 +419,15 @@ let test_service_midframe_disconnect () =
 (* A tiny queue plus an artificially slow worker must provoke the
    advisory throttle frames, and the stream must still verify fully. *)
 let test_service_backpressure () =
-  let metrics = Metrics.create () in
   let config =
     {
       Server.default_config with
       Server.queue_capacity = 4;
       drain_delay = 0.002;
-      metrics;
     }
   in
-  with_server ~config (fun _ addr ->
+  with_server ~config (fun t addr ->
+      let m = Server.metrics t in
       with_client addr (fun c ->
           let txns =
             List.init 120 (fun i ->
@@ -446,31 +445,15 @@ let test_service_backpressure () =
           | Ok _ -> Alcotest.fail "long chain must pass SER"
           | Error e -> Alcotest.fail ("feed: " ^ e));
           checkb "server throttled at least once" true
-            (Metrics.throttles metrics >= 1);
+            (Obs.Counter.get m.throttles >= 1);
           checkb "queue high-water bounded by capacity" true
-            (Metrics.queue_high_water metrics <= 4)))
+            (Obs.Gauge.get m.queue_high_water <= 4)))
 
 (* [feed_history ~ack_every:7] syncs after every seventh accepted
    transaction and once more at the end, and reaches the plain feed's
    verdict: every transaction accepted.  The server counts the syncs. *)
 let test_service_ack_every () =
-  let metrics = Metrics.create () in
-  let json_int key =
-    let json = Metrics.to_json metrics and pat = "\"" ^ key ^ "\":" in
-    let rec find i =
-      if String.sub json i (String.length pat) = pat then i + String.length pat
-      else find (i + 1)
-    in
-    let rec digits i =
-      if i < String.length json && json.[i] >= '0' && json.[i] <= '9' then
-        digits (i + 1)
-      else i
-    in
-    let start = find 0 in
-    int_of_string (String.sub json start (digits start - start))
-  in
-  with_server ~config:{ Server.default_config with Server.metrics }
-    (fun _ addr ->
+  with_server (fun t addr ->
       with_client addr (fun c ->
           let h =
             engine_history ~level:Isolation.Serializable ~fault:Fault.No_fault
@@ -487,7 +470,8 @@ let test_service_ack_every () =
           | Ok (Wire.V_violation _) -> Alcotest.fail "history should pass"
           | Error e -> Alcotest.fail ("feed: " ^ e));
           checki "a sync per seven transactions, then the final one"
-            ((n / 7) + 1) (json_int "syncs")))
+            ((n / 7) + 1)
+            (Obs.Counter.get (Server.metrics t).syncs)))
 
 (* Sessions idle past the timeout are closed with reason idle. *)
 let test_service_idle_timeout () =
@@ -520,11 +504,8 @@ let test_service_idle_timeout () =
    session itself under the default [Fence_off]. *)
 let test_service_pin_detector () =
   Obs.Journal.clear ();
-  let metrics = Metrics.create () in
-  let config =
-    { Server.default_config with Server.metrics; pin_warn_after = 0.1 }
-  in
-  with_server ~config (fun _ addr ->
+  let config = { Server.default_config with Server.pin_warn_after = 0.1 } in
+  with_server ~config (fun t addr ->
       with_client addr (fun c ->
           let sid =
             match Client.open_session c ~level:Checker.SI ~num_keys:2 () with
@@ -538,7 +519,8 @@ let test_service_pin_detector () =
           | Ok _ -> Alcotest.fail "unexpected verdict"
           | Error e -> Alcotest.fail ("feed: " ^ e));
           Thread.delay 0.5;
-          checki "pinned gauge trips" 1 (Metrics.pinned_sessions_now metrics);
+          checki "pinned gauge trips" 1
+            (Obs.Gauge.get (Server.metrics t).horizon_pinned);
           (match Client.session_stats c with
           | Error e -> Alcotest.fail ("session stats: " ^ e)
           | Ok (ss, evs, _) ->
@@ -566,16 +548,14 @@ let test_service_pin_detector () =
    [R_pinned] (releasing its retained memory), while a concurrently
    active session on the same connection is untouched. *)
 let test_service_pin_fence_close () =
-  let metrics = Metrics.create () in
   let config =
     {
       Server.default_config with
-      Server.metrics;
-      pin_warn_after = 0.1;
+      Server.pin_warn_after = 0.1;
       pin_fence = Server.Fence_close;
     }
   in
-  with_server ~config (fun _ addr ->
+  with_server ~config (fun t addr ->
       with_client addr (fun c ->
           let open_si () =
             match Client.open_session c ~level:Checker.SI ~num_keys:2 () with
@@ -613,14 +593,12 @@ let test_service_pin_fence_close () =
           | Some Wire.R_pinned -> ()
           | Some _ -> Alcotest.fail "stalled session closed for wrong reason"
           | None -> Alcotest.fail "stalled session never fenced");
-          checkb "fence counter ticked" true (Metrics.pin_fences metrics >= 1)))
+          checkb "fence counter ticked" true
+            (Obs.Counter.get (Server.metrics t).pin_fences >= 1)))
 
 (* Graceful shutdown drains what was already queued. *)
 let test_service_graceful_drain () =
-  let metrics = Metrics.create () in
-  let config =
-    { Server.default_config with Server.drain_delay = 0.001; metrics }
-  in
+  let config = { Server.default_config with Server.drain_delay = 0.001 } in
   let path = temp_sock () in
   let config = { config with Server.listen = [ Server.A_unix path ] } in
   let t = Server.start config in
@@ -648,17 +626,16 @@ let test_service_graceful_drain () =
   (* stop while the slow worker still has items queued: they must all be
      processed before the server says goodbye *)
   Server.stop t;
-  checki "every queued transaction was drained" n (Metrics.txns_fed metrics);
+  checki "every queued transaction was drained" n
+    (Obs.Counter.get (Server.metrics t).txns_fed);
   Client.close c
 
 (* TCP transport (ephemeral port) and the stats frame. *)
 let test_service_tcp_and_stats () =
-  let metrics = Metrics.create () in
   let config =
     {
       Server.default_config with
       Server.listen = [ Server.A_tcp ("127.0.0.1", 0) ];
-      metrics;
     }
   in
   let t = Server.start config in
@@ -695,20 +672,24 @@ let test_service_tcp_and_stats () =
                 (contains ~sub:"\"txns_fed\"" json)
           | Error e -> Alcotest.fail ("stats: " ^ e)))
 
-(* The --metrics-port HTTP endpoint serves Prometheus text for the
-   server's own registry plus the process-wide one, and 404s elsewhere. *)
-let http_get port path =
+(* One HTTP exchange with the metrics port: [parts] written 0.2 s
+   apart, then everything the server sends until it closes — [""] when
+   it closes unanswered.  A server that neither answers nor closes
+   within 5 s fails the test instead of hanging the suite. *)
+let http_exchange port parts =
   let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
   Fun.protect
     ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
     (fun () ->
+      Unix.setsockopt_float fd Unix.SO_RCVTIMEO 5.0;
       Unix.connect fd (Unix.ADDR_INET (Unix.inet_addr_loopback, port));
-      let req =
-        Printf.sprintf
-          "GET %s HTTP/1.1\r\nHost: 127.0.0.1\r\nConnection: close\r\n\r\n"
-          path
-      in
-      ignore (Unix.write_substring fd req 0 (String.length req));
+      (try
+         List.iteri
+           (fun i part ->
+             if i > 0 then Thread.delay 0.2;
+             ignore (Unix.write_substring fd part 0 (String.length part)))
+           parts
+       with Unix.Unix_error ((Unix.EPIPE | Unix.ECONNRESET), _, _) -> ());
       let buf = Buffer.create 4096 in
       let chunk = Bytes.create 4096 in
       let rec drain () =
@@ -718,21 +699,39 @@ let http_get port path =
             Buffer.add_subbytes buf chunk 0 n;
             drain ()
         | exception Unix.Unix_error (Unix.EINTR, _, _) -> drain ()
+        | exception Unix.Unix_error (Unix.ECONNRESET, _, _) -> ()
+        | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _)
+          ->
+            Alcotest.fail "the server neither answered nor closed in 5 s"
       in
       drain ();
       Buffer.contents buf)
 
+let http_get port path =
+  http_exchange port
+    [
+      Printf.sprintf
+        "GET %s HTTP/1.1\r\nHost: 127.0.0.1\r\nConnection: close\r\n\r\n"
+        path;
+    ]
+
+let scrape_port t =
+  match Server.metrics_port t with
+  | Some p -> p
+  | None -> Alcotest.fail "metrics listener did not start"
+
+let with_scrape_server f =
+  with_server
+    ~config:{ Server.default_config with Server.metrics_port = Some 0 }
+    (fun t _ -> f t (scrape_port t))
+
+(* The --metrics-port HTTP endpoint serves Prometheus text for the
+   server's own registry plus the process-wide one, and 404s elsewhere. *)
+
 let test_service_http_metrics () =
-  let metrics = Metrics.create () in
-  let config =
-    { Server.default_config with Server.metrics_port = Some 0; metrics }
-  in
+  let config = { Server.default_config with Server.metrics_port = Some 0 } in
   with_server ~config (fun t addr ->
-      let port =
-        match Server.metrics_port t with
-        | Some p -> p
-        | None -> Alcotest.fail "metrics listener did not start"
-      in
+      let port = scrape_port t in
       (* traffic first, so the scraped counters are live *)
       with_client addr (fun c ->
           let h =
@@ -773,6 +772,100 @@ let test_service_http_metrics () =
       checkb "typed exposition" true (contains ~sub:"# TYPE" response);
       let not_found = http_get port "/nope" in
       checkb "404 elsewhere" true (contains ~sub:"HTTP/1.1 404" not_found))
+
+(* A peer that connects to the metrics port and sends nothing.  The
+   returned function closes it; a watchdog closes it [after] seconds in
+   whatever happens, so a server that waits on the peer fails a
+   deadline instead of hanging the suite. *)
+let silent_peer port ~after =
+  let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+  Unix.connect fd (Unix.ADDR_INET (Unix.inet_addr_loopback, port));
+  let mu = Mutex.create () and closed = ref false in
+  let release () =
+    Mutex.protect mu (fun () ->
+        if not !closed then begin
+          closed := true;
+          try Unix.close fd with Unix.Unix_error _ -> ()
+        end)
+  in
+  let deadline = Unix.gettimeofday () +. after in
+  let watchdog =
+    Thread.create
+      (fun () ->
+        while
+          (not (Mutex.protect mu (fun () -> !closed)))
+          && Unix.gettimeofday () < deadline
+        do
+          Thread.delay 0.02
+        done;
+        release ())
+      ()
+  in
+  fun () ->
+    release ();
+    Thread.join watchdog
+
+let timed f =
+  let t0 = Unix.gettimeofday () in
+  let r = f () in
+  (r, Unix.gettimeofday () -. t0)
+
+(* A peer that holds a scrape connection open without a request does
+   not stop other scrapes from being answered. *)
+let test_scrape_beside_silent_peer () =
+  with_scrape_server (fun _ port ->
+      let release = silent_peer port ~after:1.5 in
+      Fun.protect ~finally:release (fun () ->
+          let response, dt = timed (fun () -> http_get port "/metrics") in
+          checkb "HTTP 200" true (contains ~sub:"HTTP/1.1 200" response);
+          checkb (Printf.sprintf "answered in %.2f s (< 1 s)" dt) true
+            (dt < 1.0)))
+
+(* Nor does it hold up shutdown. *)
+let test_stop_beside_silent_peer () =
+  with_scrape_server (fun t port ->
+      let release = silent_peer port ~after:2.5 in
+      Fun.protect ~finally:release (fun () ->
+          Thread.delay 0.2 (* let the server take the connection *);
+          let (), dt = timed (fun () -> Server.stop t) in
+          checkb (Printf.sprintf "stopped in %.2f s (< 2 s)" dt) true
+            (dt < 2.0)))
+
+(* The request head is read until its blank line, however the peer
+   splits it. *)
+let test_scrape_split_request () =
+  with_scrape_server (fun _ port ->
+      let response =
+        http_exchange port
+          [ "GET /met"; "rics HTTP/1.1\r\nHost: 127.0.0.1\r\n\r\n" ]
+      in
+      checkb "HTTP 200" true (contains ~sub:"HTTP/1.1 200" response);
+      checkb "the exposition follows" true
+        (contains ~sub:"mtc_txns_fed_total" response))
+
+let test_scrape_post_refused () =
+  with_scrape_server (fun _ port ->
+      let response =
+        http_exchange port
+          [
+            "POST /metrics HTTP/1.1\r\nHost: 127.0.0.1\r\n\
+             Content-Length: 0\r\n\r\n";
+          ]
+      in
+      checkb "HTTP 405" true
+        (contains ~sub:"HTTP/1.1 405 Method Not Allowed" response))
+
+(* A head that never ends is cut off unanswered once it passes the cap,
+   and the port keeps answering. *)
+let test_scrape_head_cap () =
+  with_scrape_server (fun _ port ->
+      let response =
+        http_exchange port
+          [ "GET /metrics HTTP/1.1\r\nX-Pad: " ^ String.make 16384 'a' ]
+      in
+      Alcotest.check Alcotest.string "closed unanswered" "" response;
+      checkb "the next scrape gets 200" true
+        (contains ~sub:"HTTP/1.1 200" (http_get port "/metrics")))
 
 (* Speaking the wrong protocol version is refused at the handshake. *)
 let test_service_version_mismatch () =
@@ -882,6 +975,13 @@ let suite =
     ("graceful shutdown drains queues", `Quick, test_service_graceful_drain);
     ("tcp transport + stats frame", `Quick, test_service_tcp_and_stats);
     ("http /metrics endpoint", `Quick, test_service_http_metrics);
+    ("scrape answered beside a silent peer", `Quick,
+     test_scrape_beside_silent_peer);
+    ("stop returns beside a silent scrape peer", `Quick,
+     test_stop_beside_silent_peer);
+    ("scrape request split across writes", `Quick, test_scrape_split_request);
+    ("scrape POST refused with 405", `Quick, test_scrape_post_refused);
+    ("scrape head over the cap closed", `Quick, test_scrape_head_cap);
     ("version mismatch refused", `Quick, test_service_version_mismatch);
     ("txn id reuse closes only the session", `Quick,
      test_service_id_reuse_closes_session);
