@@ -70,7 +70,10 @@ let check_elle_wr level (r : Scheduler.result) =
 
 let lens () = Bench_util.sweep [ 2; 4; 8; 16 ]
 
-let run_engine ~engine_name ~db ~level =
+(* [smoke_floor] is each smoke row's detection count as recorded in
+   BENCH_PR10.json: under --smoke, a row that detects fewer trials is a
+   gate miss, the way Table 2 gates a lost detection. *)
+let run_engine ~engine_name ~db ~level ~smoke_floor =
   Bench_util.subsection
     (Printf.sprintf "%s: detections out of %d trials (%d committed txns each)"
        engine_name (trials_per_config ()) (txns_per_trial ()));
@@ -107,7 +110,16 @@ let run_engine ~engine_name ~db ~level =
            Bench_util.ms o.gen_s;
            Bench_util.ms o.verify_s;
          ])
-       results)
+       results);
+  if !Bench_util.smoke then
+    List.iter
+      (fun (name, o) ->
+        match List.assoc_opt name smoke_floor with
+        | Some floor when o.detected < floor ->
+            Bench_util.miss "fig13: %s, %s detected %d/%d, want at least %d"
+              engine_name name o.detected o.trials floor
+        | _ -> ())
+      results
 
 let run () =
   Bench_util.section
@@ -115,8 +127,14 @@ let run () =
   run_engine ~engine_name:"pg (SER engine, write-skew bug)"
     ~db:{ Db.level = Isolation.Serializable; fault = Fault.Write_skew 0.2;
           num_keys = 10; seed = 131 }
-    ~level:Checker.SER;
+    ~level:Checker.SER
+    ~smoke_floor:
+      [ ("mini (MTC, len<=4)", 1); ("append len<=2 (Elle)", 1);
+        ("wr len<=2 (Elle)", 0) ];
   run_engine ~engine_name:"mongo (SI engine, aborted-read bug)"
     ~db:{ Db.level = Isolation.Snapshot; fault = Fault.Aborted_read 0.03;
           num_keys = 10; seed = 132 }
     ~level:Checker.SI
+    ~smoke_floor:
+      [ ("mini (MTC, len<=4)", 2); ("append len<=2 (Elle)", 1);
+        ("wr len<=2 (Elle)", 1) ]

@@ -10,20 +10,19 @@ type kind = Kdep | Kanti
 let forbidden_cycle ~(level : Checker.level) ~n edges =
   match level with
   | Checker.SER ->
-      let g = Digraph.create n in
-      List.iter (fun (_k, u, v) -> Digraph.add_edge g u v ()) edges;
-      not (Cycle.is_acyclic g)
+      let g = Csr.of_edges ~n (List.map (fun (_k, u, v) -> (u, (), v)) edges) in
+      Option.is_some (Cycle.find_csr g)
   | Checker.SI ->
-      let g = Digraph.create (2 * n) in
-      List.iter
-        (fun (k, u, v) ->
-          match k with
-          | Kdep ->
-              Digraph.add_edge g (2 * u) (2 * v) ();
-              Digraph.add_edge g ((2 * u) + 1) (2 * v) ()
-          | Kanti -> Digraph.add_edge g (2 * u) ((2 * v) + 1) ())
-        edges;
-      not (Cycle.is_acyclic g)
+      let g =
+        Csr.of_edges ~n:(2 * n)
+          (List.concat_map
+             (fun (k, u, v) ->
+               match k with
+               | Kdep -> [ (2 * u, (), 2 * v); ((2 * u) + 1, (), 2 * v) ]
+               | Kanti -> [ (2 * u, (), (2 * v) + 1) ])
+             edges)
+      in
+      Option.is_some (Cycle.find_csr g)
   | Checker.SSER -> invalid_arg "Elle: SSER unsupported"
 
 (* ------------------------------------------------------------------ *)

@@ -27,14 +27,15 @@ let run ~n (pg : Polygraph.t) ~use_anti =
       finish remaining
     else begin
       (* Reachability oracle over the current known graph. *)
-      let g = Digraph.create n in
-      List.iter
-        (fun (kind, u, v) ->
-          match kind with
-          | Polygraph.Dep -> Digraph.add_edge g u v ()
-          | Polygraph.Anti -> if use_anti then Digraph.add_edge g u v ())
-        !fixed;
-      let closure = Reach.closure_matrix g in
+      let known =
+        List.filter_map
+          (fun (kind, u, v) ->
+            match kind with
+            | Polygraph.Dep -> Some (u, (), v)
+            | Polygraph.Anti -> if use_anti then Some (u, (), v) else None)
+          !fixed
+      in
+      let closure = Reach.closure_matrix (Csr.of_edges ~n known) in
       let reach u v = Reach.bit closure.(u) v in
       let still = ref [] in
       let changed = ref false in

@@ -50,10 +50,6 @@ let summarize xs =
     max = max xs;
   }
 
-let pp_summary ppf s =
-  Format.fprintf ppf "n=%d mean=%.4f median=%.4f sd=%.4f min=%.4f max=%.4f"
-    s.n s.mean s.median s.stddev s.min s.max
-
 let time_it f =
   let t0 = Unix.gettimeofday () in
   let r = f () in

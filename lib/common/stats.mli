@@ -19,7 +19,6 @@ type summary = {
 }
 
 val summarize : float array -> summary
-val pp_summary : Format.formatter -> summary -> unit
 
 val time_it : (unit -> 'a) -> 'a * float
 (** [time_it f] runs [f ()] and returns its result with elapsed wall-clock

@@ -48,8 +48,6 @@ let name = function
   | Lost_update -> "LostUpdate"
   | Write_skew -> "WriteSkew"
 
-let of_name s = List.find_opt (fun k -> name k = s) all
-
 let description = function
   | Thin_air_read -> "a transaction reads a value out of thin air"
   | Aborted_read -> "a transaction reads a value from an aborted transaction"

@@ -24,7 +24,6 @@ type kind =
 
 val all : kind list
 val name : kind -> string
-val of_name : string -> kind option
 val description : kind -> string
 
 val history : kind -> History.t

@@ -1,13 +1,5 @@
 type dep = RT | SO | WR of Op.key | WW of Op.key | RW of Op.key | Rt_chain
 
-let dep_name = function
-  | RT -> "RT"
-  | SO -> "SO"
-  | WR _ -> "WR"
-  | WW _ -> "WW"
-  | RW _ -> "RW"
-  | Rt_chain -> "rt*"
-
 let pp_dep ppf = function
   | RT -> Format.pp_print_string ppf "RT"
   | SO -> Format.pp_print_string ppf "SO"
@@ -426,17 +418,3 @@ let to_txn_cycle t cycle =
     | (u, lab, v) :: rest -> (txn_id u, lab, txn_id v) :: contract rest
   in
   contract cycle
-
-let dep_edges t =
-  (* Walk the frozen CSR backwards, consing forward — emits in edge order
-     with no List.rev pass. *)
-  let c = freeze t in
-  let acc = ref [] in
-  for u = Csr.n c - 1 downto 0 do
-    for e = c.Csr.offsets.(u + 1) - 1 downto c.Csr.offsets.(u) do
-      match c.Csr.labels.(e) with
-      | (SO | WR _ | WW _) as lab -> acc := (u, lab, c.Csr.targets.(e)) :: !acc
-      | RT | RW _ | Rt_chain -> ()
-    done
-  done;
-  !acc

@@ -35,7 +35,6 @@ type dep =
   | RW of Op.key
   | Rt_chain  (** internal helper-chain edges of the sweep encoding *)
 
-val dep_name : dep -> string
 val pp_dep : Format.formatter -> dep -> unit
 
 val pack_label : dep -> int
@@ -93,7 +92,3 @@ val to_txn_cycle :
   t -> (int * dep * int) list -> (Txn.id * dep * Txn.id) list
 (** Convert a vertex-level cycle into a transaction-level one, contracting
     maximal runs of [Rt_chain] helper edges into single [RT] edges. *)
-
-val dep_edges : t -> (int * dep * int) list
-(** The SO/WR/WW edges (no RT, no RW), in CSR order (source-major,
-    insertion order per source). *)

@@ -42,6 +42,19 @@ let classify_internal ~prior ~observed_is_earlier_own_write ~observed_is_later_o
         else Not_my_own_write
     | Last_read _ -> Non_repeatable_reads
 
+(* The anomaly of an external read by [reader] that resolves to
+   [writer]: [None] (no allocation) for another transaction's final
+   write. *)
+let external_read_kind ~reader : Index.writer -> kind option = function
+  | Index.Final w when w <> reader -> None
+  | Index.Final _ ->
+      (* The reader's own final write, read before it happened. *)
+      Some Future_read
+  | Index.Intermediate w ->
+      if w = reader then Some Future_read else Some (Intermediate_read w)
+  | Index.Aborted w -> Some (Aborted_read w)
+  | Index.Nobody -> Some Thin_air_read
+
 let check_txn_with ~resolve (t : Txn.t) =
   let ops = t.ops in
   let n = Array.length ops in
@@ -89,16 +102,9 @@ let check_txn_with ~resolve (t : Txn.t) =
               (* External read: resolve the writer via unique values.
                  [resolve] receives the op index so the timestamp screen
                  can cache its prediction for the dependency builder. *)
-              match resolve i k v with
-              | Index.Final w when w <> t.id -> ()
-              | Index.Final _ ->
-                  (* Our own final write, read before it happened. *)
-                  record Future_read
-              | Index.Intermediate w ->
-                  if w = t.id then record Future_read
-                  else record (Intermediate_read w)
-              | Index.Aborted w -> record (Aborted_read w)
-              | Index.Nobody -> record Thin_air_read)))
+              match external_read_kind ~reader:t.id (resolve i k v) with
+              | None -> ()
+              | Some kind -> record kind)))
     ops;
   List.rev !violations
 
@@ -242,17 +248,7 @@ let check_ts ?pool (ts : Ts.t) =
             d_actual = actual;
             d_actual_commit = commit_of_writer actual;
           };
-        let kind =
-          match actual with
-          | Index.Final w when w <> t.Txn.id -> None
-          | Index.Final _ -> Some Future_read
-          | Index.Intermediate w ->
-              if w = t.Txn.id then Some Future_read
-              else Some (Intermediate_read w)
-          | Index.Aborted w -> Some (Aborted_read w)
-          | Index.Nobody -> Some Thin_air_read
-        in
-        match kind with
+        match external_read_kind ~reader:t.Txn.id actual with
         | None -> ()
         | Some kind ->
             let op = first_access_pos t k in

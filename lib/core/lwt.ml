@@ -26,15 +26,3 @@ let key_of_event e =
 let restrict t k =
   Array.of_list
     (List.filter (fun e -> key_of_event e = k) (Array.to_list t.events))
-
-let pp_event ppf e =
-  match e.op with
-  | Insert { key; value } ->
-      Format.fprintf ppf "E%d[s%d,%d..%d: insert(x%d,%d)]" e.id e.session
-        e.start e.finish key value
-  | Rw { key; expected; new_value } ->
-      Format.fprintf ppf "E%d[s%d,%d..%d: R&W(x%d,%d->%d)]" e.id e.session
-        e.start e.finish key expected new_value
-  | Read { key; value } ->
-      Format.fprintf ppf "E%d[s%d,%d..%d: R(x%d)=%d]" e.id e.session e.start
-        e.finish key value

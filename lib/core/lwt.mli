@@ -30,5 +30,3 @@ val key_of_event : event -> Op.key
 val restrict : t -> Op.key -> event array
 (** The sub-history on one object — linearizability is local (Herlihy &
     Wing), so the checker works per object. *)
-
-val pp_event : Format.formatter -> event -> unit

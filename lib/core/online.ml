@@ -601,8 +601,6 @@ let watermark_pos t =
     !h
   end
 
-let frontier_sessions t = Int_vec.length t.sl_pos
-
 let ab_pending_words ab =
   Array.fold_left (fun acc v -> acc + Array.length (Int_vec.data v)) 0 ab
 

@@ -292,10 +292,6 @@ val watermark_pos : t -> int
     head, i.e. how much of the stream a stalled session is pinning
     against GC.  O(stream sessions). *)
 
-val frontier_sessions : t -> int
-(** Number of distinct stream sessions that have fed this checker
-    (the frontier table's width). *)
-
 type stats = {
   s_txns_seen : int;  (** transactions fed (committed + aborted) *)
   s_vertices : int;  (** graph vertices allocated (incl. SI/SSER helpers) *)

@@ -56,22 +56,24 @@ let passes = function Pass -> true | Fail _ -> false
 (* ------------------------------------------------------------------ *)
 (* Version trees: one node per final write (key, value); a node's parent
    is the version its writer read (the RMW source).  Euler-tour intervals
-   give O(1) ancestor tests; per-node subtree-writer bitsets give O(n/64)
-   "does any causal predecessor sit below this version" tests. *)
+   give O(1) ancestor tests; for CC, per-node subtree-writer bitsets give
+   O(n/64) "does any causal predecessor sit below this version" tests. *)
 
 type node = {
   n_writer : Txn.id;
   mutable n_children : Op.value list;
   mutable n_in : int;  (** Euler-tour entry *)
   mutable n_out : int;  (** Euler-tour exit *)
-  mutable n_below : Bytes.t;  (** writers of strict descendants (vertex bits) *)
+  mutable n_below : Bytes.t;
+      (** writers of strict descendants (vertex bits); empty unless built
+          [~below:true] *)
 }
 
 type tree = { nodes : (Op.value, node) Hashtbl.t; mutable roots : Op.value list }
 
 exception Bad of violation
 
-let build_trees (idx : Index.t) =
+let build_trees ~below (idx : Index.t) =
   let num_keys = idx.history.History.num_keys in
   let trees = Array.init num_keys (fun _ -> { nodes = Hashtbl.create 16; roots = [] }) in
   (* Nodes for every committed final write. *)
@@ -112,7 +114,7 @@ let build_trees (idx : Index.t) =
                            k t.id))))
         (Txn.final_writes t))
     idx.committed;
-  (* Euler tour + subtree writer sets (iterative post-order). *)
+  (* Euler tour + (with [below]) subtree writer sets, in post-order. *)
   let n = Index.num_vertices idx in
   let row_len = (n + 7) / 8 in
   let set_bit row v =
@@ -135,7 +137,7 @@ let build_trees (idx : Index.t) =
             let node = Hashtbl.find tree.nodes value in
             node.n_in <- !clock;
             incr clock;
-            node.n_below <- Bytes.make row_len '\000';
+            if below then node.n_below <- Bytes.make row_len '\000';
             stack_visit
               (List.map (fun c -> `Enter c) node.n_children
               @ (`Exit value :: rest))
@@ -143,13 +145,14 @@ let build_trees (idx : Index.t) =
             let node = Hashtbl.find tree.nodes value in
             node.n_out <- !clock;
             incr clock;
-            List.iter
-              (fun c ->
-                let child = Hashtbl.find tree.nodes c in
-                or_into node.n_below child.n_below;
-                (* bits index committed vertices, not transaction ids *)
-                set_bit node.n_below (Index.vertex idx child.n_writer))
-              node.n_children;
+            if below then
+              List.iter
+                (fun c ->
+                  let child = Hashtbl.find tree.nodes c in
+                  or_into node.n_below child.n_below;
+                  (* bits index committed vertices, not transaction ids *)
+                  set_bit node.n_below (Index.vertex idx child.n_writer))
+                node.n_children;
             stack_visit rest
       in
       stack_visit (List.map (fun r -> `Enter r) tree.roots)
@@ -171,14 +174,20 @@ let g1c_check (idx : Index.t) =
   match Deps.build ~rt:Deps.No_rt idx with
   | Error e -> raise (Bad (Malformed (Format.asprintf "%a" Deps.pp_error e)))
   | Ok d -> (
-      let g = Digraph.create d.Deps.num_txn_vertices in
-      List.iter
-        (fun (u, lab, v) ->
-          match lab with
-          | Deps.WR _ | Deps.WW _ -> Digraph.add_edge g u v lab
-          | Deps.SO | Deps.RT | Deps.RW _ | Deps.Rt_chain -> ())
-        (Deps.dep_edges d);
-      match Cycle.find g with
+      (* The frozen graph's WR/WW edges in its own order: walking it
+         backwards and consing keeps every source's block as it is. *)
+      let c = Deps.freeze d in
+      let edges = ref [] in
+      for u = Csr.n c - 1 downto 0 do
+        for e = c.Csr.offsets.(u + 1) - 1 downto c.Csr.offsets.(u) do
+          match c.Csr.labels.(e) with
+          | (Deps.WR _ | Deps.WW _) as lab ->
+              edges := (u, lab, c.Csr.targets.(e)) :: !edges
+          | Deps.SO | Deps.RT | Deps.RW _ | Deps.Rt_chain -> ()
+        done
+      done;
+      let g = Csr.of_edges ~n:d.Deps.num_txn_vertices !edges in
+      match Cycle.find_csr g with
       | Some cycle -> raise (Bad (G1c_cycle (Deps.to_txn_cycle d cycle)))
       | None -> d)
 
@@ -212,11 +221,12 @@ let fractured_check (idx : Index.t) trees =
 
 let causal_check (idx : Index.t) trees =
   let n = Index.num_vertices idx in
-  (* hb = (SO ∪ WR)+ over committed vertices. *)
-  let hb = Digraph.create n in
+  (* hb = (SO ∪ WR)+ over committed vertices: the SO pairs, then each
+     reader's WR edges in scan order. *)
+  let rev_edges = ref [] in
+  let add u lab v = rev_edges := (u, lab, v) :: !rev_edges in
   List.iter
-    (fun (a, b) ->
-      Digraph.add_edge hb (Index.vertex idx a) (Index.vertex idx b) Deps.SO)
+    (fun (a, b) -> add (Index.vertex idx a) Deps.SO (Index.vertex idx b))
     (History.so_pairs idx.history);
   Array.iteri
     (fun sv (s : Txn.t) ->
@@ -224,11 +234,11 @@ let causal_check (idx : Index.t) trees =
         (fun (k, v) ->
           match Index.writer_of idx k v with
           | Index.Final w when w <> s.id ->
-              Digraph.add_edge hb (Index.vertex idx w) sv (Deps.WR k)
+              add (Index.vertex idx w) (Deps.WR k) sv
           | _ -> ())
         (Txn.external_reads s))
     idx.committed;
-  (match Cycle.find hb with
+  (match Cycle.find_csr (Csr.of_edges ~n (List.rev !rev_edges)) with
   | Some cycle ->
       let to_txn (u, lab, v) =
         ( (Index.txn_of_vertex idx u).Txn.id, lab,
@@ -237,7 +247,8 @@ let causal_check (idx : Index.t) trees =
       raise (Bad (Hb_cycle (List.map to_txn cycle)))
   | None -> ());
   (* hb-predecessor bitsets: closure of the transpose. *)
-  let pred_rows = Reach.closure_matrix (Digraph.transpose hb) in
+  let transpose = List.rev_map (fun (u, lab, v) -> (v, lab, u)) !rev_edges in
+  let pred_rows = Reach.closure_matrix (Csr.of_edges ~n transpose) in
   (* A read is stale if some strict descendant of the returned version was
      written by an hb-predecessor of the reader (other than itself). *)
   Array.iteri
@@ -292,11 +303,9 @@ let check level h =
             ignore (g1c_check idx);
             (match level with
             | Read_committed -> ()
-            | Read_atomic ->
-                let trees = build_trees idx in
-                fractured_check idx trees
+            | Read_atomic -> fractured_check idx (build_trees ~below:false idx)
             | Causal ->
-                let trees = build_trees idx in
+                let trees = build_trees ~below:true idx in
                 fractured_check idx trees;
                 causal_check idx trees);
             Pass

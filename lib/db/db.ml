@@ -111,12 +111,6 @@ type write_result = Wok | Wblocked | Wdoomed
 
 type abort_reason = Ww_conflict | Dangerous_structure | Wounded | User_abort
 
-let abort_reason_name = function
-  | Ww_conflict -> "ww-conflict"
-  | Dangerous_structure -> "dangerous-structure"
-  | Wounded -> "wounded"
-  | User_abort -> "user-abort"
-
 let fault_trips t p = p > 0.0 && Rng.chance t.rng p
 
 let doom t victim =

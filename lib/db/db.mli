@@ -61,8 +61,6 @@ type abort_reason =
   | Wounded
   | User_abort
 
-val abort_reason_name : abort_reason -> string
-
 type commit_result = Committed of int  (** commit timestamp *) | Rejected of abort_reason
 
 val commit : t -> handle -> commit_result

@@ -104,36 +104,30 @@ let of_edge_streams ?pool ~n ~streams ~decode () =
          end));
   { offsets; targets; labels }
 
-let of_digraph g =
-  let n = Digraph.n g in
-  let m = Digraph.num_edges g in
+(* A counting sort over the list, so each source's block fills in list
+   order.  Not a one-stream [of_edge_streams]: that copies the list into
+   four edge-length arrays first, and beyond 256 edges each of those is
+   a major-heap allocation. *)
+let of_edges ~n edges =
   let offsets = Array.make (n + 1) 0 in
-  for u = 0 to n - 1 do
-    offsets.(u + 1) <- Digraph.out_degree g u
-  done;
+  List.iter (fun (u, _, _) -> offsets.(u + 1) <- offsets.(u + 1) + 1) edges;
   for u = 1 to n do
     offsets.(u) <- offsets.(u) + offsets.(u - 1)
   done;
-  let targets = Array.make m (-1) in
-  (* The label array needs a seed value of type ['lab]; create it from the
-     first edge encountered (if [m = 0] there are no labels at all). *)
-  let labels = ref [||] in
-  let cursor = Array.sub offsets 0 (Stdlib.max n 1) in
-  for u = 0 to n - 1 do
-    Digraph.iter_succ g u (fun v lab ->
-        let la =
-          if Array.length !labels = m && m > 0 then !labels
-          else begin
-            labels := Array.make m lab;
-            !labels
-          end
-        in
-        let i = cursor.(u) in
-        targets.(i) <- v;
-        la.(i) <- lab;
-        cursor.(u) <- i + 1)
-  done;
-  { offsets; targets; labels = !labels }
+  let m = offsets.(n) in
+  let targets = Array.make m 0 in
+  let labels =
+    match edges with [] -> [||] | (_, lab, _) :: _ -> Array.make m lab
+  in
+  let cursor = Array.sub offsets 0 n in
+  List.iter
+    (fun (u, lab, v) ->
+      let i = cursor.(u) in
+      targets.(i) <- v;
+      labels.(i) <- lab;
+      cursor.(u) <- i + 1)
+    edges;
+  { offsets; targets; labels }
 
 let iter_succ t u f =
   for i = t.offsets.(u) to t.offsets.(u + 1) - 1 do

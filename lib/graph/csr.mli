@@ -1,12 +1,14 @@
-(** Frozen compressed-sparse-row snapshots of {!Digraph.t}.
+(** Static directed graphs in compressed-sparse-row form: the one graph
+    representation of the batch checkers and the baselines.
 
     A [Csr.t] packs the adjacency structure into three flat arrays —
     [offsets] (length [n + 1]), [targets] and [labels] (length [E]) —
-    so the verification kernels ({!Cycle}, {!Scc}, {!Topo}) can walk
-    successors by integer indexing with zero per-visit allocation and
-    cache-friendly sequential access.  Successors keep the insertion
-    order of the source graph, so kernels visit edges in exactly the
-    order the list-based code did. *)
+    so the verification kernels ({!Cycle}, {!Scc}, {!Topo}, {!Reach})
+    can walk successors by integer indexing with zero per-visit
+    allocation and cache-friendly sequential access.  Every constructor
+    keeps each source's edges in the order they were given, so a DFS
+    visits edges, and reports witnesses, in that order.  The online
+    checker's incremental graph is {!Pearce_kelly}. *)
 
 type 'lab t = private {
   offsets : int array;  (** length [n + 1]; block of [u] is
@@ -15,9 +17,11 @@ type 'lab t = private {
   labels : 'lab array;  (** length [E], parallel to [targets] *)
 }
 
-val of_digraph : 'lab Digraph.t -> 'lab t
-(** O(V + E) snapshot.  Later mutations of the source graph are not
-    reflected. *)
+val of_edges : n:int -> (int * 'lab * int) list -> 'lab t
+(** [of_edges ~n edges] is the graph on vertices [0 .. n-1] with one
+    edge [u -> v] labelled [lab] per [(u, lab, v)] of [edges]
+    (duplicates kept, self-loops allowed); each source's successors are
+    in list order.  Endpoints must lie in [0, n).  O(V + E). *)
 
 val make :
   offsets:int array -> targets:int array -> labels:'lab array -> 'lab t
@@ -53,7 +57,7 @@ val out_degree : _ t -> int -> int
 
 val iter_succ : 'lab t -> int -> (int -> 'lab -> unit) -> unit
 (** [iter_succ g u f] calls [f v lab] for every edge [u -> v], in
-    insertion order.  Allocation-free. *)
+    the order given at construction.  Allocation-free. *)
 
 val succ : 'lab t -> int -> (int * 'lab) list
 (** Materialized successor list (for tests/debugging). *)

@@ -75,10 +75,3 @@ let find_csr (type lab) (c : lab Csr.t) =
     done;
     None
   with Found_at depth -> Some (build_cycle depth)
-
-(* The list-graph entry points freeze to CSR first: one O(V + E) pass
-   replaces the per-visit successor-list materialization the DFS used to
-   pay, and CSR keeps insertion order, so witnesses are unchanged. *)
-let find g = find_csr (Csr.of_digraph g)
-
-let is_acyclic g = find g = None

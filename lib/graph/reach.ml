@@ -1,7 +1,7 @@
 let reachable g u v =
   if u = v then true
   else begin
-    let n = Digraph.n g in
+    let n = Csr.n g in
     let seen = Array.make n false in
     let q = Queue.create () in
     seen.(u) <- true;
@@ -9,14 +9,12 @@ let reachable g u v =
     let found = ref false in
     while (not !found) && not (Queue.is_empty q) do
       let w = Queue.pop q in
-      List.iter
-        (fun x ->
+      Csr.iter_succ g w (fun x _ ->
           if x = v then found := true
           else if not seen.(x) then begin
             seen.(x) <- true;
             Queue.add x q
           end)
-        (Digraph.succ_vertices g w)
     done;
     !found
   end
@@ -37,10 +35,11 @@ let or_into dst src =
 (* Rows computed in reverse topological order so each row is the union of
    its successors' completed rows.  Vertices inside a cycle share their
    SCC's row (every member reaches every other). *)
-let closure_matrix (g : _ Digraph.t) =
-  let n = Digraph.n g in
+let closure_matrix (g : _ Csr.t) =
+  let n = Csr.n g in
+  let offsets = g.Csr.offsets and targets = g.Csr.targets in
   let row_len = (n + 7) / 8 in
-  let comp, k = Scc.component_ids g in
+  let comp, k = Scc.component_ids_csr g in
   let comp_row = Array.init k (fun _ -> Bytes.make row_len '\000') in
   (* Tarjan numbers components in reverse topological order, so component 0
      has no successors outside itself: process components in index order. *)
@@ -53,12 +52,12 @@ let closure_matrix (g : _ Digraph.t) =
     List.iter
       (fun v ->
         set_bit row v;
-        List.iter
-          (fun w ->
-            set_bit row w;
-            if comp.(w) <> c then or_into row comp_row.(comp.(w))
-            (* same component: members already set below *))
-          (Digraph.succ_vertices g v))
+        for i = offsets.(v) to offsets.(v + 1) - 1 do
+          let w = targets.(i) in
+          set_bit row w;
+          if comp.(w) <> c then or_into row comp_row.(comp.(w))
+          (* same component: members already set below *)
+        done)
       members.(c);
     (* All members of a cyclic component reach each other. *)
     (match members.(c) with

@@ -64,5 +64,3 @@ let component_ids_csr (c : _ Csr.t) =
     if index.(v) = -1 then visit v
   done;
   (comp, !next_comp)
-
-let component_ids g = component_ids_csr (Csr.of_digraph g)

@@ -1,23 +1,3 @@
-let sort (g : _ Digraph.t) =
-  let n = Digraph.n g in
-  let indeg = Array.make n 0 in
-  Digraph.iter_edges g (fun _ _ v -> indeg.(v) <- indeg.(v) + 1);
-  let q = Queue.create () in
-  for v = 0 to n - 1 do
-    if indeg.(v) = 0 then Queue.add v q
-  done;
-  let order = ref [] in
-  let count = ref 0 in
-  while not (Queue.is_empty q) do
-    let u = Queue.pop q in
-    order := u :: !order;
-    incr count;
-    Digraph.iter_succ_vertices g u (fun v ->
-        indeg.(v) <- indeg.(v) - 1;
-        if indeg.(v) = 0 then Queue.add v q)
-  done;
-  if !count = n then Some (List.rev !order) else None
-
 (* Kahn over CSR with a flat int-array queue: no allocation beyond the
    two O(V) arrays and the result list. *)
 let sort_csr (c : _ Csr.t) =
@@ -48,6 +28,3 @@ let sort_csr (c : _ Csr.t) =
     done
   done;
   if !tail = n then Some (Array.to_list (Array.sub queue 0 n)) else None
-
-let is_order g pos =
-  Digraph.fold_edges g (fun ok u _ v -> ok && pos.(u) < pos.(v)) true

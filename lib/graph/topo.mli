@@ -1,13 +1,6 @@
 (** Topological sorting (Kahn's algorithm). *)
 
-val sort : _ Digraph.t -> int list option
-(** [sort g] is [Some order] (a topological order of all vertices) iff [g]
-    is acyclic, [None] otherwise.  O(V + E). *)
-
 val sort_csr : _ Csr.t -> int list option
-(** {!sort} over a frozen CSR snapshot; flat int-array queue, no
-    per-visit allocation. *)
-
-val is_order : _ Digraph.t -> int array -> bool
-(** [is_order g pos] checks that [pos.(u) < pos.(v)] for every edge
-    [u -> v] — an oracle used to cross-check incremental maintenance. *)
+(** [sort_csr g] is [Some order] (a topological order of all vertices)
+    iff [g] is acyclic, [None] otherwise.  Flat int-array queue, no
+    per-visit allocation; O(V + E). *)

@@ -199,5 +199,3 @@ let pp ppf t =
     t.commit_ts
     (Format.pp_print_list ~pp_sep:(fun ppf () -> Format.fprintf ppf " ") Op.pp)
     (Array.to_list t.ops)
-
-let pp_brief ppf t = Format.fprintf ppf "T%d" t.id

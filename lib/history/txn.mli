@@ -73,4 +73,3 @@ val final_write : Op.t array -> Op.key -> int
 (** Index of the last write to [k] (a backward scan), or [-1]. *)
 
 val pp : Format.formatter -> t -> unit
-val pp_brief : Format.formatter -> t -> unit

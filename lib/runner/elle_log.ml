@@ -7,16 +7,3 @@ type txn = { id : int; session : int; ops : aop list; status : status }
 type t = { txns : txn list; num_keys : int; num_sessions : int }
 
 let committed t = List.filter (fun x -> x.status = Committed) t.txns
-
-let pp_txn ppf t =
-  let status = match t.status with Committed -> "C" | Aborted -> "A" in
-  Format.fprintf ppf "T%d[s%d,%s:" t.id t.session status;
-  List.iter
-    (fun op ->
-      match op with
-      | Append (k, v) -> Format.fprintf ppf " append(x%d,%d)" k v
-      | Read_list (k, l) ->
-          Format.fprintf ppf " r(x%d)=[%s]" k
-            (String.concat ";" (List.map string_of_int l)))
-    t.ops;
-  Format.fprintf ppf "]"

@@ -11,4 +11,3 @@ type txn = { id : int; session : int; ops : aop list; status : status }
 type t = { txns : txn list; num_keys : int; num_sessions : int }
 
 val committed : t -> txn list
-val pp_txn : Format.formatter -> txn -> unit

@@ -31,7 +31,6 @@ type t = {
   (* stats *)
   mutable conflicts : int;
   mutable decisions : int;
-  mutable propagations : int;
   mutable solved_sat : bool;
 }
 
@@ -111,7 +110,6 @@ let create ?theory ~nvars () =
       heap_size = 0;
       conflicts = 0;
       decisions = 0;
-      propagations = 0;
       solved_sat = false;
     }
   in
@@ -180,7 +178,6 @@ let propagate s =
   while !conflict = None && s.qhead < s.trail_size do
     let p = s.trail.(s.qhead) in
     s.qhead <- s.qhead + 1;
-    s.propagations <- s.propagations + 1;
     let false_lit = Lit.neg p in
     let ws = s.watches.(false_lit) in
     s.watches.(false_lit) <- [];
@@ -411,4 +408,3 @@ let value s v =
 
 let num_conflicts s = s.conflicts
 let num_decisions s = s.decisions
-let num_propagations s = s.propagations

@@ -39,4 +39,3 @@ val value : t -> Lit.var -> bool
 
 val num_conflicts : t -> int
 val num_decisions : t -> int
-val num_propagations : t -> int

@@ -1760,7 +1760,8 @@ let start config =
     }
   in
   (* Restored sessions wait detached until a [Resume_session] claims
-     them (or the final checkpoint carries them forward). *)
+     them (or the final checkpoint carries them forward).  No shard runs
+     yet, so sampling a live checker's words here races with nothing. *)
   List.iter
     (fun (e : Wal.entry) ->
       let s =
@@ -1772,6 +1773,9 @@ let start config =
                 S_poisoned { anomaly; rendered })
           ~last_seq:e.last_seq ~ep:None
       in
+      (match e.state with
+      | Wal.Live online -> refresh_live t s online
+      | Wal.Poisoned _ -> ());
       Hashtbl.replace t.registry s.sid s;
       Hashtbl.replace t.detached s.sid s)
     restored;

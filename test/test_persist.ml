@@ -870,6 +870,46 @@ let test_interrupted_after_rename () =
         (fresh_verdict ~level:Checker.SI h)
         resumed)
 
+(* A restart reports what it restored before any resume: the detached
+   live session's [live_w] and the server's [live_words] gauge read the
+   restored checker's words, and a poisoned session reads 0. *)
+let test_restore_reports_live_words () =
+  let dir = temp_name ".wal.d" in
+  Fun.protect
+    ~finally:(fun () -> rm_rf dir)
+    (fun () ->
+      let records = fixture_records 40 ~close:false in
+      Unix.mkdir dir 0o755;
+      write_wal ~entries:[ poisoned 2 ] (Filename.concat dir "wal-0-1") records;
+      let expected =
+        match records with
+        | Wal.R_open { settings; _ } :: feeds ->
+            let o = Online.of_settings settings in
+            List.iter
+              (function
+                | Wal.R_feed { txn; _ } -> ignore (Online.add_txn o txn)
+                | _ -> ())
+              feeds;
+            Online.live_words o
+        | _ -> Alcotest.fail "fixture must open first"
+      in
+      checkb "the restored checker holds words" true (expected > 0);
+      let durable = { Server.default_config with Server.wal_dir = Some dir } in
+      with_server ~config:durable (fun t addr ->
+          checki "live_words gauge" expected
+            (Obs.Gauge.get (Server.metrics t).live_words);
+          with_client addr (fun c ->
+              match Client.session_stats c with
+              | Error e -> Alcotest.fail ("session stats: " ^ e)
+              | Ok (ss, _, _) ->
+                  let live_w sid =
+                    match List.find_opt (fun s -> s.Wire.ss_sid = sid) ss with
+                    | Some s -> s.Wire.ss_live_words
+                    | None -> Alcotest.failf "restored session %d missing" sid
+                  in
+                  checki "live session's live_w" expected (live_w 1);
+                  checki "poisoned session's live_w" 0 (live_w 2))))
+
 (* Resume must be refused cleanly when there is nothing to resume. *)
 let test_resume_refused () =
   let dir = temp_name ".wal.d" in
@@ -914,4 +954,6 @@ let suite =
      test_interrupted_after_rename);
     ("resume refused when unknown or non-durable", `Quick,
      test_resume_refused);
+    ("restart reports restored live words", `Quick,
+     test_restore_reports_live_words);
   ]
