@@ -15,10 +15,15 @@ let jobs () = match !pool with Some p -> Pool.size p | None -> 1
 
 (* Detection gates: an experiment that fails to reproduce a finding
    records it here, and main.exe exits non-zero once every table is
-   written. *)
+   written.  Rows computed under [par_map] may record from pool
+   domains, hence the lock. *)
 let misses : string list ref = ref []
+let misses_lock = Mutex.create ()
 
-let miss fmt = Printf.ksprintf (fun s -> misses := s :: !misses) fmt
+let miss fmt =
+  Printf.ksprintf
+    (fun s -> Mutex.protect misses_lock (fun () -> misses := s :: !misses))
+    fmt
 
 (* Map over a sweep's config points, concurrently when a pool is set.
    Rows are pure (printing happens after the map), so this is safe for
@@ -168,3 +173,29 @@ let alloc_during f =
   (r, Gc.allocated_bytes () -. a0)
 
 let verdict_str b = if b then "pass" else "VIOLATION"
+
+(* Verdict gate: the last cell of every row must read [want] (a healthy
+   engine's history must pass, a planted violation must be caught). *)
+let expect_verdicts what want rows =
+  List.iter
+    (fun row ->
+      let got = List.nth row (List.length row - 1) in
+      if got <> want then
+        miss "%s: %s reads %s, want %s" what (List.hd row) got want)
+    rows
+
+(* Median seconds of MTC and of the polygraph checker on [h] at [level],
+   and the latter's stats.  [h] comes from a healthy engine, so both
+   must accept it, or [what] is a gate miss. *)
+let verify_pair what level h =
+  let mtc_out = ref None and pg_out = ref None in
+  let mtc = time_median (fun () -> mtc_out := Some (Checker.check level h)) in
+  let pg =
+    time_median (fun () -> pg_out := Some (Polygraph.check ~level h))
+  in
+  let mtc_ok = Checker.passes (Option.get !mtc_out) in
+  let res = Option.get !pg_out in
+  if not (mtc_ok && res.Polygraph.ok) then
+    miss "%s: MTC reads %s, the polygraph checker reads %s, want pass" what
+      (verdict_str mtc_ok) (verdict_str res.Polygraph.ok);
+  (mtc, pg, res.Polygraph.stats)

@@ -30,29 +30,35 @@ let cobra_row label ~keys ~txns ~sessions ~ops ~seed =
         Bench_util.gt_history ~sessions ~keys ~txns ~ops ~seed ())
   in
   let (res, alloc) =
-    Bench_util.alloc_during (fun () -> Cobra.check r.Scheduler.history)
+    Bench_util.alloc_during (fun () ->
+        Polygraph.check ~level:Checker.SER r.Scheduler.history)
   in
-  let s = res.Cobra.stats in
+  let s = res.Polygraph.stats in
   [
     "Cobra " ^ label;
     Bench_util.ms gen;
-    Bench_util.ms (Cobra.total_s s);
-    Bench_util.ms (Cobra.nonsolver_s s);
-    Bench_util.ms s.Cobra.solve_s;
+    Bench_util.ms (Polygraph.total_s s);
+    Bench_util.ms (Polygraph.nonsolver_s s);
+    Bench_util.ms s.Polygraph.solve_s;
     Bench_util.mb alloc;
-    Bench_util.verdict_str res.Cobra.serializable;
+    Bench_util.verdict_str res.Polygraph.ok;
   ]
 
 let header =
   [ "checker/config"; "gen (ms)"; "verify (ms)"; "non-solver (ms)";
     "solver (ms)"; "verify alloc (MB)"; "verdict" ]
 
+(* Every history comes from a healthy engine, so every row must pass. *)
+let table rows =
+  Bench_util.print_table ~header rows;
+  Bench_util.expect_verdicts "fig10" "pass" rows
+
 let run () =
   Bench_util.section
     "Figure 10: end-to-end SER checking, MTC (MT) vs Cobra (GT)";
 
   Bench_util.subsection "(a)+(d) #txns sweep (100 keys, 10 sessions, GT: 8 ops/txn)";
-  Bench_util.print_table ~header
+  table
     (List.concat
        (Bench_util.par_map
           (fun txns ->
@@ -65,7 +71,7 @@ let run () =
 
   let txns1k = Bench_util.scale 1000 in
   Bench_util.subsection "(b)+(e) #ops/txn sweep for GT (100 keys, 1000 txns; MT fixed at <=4)";
-  Bench_util.print_table ~header
+  table
     (mtc_row "(<=4 ops)" ~keys:100 ~txns:txns1k ~sessions:10 ~seed:402
     :: Bench_util.par_map
          (fun ops ->
@@ -75,7 +81,7 @@ let run () =
          (Bench_util.sweep [ 4; 8; 16 ]));
 
   Bench_util.subsection "(c)+(f) #objects sweep (1000 txns, 10 sessions, GT: 8 ops/txn)";
-  Bench_util.print_table ~header
+  table
     (List.concat
        (Bench_util.par_map
           (fun keys ->

@@ -6,6 +6,11 @@ let header =
   [ "checker/config"; "gen (ms)"; "verify (ms)"; "non-solver (ms)";
     "solver (ms)"; "verify alloc (MB)"; "verdict" ]
 
+(* Every history comes from a healthy engine, so every row must pass. *)
+let table rows =
+  Bench_util.print_table ~header rows;
+  Bench_util.expect_verdicts "fig17" "pass" rows
+
 let mtc_row label ~keys ~txns ~seed =
   let r, gen =
     Stats.time_it (fun () ->
@@ -33,24 +38,25 @@ let polysi_row label ~keys ~txns ~seed =
         Bench_util.gt_history ~level:Isolation.Snapshot ~keys ~txns ~ops:8 ~seed ())
   in
   let res, alloc =
-    Bench_util.alloc_during (fun () -> Polysi.check r.Scheduler.history)
+    Bench_util.alloc_during (fun () ->
+        Polygraph.check ~level:Checker.SI r.Scheduler.history)
   in
-  let s = res.Polysi.stats in
+  let s = res.Polygraph.stats in
   [
     "PolySI " ^ label;
     Bench_util.ms gen;
-    Bench_util.ms (Polysi.total_s s);
-    Bench_util.ms (Polysi.nonsolver_s s);
-    Bench_util.ms s.Polysi.solve_s;
+    Bench_util.ms (Polygraph.total_s s);
+    Bench_util.ms (Polygraph.nonsolver_s s);
+    Bench_util.ms s.Polygraph.solve_s;
     Bench_util.mb alloc;
-    Bench_util.verdict_str res.Polysi.si;
+    Bench_util.verdict_str res.Polygraph.ok;
   ]
 
 let run () =
   Bench_util.section
     "Figure 17: end-to-end SI checking, MTC-SI (MT) vs PolySI (GT)";
   Bench_util.subsection "#txns sweep (100 keys, 10 sessions, GT: 8 ops/txn)";
-  Bench_util.print_table ~header
+  table
     (List.concat
        (Bench_util.par_map
           (fun txns ->

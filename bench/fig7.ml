@@ -2,25 +2,17 @@
    MTC-SER vs Cobra, across (a) object-access distributions, (b) #objects,
    (c) #sessions, (d) #txns. *)
 
-let verify_pair (r : Scheduler.result) =
-  let h = r.Scheduler.history in
-  let mtc = Bench_util.time_median (fun () -> Checker.check_ser h) in
-  let cobra_res = ref None in
-  let cobra =
-    Bench_util.time_median (fun () -> cobra_res := Some (Cobra.check h))
+let row label (r : Scheduler.result) =
+  let mtc, cobra, stats =
+    Bench_util.verify_pair ("fig7: " ^ label) Checker.SER r.Scheduler.history
   in
-  let stats = (Option.get !cobra_res).Cobra.stats in
-  (mtc, cobra, stats)
-
-let row label r =
-  let mtc, cobra, stats = verify_pair r in
   [
     label;
     Bench_util.ms mtc;
     Bench_util.ms cobra;
     Printf.sprintf "%.1fx" (cobra /. mtc);
-    string_of_int stats.Cobra.constraints_total;
-    string_of_int stats.Cobra.constraints_pruned;
+    string_of_int stats.Polygraph.constraints_total;
+    string_of_int stats.Polygraph.constraints_pruned;
   ]
 
 let header = [ "config"; "MTC-SER (ms)"; "Cobra (ms)"; "speedup"; "constraints"; "pruned" ]

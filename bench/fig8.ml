@@ -2,18 +2,16 @@
    MTC-SI vs PolySI, same four sweeps as Figure 7. *)
 
 let row label (r : Scheduler.result) =
-  let h = r.Scheduler.history in
-  let mtc = Bench_util.time_median (fun () -> Checker.check_si h) in
-  let res = ref None in
-  let polysi = Bench_util.time_median (fun () -> res := Some (Polysi.check h)) in
-  let stats = (Option.get !res).Polysi.stats in
+  let mtc, polysi, stats =
+    Bench_util.verify_pair ("fig8: " ^ label) Checker.SI r.Scheduler.history
+  in
   [
     label;
     Bench_util.ms mtc;
     Bench_util.ms polysi;
     Printf.sprintf "%.0fx" (polysi /. mtc);
-    string_of_int stats.Polysi.constraints_total;
-    string_of_int stats.Polysi.constraints_pruned;
+    string_of_int stats.Polygraph.constraints_total;
+    string_of_int stats.Polygraph.constraints_pruned;
   ]
 
 let header =

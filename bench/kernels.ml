@@ -44,8 +44,10 @@ let make_tests () =
          (Staged.stage (fun () -> Checker.check_sser h));
        Test.make ~name:"vl-lwt"
          (Staged.stage (fun () -> Lwt_checker.check lwt_h));
-       Test.make ~name:"cobra" (Staged.stage (fun () -> Cobra.check h));
-       Test.make ~name:"polysi" (Staged.stage (fun () -> Polysi.check h));
+       Test.make ~name:"cobra"
+         (Staged.stage (fun () -> Polygraph.check ~level:Checker.SER h));
+       Test.make ~name:"polysi"
+         (Staged.stage (fun () -> Polygraph.check ~level:Checker.SI h));
      ]
     @ (if !Bench_util.smoke then
          [] (* dbcop's search dominates even tiny histories; full runs only *)

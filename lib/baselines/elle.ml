@@ -1,29 +1,16 @@
 type result = { ok : bool; reason : string }
 
 (* ------------------------------------------------------------------ *)
-(* Cycle criteria shared by both modes: SER forbids any cycle over
-   dep ∪ anti; SI forbids cycles without two adjacent anti edges, checked
-   on the {T_d, T_r} product graph (see Polysi). *)
+(* Cycle criteria shared by both modes: the level's forbidden cycles,
+   found on the polygraph baseline's encoding of the dep/anti edges. *)
 
-type kind = Kdep | Kanti
-
-let forbidden_cycle ~(level : Checker.level) ~n edges =
-  match level with
-  | Checker.SER ->
-      let g = Csr.of_edges ~n (List.map (fun (_k, u, v) -> (u, (), v)) edges) in
-      Option.is_some (Cycle.find_csr g)
-  | Checker.SI ->
-      let g =
-        Csr.of_edges ~n:(2 * n)
-          (List.concat_map
-             (fun (k, u, v) ->
-               match k with
-               | Kdep -> [ (2 * u, (), 2 * v); ((2 * u) + 1, (), 2 * v) ]
-               | Kanti -> [ (2 * u, (), (2 * v) + 1) ])
-             edges)
-      in
-      Option.is_some (Cycle.find_csr g)
-  | Checker.SSER -> invalid_arg "Elle: SSER unsupported"
+let forbidden_cycle ~level ~n edges =
+  let g =
+    Csr.of_edges
+      ~n:(Polygraph.cycle_width ~level * n)
+      (Polygraph.cycle_edges ~level (fun u v -> (u, (), v)) edges)
+  in
+  Option.is_some (Cycle.find_csr g)
 
 (* ------------------------------------------------------------------ *)
 (* List-append mode. *)
@@ -126,8 +113,8 @@ let check_append ~level (log : Elle_log.t) =
       (fun (t : Elle_log.txn) ->
         let v = Hashtbl.find vertex t.id in
         (match Hashtbl.find_opt last_in_session t.session with
-        | Some prev -> add Kdep prev v
-        | None -> add Kdep 0 v);
+        | Some prev -> add Polygraph.Dep prev v
+        | None -> add Polygraph.Dep 0 v);
         Hashtbl.replace last_in_session t.session v)
       committed;
     (* Per-key chain edges: WW along the longest prefix, WR from the last
@@ -145,9 +132,11 @@ let check_append ~level (log : Elle_log.t) =
         let chain = chain_arr k in
         let len = Array.length chain in
         if len > 0 then begin
-          add Kdep 0 (appender_vertex k chain.(0));
+          add Polygraph.Dep 0 (appender_vertex k chain.(0));
           for i = 0 to len - 2 do
-            add Kdep (appender_vertex k chain.(i)) (appender_vertex k chain.(i + 1))
+            add Polygraph.Dep
+              (appender_vertex k chain.(i))
+              (appender_vertex k chain.(i + 1))
           done
         end)
       chains;
@@ -161,10 +150,10 @@ let check_append ~level (log : Elle_log.t) =
                 let chain = chain_arr k in
                 let i = List.length l in
                 (match List.rev l with
-                | [] -> add Kdep 0 rv
-                | last :: _ -> add Kdep (appender_vertex k last) rv);
+                | [] -> add Polygraph.Dep 0 rv
+                | last :: _ -> add Polygraph.Dep (appender_vertex k last) rv);
                 if i < Array.length chain then
-                  add Kanti rv (appender_vertex k chain.(i)))
+                  add Polygraph.Anti rv (appender_vertex k chain.(i)))
             | Elle_log.Append _ -> ())
           t.ops)
       committed;
@@ -180,16 +169,17 @@ let check_append ~level (log : Elle_log.t) =
    read-modify-write transactions. *)
 
 let check_registers ~level (h : History.t) =
-  let idx = Index.build h in
-  match Int_check.check idx with
-  | Error v ->
+  match Polygraph.screen h with
+  | Error (Polygraph.Malformed reason) -> { ok = false; reason }
+  | Error (Polygraph.Screen v) ->
       { ok = false; reason = Format.asprintf "%a" Int_check.pp_violation v }
-  | Ok () ->
+  | Ok idx ->
       let n = Index.num_vertices idx in
       let edges = ref [] in
       let add k u v = if u <> v then edges := (k, u, v) :: !edges in
       List.iter
-        (fun (a, b) -> add Kdep (Index.vertex idx a) (Index.vertex idx b))
+        (fun (a, b) ->
+          add Polygraph.Dep (Index.vertex idx a) (Index.vertex idx b))
         (History.so_pairs h);
       (* WR always known; WW only via RMW; RW from those WW edges. *)
       let readers : (int * Op.key, int list ref) Hashtbl.t =
@@ -210,10 +200,10 @@ let check_registers ~level (h : History.t) =
               match Index.writer_of idx k v with
               | Index.Final w when w <> s.id ->
                   let wv = Index.vertex idx w in
-                  add Kdep wv sv;
+                  add Polygraph.Dep wv sv;
                   push readers (wv, k) sv;
                   if Txn.writes_key s k then begin
-                    add Kdep wv sv;
+                    add Polygraph.Dep wv sv;
                     push overwriters (wv, k) sv
                   end
               | Index.Final _ | Index.Intermediate _ | Index.Aborted _
@@ -228,7 +218,7 @@ let check_registers ~level (h : History.t) =
           | Some ws ->
               List.iter
                 (fun r ->
-                  List.iter (fun w -> if r <> w then add Kanti r w) !ws)
+                  List.iter (fun w -> if r <> w then add Polygraph.Anti r w) !ws)
                 !rs)
         readers;
       if forbidden_cycle ~level ~n !edges then

@@ -21,3 +21,5 @@ val check_append : level:Checker.level -> Elle_log.t -> result
     baseline. *)
 
 val check_registers : level:Checker.level -> History.t -> result
+(** Runs {!Polygraph.screen} first, so a duplicate value or an INT
+    anomaly is refused before any inference.  [level] as above. *)

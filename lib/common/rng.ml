@@ -4,8 +4,6 @@ let golden_gamma = 0x9E3779B97F4A7C15L
 
 let create seed = { state = Int64.of_int seed }
 
-let copy t = { state = t.state }
-
 (* SplitMix64 (Steele, Lea, Flood 2014): one addition and two xor-shift
    multiplies per output; passes BigCrush. *)
 let bits64 t =

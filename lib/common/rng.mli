@@ -10,9 +10,6 @@ val create : int -> t
 (** [create seed] returns a fresh generator.  Equal seeds yield equal
     streams. *)
 
-val copy : t -> t
-(** Independent copy sharing the current state. *)
-
 val split : t -> t
 (** [split t] advances [t] and returns a new generator whose stream is
     statistically independent from the remainder of [t]'s stream. *)

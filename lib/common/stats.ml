@@ -60,7 +60,3 @@ let time_repeat ?(warmup = 1) ~repeat f =
     ignore (f ())
   done;
   Array.init repeat (fun _ -> snd (time_it f))
-
-let live_words () =
-  Gc.full_major ();
-  (Gc.stat ()).live_words

@@ -27,7 +27,3 @@ val time_it : (unit -> 'a) -> 'a * float
 val time_repeat : ?warmup:int -> repeat:int -> (unit -> 'a) -> float array
 (** Run [f] [warmup] times unmeasured, then [repeat] times, returning the
     elapsed seconds of each measured run. *)
-
-val live_words : unit -> int
-(** Live heap words after a full major collection — used as the memory
-    metric in the end-to-end benchmarks (Figures 10d–f, 17). *)

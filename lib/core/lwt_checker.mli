@@ -35,7 +35,6 @@ type reason =
 
 val pp_reason : Format.formatter -> reason -> unit
 
-val check_key : Lwt.t -> Op.key -> (unit, reason) result
 val check : Lwt.t -> (unit, reason) result
 (** All keys; first failing key in key order.  O(n) expected. *)
 

@@ -918,7 +918,7 @@ let resolve_ts t ~count ~start_ts k v =
 
 (* Product encoding for SI over base vertices: dep edges fan out of both
    the d- and r-vertex into the target's d-vertex; anti edges go
-   d-to-r (see Polysi for the correctness argument). *)
+   d-to-r (see [Polygraph.cycle_edges] for the correctness argument). *)
 let encoded_edges level (u, v, lab) =
   match (level, lab) with
   | Checker.SI, (Deps.SO | Deps.WR _ | Deps.WW _) ->

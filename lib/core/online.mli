@@ -16,10 +16,10 @@
     death position and link on its key's timestamp chain.
 
     For SI the edges go into the two-vertex product encoding (cycles =
-    SI-forbidden cycles, see {!Polysi}), and the DIVERGENCE screen runs on
-    the fly.  For SSER, transactions must be fed in commit order (the
-    natural stream order) and real-time edges attach through the same
-    helper-chain sweep as the batch checker.
+    SI-forbidden cycles, see [Polygraph.cycle_edges]), and the DIVERGENCE
+    screen runs on the fly.  For SSER, transactions must be fed in commit
+    order (the natural stream order) and real-time edges attach through
+    the same helper-chain sweep as the batch checker.
 
     Aborted transactions should be fed too ({!add_txn} records their
     writes so ABORTEDREAD is diagnosed precisely).

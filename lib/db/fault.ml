@@ -20,12 +20,6 @@ let name = function
   | Ts_reorder _ -> "ts-reorder"
   | Ts_dup _ -> "ts-dup"
 
-let probability = function
-  | No_fault -> 0.0
-  | Lost_update p | Aborted_read p | Causality_violation p | Write_skew p
-  | Long_fork p | Ts_skew p | Ts_reorder p | Ts_dup p ->
-      p
-
 let all_named =
   [
     ("lost-update", fun p -> Lost_update p);

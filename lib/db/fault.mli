@@ -31,8 +31,4 @@ type mode =
   | Ts_dup of float
 
 val name : mode -> string
-val probability : mode -> float
 val of_string : ?p:float -> string -> mode option
-
-val all_named : (string * (float -> mode)) list
-(** Constructors by name, for the CLI. *)

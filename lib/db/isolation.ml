@@ -6,13 +6,6 @@ let name = function
   | Serializable -> "serializable"
   | Strict_serializable -> "strict-serializable"
 
-let of_string = function
-  | "read-committed" | "rc" -> Some Read_committed
-  | "snapshot" | "si" -> Some Snapshot
-  | "serializable" | "ser" -> Some Serializable
-  | "strict-serializable" | "sser" -> Some Strict_serializable
-  | _ -> None
-
 let claimed_level = function
   | Read_committed | Snapshot -> Checker.SI
   | Serializable -> Checker.SER

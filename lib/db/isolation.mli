@@ -14,7 +14,6 @@ type level =
   | Strict_serializable  (** strict 2PL with wound-wait *)
 
 val name : level -> string
-val of_string : string -> level option
 
 val claimed_level : level -> Checker.level
 (** The strongest checker level a correct engine at this isolation level

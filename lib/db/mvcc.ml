@@ -16,8 +16,6 @@ let initial_version =
 
 let create ~num_keys = { chains = Array.make num_keys [ initial_version ] }
 
-let num_keys t = Array.length t.chains
-
 let install t ~key ~value ~writer ~commit_ts ~lag =
   let visible = [| commit_ts; commit_ts |] in
   (match lag with

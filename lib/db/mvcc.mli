@@ -18,8 +18,6 @@ val create : num_keys:int -> t
 (** Every key starts with the initial version (value 0, writer 0,
     commit_ts [min_int], immediately visible everywhere). *)
 
-val num_keys : t -> int
-
 val install :
   t -> key:Op.key -> value:Op.value -> writer:Txn.id -> commit_ts:int ->
   lag:(int * int) option -> unit

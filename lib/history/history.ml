@@ -208,11 +208,3 @@ let stats h =
     (num_txns h - 1)
     (committed_count h - 1)
     h.num_sessions h.num_keys ops
-
-let pp ppf h =
-  Format.fprintf ppf "@[<v>history: %s" (stats h);
-  Array.iter
-    (fun t ->
-      if (t : Txn.t).id <> init_id then Format.fprintf ppf "@,%a" Txn.pp t)
-    h.txns;
-  Format.fprintf ppf "@]"

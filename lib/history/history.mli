@@ -79,5 +79,3 @@ val validate : t -> (unit, string) result
 
 val stats : t -> string
 (** One-line summary: #txns, #committed, #sessions, #keys, #ops. *)
-
-val pp : Format.formatter -> t -> unit

@@ -69,4 +69,3 @@ let of_sub s lo hi =
 let of_string s = try Some (of_sub s 0 (String.length s)) with Malformed -> None
 
 let equal a b = a = b
-let compare = Stdlib.compare

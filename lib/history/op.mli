@@ -28,7 +28,6 @@ val of_string : string -> t option
     integer grammar. *)
 
 val equal : t -> t -> bool
-val compare : t -> t -> int
 
 (** {1 Text grammar}
 

@@ -1,5 +1,6 @@
-(* Tests for mtc.baselines: Polygraph, Prune, Cobra, Polysi, Porcupine,
-   Elle — including cross-validation against MTC's own checkers. *)
+(* Tests for mtc.baselines: the polygraph checker (Cobra at SER, PolySI
+   at SI) and its pruning, Porcupine, Elle and dbcop — including
+   cross-validation against MTC's own checkers. *)
 
 let checkb = Alcotest.check Alcotest.bool
 let checki = Alcotest.check Alcotest.int
@@ -27,6 +28,28 @@ let test_polygraph_screens_intra () =
   | Error (Polygraph.Screen _) -> ()
   | _ -> Alcotest.fail "aborted read must be screened"
 
+(* T1 and T2 both write 1 to x0, and T3 reads it: the reads-from edge
+   is not determined by the value, so every baseline must refuse the
+   history with the duplicate screen's message, as MTC does. *)
+let duplicate_value_history () =
+  let t1 = Txn.make ~id:1 ~session:1 [ Op.Write (0, 1) ] in
+  let t2 = Txn.make ~id:2 ~session:2 [ Op.Write (0, 1) ] in
+  let t3 = Txn.make ~id:3 ~session:3 [ Op.Read (0, 1) ] in
+  let h = History.make ~num_keys:1 ~num_sessions:3 [ t1; t2; t3 ] in
+  match History.unique_values h with
+  | Error msg -> (h, msg)
+  | Ok () -> Alcotest.fail "the duplicate screen must flag the history"
+
+let test_polygraph_duplicate_values () =
+  let h, msg = duplicate_value_history () in
+  List.iter
+    (fun level ->
+      let res = Polygraph.check ~level h in
+      let name = Checker.level_name level in
+      checkb name false res.Polygraph.ok;
+      Alcotest.check Alcotest.string name msg res.Polygraph.reason)
+    [ Checker.SER; Checker.SI ]
+
 let test_polygraph_constraint_structure () =
   let h =
     history ~keys:1 ~sessions:2
@@ -43,7 +66,7 @@ let test_polygraph_constraint_structure () =
         pg.Polygraph.constraints
   | Error _ -> Alcotest.fail "build failed"
 
-(* --- Prune --- *)
+(* --- pruning --- *)
 
 let test_prune_decides_chain () =
   (* An RMW chain is fully ordered by WR edges: everything prunes. *)
@@ -57,9 +80,9 @@ let test_prune_decides_chain () =
   in
   match Polygraph.build h with
   | Ok pg ->
-      let pr = Prune.run ~n:4 pg ~use_anti:true in
-      checki "all six pairs decided" 6 pr.Prune.decided;
-      checki "none left" 0 (List.length pr.Prune.undecided)
+      let pr = Polygraph.prune ~level:Checker.SER pg in
+      checki "all six pairs decided" 6 pr.Polygraph.decided;
+      checki "none left" 0 (List.length pr.Polygraph.undecided)
   | Error _ -> Alcotest.fail "build failed"
 
 let test_prune_leaves_blind_writes () =
@@ -69,16 +92,19 @@ let test_prune_leaves_blind_writes () =
   let h = History.make ~num_keys:1 ~num_sessions:2 [ t1; t2 ] in
   match Polygraph.build h with
   | Ok pg ->
-      let pr = Prune.run ~n:3 pg ~use_anti:true in
-      checkb "undecided remains" true (List.length pr.Prune.undecided >= 1)
+      let pr = Polygraph.prune ~level:Checker.SER pg in
+      checkb "undecided remains" true (List.length pr.Polygraph.undecided >= 1)
   | Error _ -> Alcotest.fail "build failed"
 
-(* --- Cobra --- *)
+(* --- Cobra: the polygraph checker at SER --- *)
+
+let cobra h = (Polygraph.check ~level:Checker.SER h).Polygraph.ok
+let polysi h = (Polygraph.check ~level:Checker.SI h).Polygraph.ok
 
 let test_cobra_catalogue () =
   List.iter
     (fun kind ->
-      let got = (Cobra.check (Anomaly.history kind)).Cobra.serializable in
+      let got = cobra (Anomaly.history kind) in
       checkb (Anomaly.name kind) (Anomaly.satisfies kind Checker.SER) got)
     Anomaly.all
 
@@ -87,7 +113,7 @@ let test_cobra_blind_write_sat () =
   let t1 = Txn.make ~id:1 ~session:1 [ Op.Write (0, 1) ] in
   let t2 = Txn.make ~id:2 ~session:2 [ Op.Write (0, 2) ] in
   let h = History.make ~num_keys:1 ~num_sessions:2 [ t1; t2 ] in
-  checkb "serializable" true (Cobra.check h).Cobra.serializable
+  checkb "serializable" true (cobra h)
 
 let test_cobra_blind_write_unsat () =
   (* Classic non-serializable blind-write pattern: T3 reads x from T1 and
@@ -102,33 +128,33 @@ let test_cobra_blind_write_unsat () =
   let t4 = Txn.make ~id:4 ~session:4 [ Op.Read (0, 21); Op.Read (1, 12) ] in
   let h = History.make ~num_keys:2 ~num_sessions:4 [ t1; t2; t3; t4 ] in
   (* This is the LONGFORK shape with blind writes; not serializable. *)
-  checkb "not serializable" false (Cobra.check h).Cobra.serializable
+  checkb "not serializable" false (cobra h)
 
 let test_cobra_stats_populated () =
   let h =
     history ~keys:1 ~sessions:2
       [ txn ~session:1 [ r 0 0; w 0 1 ]; txn ~session:2 [ r 0 1; w 0 2 ] ]
   in
-  let res = Cobra.check h in
-  checkb "times nonneg" true (Cobra.total_s res.Cobra.stats >= 0.0);
-  checki "constraints counted" 3 res.Cobra.stats.Cobra.constraints_total
+  let res = Polygraph.check ~level:Checker.SER h in
+  checkb "times nonneg" true (Polygraph.total_s res.Polygraph.stats >= 0.0);
+  checki "constraints counted" 3
+    res.Polygraph.stats.Polygraph.constraints_total
 
-(* --- Polysi --- *)
+(* --- PolySI: the polygraph checker at SI --- *)
 
 let test_polysi_catalogue () =
   List.iter
     (fun kind ->
-      let got = (Polysi.check (Anomaly.history kind)).Polysi.si in
+      let got = polysi (Anomaly.history kind) in
       checkb (Anomaly.name kind) (Anomaly.satisfies kind Checker.SI) got)
     Anomaly.all
 
 let test_polysi_write_skew_passes () =
-  checkb "write skew is SI" true
-    (Polysi.check (Anomaly.history Anomaly.Write_skew)).Polysi.si
+  checkb "write skew is SI" true (polysi (Anomaly.history Anomaly.Write_skew))
 
 let test_polysi_long_fork_fails () =
   checkb "long fork violates SI" false
-    (Polysi.check (Anomaly.history Anomaly.Long_fork)).Polysi.si
+    (polysi (Anomaly.history Anomaly.Long_fork))
 
 (* --- cross-validation on engine histories --- *)
 
@@ -144,8 +170,7 @@ let test_cobra_agrees_with_mtc () =
       for seed = 1 to 3 do
         let h = engine_history ~level ~fault ~seed in
         let mtc = Checker.passes (Checker.check_ser h) in
-        let cobra = (Cobra.check h).Cobra.serializable in
-        checkb (Printf.sprintf "seed %d" seed) mtc cobra
+        checkb (Printf.sprintf "seed %d" seed) mtc (cobra h)
       done)
     [
       (Isolation.Serializable, Fault.No_fault);
@@ -160,8 +185,7 @@ let test_polysi_agrees_with_mtc () =
       for seed = 1 to 3 do
         let h = engine_history ~level ~fault ~seed in
         let mtc = Checker.passes (Checker.check_si h) in
-        let polysi = (Polysi.check h).Polysi.si in
-        checkb (Printf.sprintf "seed %d" seed) mtc polysi
+        checkb (Printf.sprintf "seed %d" seed) mtc (polysi h)
       done)
     [
       (Isolation.Snapshot, Fault.No_fault);
@@ -231,17 +255,27 @@ let test_elle_registers_sound () =
       checkb "elle-fails => mtc-fails" true (elle || not mtc))
     [ (Fault.No_fault, 5); (Fault.Lost_update 0.4, 6); (Fault.Causality_violation 0.3, 7) ]
 
+let test_elle_registers_duplicate_values () =
+  let h, msg = duplicate_value_history () in
+  List.iter
+    (fun level ->
+      let e = Elle.check_registers ~level h in
+      let name = Checker.level_name level in
+      checkb name false e.Elle.ok;
+      Alcotest.check Alcotest.string name msg e.Elle.reason)
+    [ Checker.SER; Checker.SI ]
+
 let test_elle_registers_misses_blind_write_cycles () =
   (* The documented incompleteness: a GT history with blind writes whose
      violation hides in un-inferred WW order passes Elle-wr but fails
-     Cobra. *)
+     the polygraph checker at SER. *)
   let t1 = Txn.make ~id:1 ~session:1 [ Op.Write (0, 11); Op.Write (1, 12) ] in
   let t2 = Txn.make ~id:2 ~session:2 [ Op.Write (0, 21); Op.Write (1, 22) ] in
   let t3 = Txn.make ~id:3 ~session:3 [ Op.Read (0, 11); Op.Read (1, 22) ] in
   let t4 = Txn.make ~id:4 ~session:4 [ Op.Read (0, 21); Op.Read (1, 12) ] in
   let h = History.make ~num_keys:2 ~num_sessions:4 [ t1; t2; t3; t4 ] in
   checkb "elle-wr misses it" true (Elle.check_registers ~level:Checker.SER h).Elle.ok;
-  checkb "cobra catches it" false (Cobra.check h).Cobra.serializable
+  checkb "cobra catches it" false (cobra h)
 
 (* --- dbcop --- *)
 
@@ -291,6 +325,7 @@ let suite =
     ("polygraph: known edges", `Quick, test_polygraph_known_edges);
     ("polygraph: screens intra anomalies", `Quick, test_polygraph_screens_intra);
     ("polygraph: constraint structure", `Quick, test_polygraph_constraint_structure);
+    ("polygraph: duplicate values refused", `Quick, test_polygraph_duplicate_values);
     ("prune: RMW chain fully decided", `Quick, test_prune_decides_chain);
     ("prune: blind writes stay", `Quick, test_prune_leaves_blind_writes);
     ("cobra: anomaly catalogue", `Quick, test_cobra_catalogue);
@@ -311,6 +346,7 @@ let suite =
     ("elle-wr: clean", `Quick, test_elle_registers_clean);
     ("elle-wr: sound wrt MTC", `Quick, test_elle_registers_sound);
     ("elle-wr: incomplete on blind writes", `Quick, test_elle_registers_misses_blind_write_cycles);
+    ("elle-wr: duplicate values refused", `Quick, test_elle_registers_duplicate_values);
     ("dbcop: anomaly catalogue", `Quick, test_dbcop_catalogue);
     ("dbcop: agrees with MTC-SER", `Quick, test_dbcop_agrees_with_mtc);
     ("dbcop: rejects non-MT input", `Quick, test_dbcop_rejects_gt);

@@ -54,23 +54,33 @@ let prop_level_implications =
       let si = Checker.passes (Checker.check_si h) in
       ((not sser) || ser) && ((not ser) || si))
 
-(* P3: MTC-SER == Cobra on MT histories (sound & complete, Theorem 4). *)
-let prop_mtc_ser_equals_cobra =
-  QCheck2.Test.make ~name:"MTC-SER == Cobra" ~count:40 ~print:print_config
-    config_gen (fun cfg ->
-      let fault = if (let s, _, _, _, _, _ = cfg in s mod 2 = 0)
-        then Fault.Lost_update 0.15 else Fault.No_fault in
-      let h = (run_config ~fault cfg).Scheduler.history in
-      Checker.passes (Checker.check_ser h) = (Cobra.check h).Cobra.serializable)
+(* P3/P4: MTC == the polygraph checker on MT histories (sound and complete,
+   Theorems 4 and 5), from engines running every fault mode.  Each test's
+   generator starts from the one QCheck seed, so the two properties draw
+   the same cases and each case is compared at SER and at SI. *)
+let fault_gen =
+  QCheck2.Gen.oneofl
+    Fault.
+      [
+        No_fault; Lost_update 0.1; Aborted_read 0.1; Causality_violation 0.1;
+        Write_skew 0.1; Long_fork 0.1; Ts_skew 0.1; Ts_reorder 0.1; Ts_dup 0.1;
+      ]
 
-(* P4: MTC-SI == PolySI on MT histories (Theorem 5). *)
-let prop_mtc_si_equals_polysi =
-  QCheck2.Test.make ~name:"MTC-SI == PolySI" ~count:40 ~print:print_config
-    config_gen (fun cfg ->
-      let fault = if (let s, _, _, _, _, _ = cfg in s mod 2 = 0)
-        then Fault.Causality_violation 0.1 else Fault.No_fault in
+let prop_mtc_equals_polygraph ~name level =
+  QCheck2.Test.make ~name ~count:100
+    ~print:(fun (cfg, fault) ->
+      Printf.sprintf "%s fault=%s" (print_config cfg) (Fault.name fault))
+    (QCheck2.Gen.pair config_gen fault_gen)
+    (fun (cfg, fault) ->
       let h = (run_config ~fault cfg).Scheduler.history in
-      Checker.passes (Checker.check_si h) = (Polysi.check h).Polysi.si)
+      Checker.passes (Checker.check level h)
+      = (Polygraph.check ~level h).Polygraph.ok)
+
+let prop_mtc_ser_equals_cobra =
+  prop_mtc_equals_polygraph ~name:"MTC-SER == Cobra" Checker.SER
+
+let prop_mtc_si_equals_polysi =
+  prop_mtc_equals_polygraph ~name:"MTC-SI == PolySI" Checker.SI
 
 (* P5: RT encodings agree (Theorem on the sweep construction). *)
 let prop_rt_encodings_agree =

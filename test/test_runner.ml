@@ -161,7 +161,8 @@ let test_e2e_hunt_clean_gives_up () =
   checki "all trials used" 3 h.Endtoend.trials
 
 let test_e2e_gt_workload_cobra () =
-  (* GT histories from a serializable engine pass Cobra. *)
+  (* GT histories from a serializable engine pass Cobra (the polygraph
+     checker at SER). *)
   let spec =
     Gt_gen.generate { Gt_gen.default with num_txns = 150; ops_per_txn = 6; num_keys = 20 }
   in
@@ -169,7 +170,8 @@ let test_e2e_gt_workload_cobra () =
     { Db.level = Isolation.Serializable; fault = Fault.No_fault; num_keys = 20; seed = 5 }
   in
   let r = Scheduler.run ~db ~spec () in
-  checkb "cobra accepts" true (Cobra.check r.Scheduler.history).Cobra.serializable
+  checkb "cobra accepts" true
+    (Polygraph.check ~level:Checker.SER r.Scheduler.history).Polygraph.ok
 
 let suite =
   [
